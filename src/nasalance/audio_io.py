@@ -7,6 +7,7 @@ intensity frame timing downstream stays exact.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,8 +38,9 @@ class ChannelMap:
 class StereoRecording:
     """Paired nasal/oral sample sequences at a common sample rate.
 
-    Samples are float64, normalized to [-1, 1]. Instances are immutable and
-    safe to share between threads.
+    Samples are C-contiguous float64, normalized to [-1, 1]; an input that is
+    already one is kept without a copy. Instances are immutable and safe to
+    share between threads.
     """
 
     nasal: np.ndarray
@@ -47,8 +49,8 @@ class StereoRecording:
     source_id: str = ""
 
     def __post_init__(self):
-        nasal = np.asarray(self.nasal, dtype=np.float64)
-        oral = np.asarray(self.oral, dtype=np.float64)
+        nasal = np.ascontiguousarray(self.nasal, dtype=np.float64)
+        oral = np.ascontiguousarray(self.oral, dtype=np.float64)
         if nasal.ndim != 1 or oral.ndim != 1:
             raise ValueError("channels must be one-dimensional")
         if len(nasal) != len(oral):
@@ -60,9 +62,9 @@ class StereoRecording:
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
         for name, ch in (("nasal", nasal), ("oral", oral)):
-            if not np.all(np.isfinite(ch)):
+            peak = _peak(ch)
+            if not math.isfinite(peak):
                 raise ValueError(f"{name} channel contains non-finite samples")
-            peak = np.max(np.abs(ch)) if len(ch) else 0.0
             if peak > 1.0:
                 raise ValueError(f"{name} channel exceeds full scale (peak {peak:g})")
         nasal.flags.writeable = False
@@ -100,25 +102,51 @@ def _read_chunks(data: bytes, path: str):
         pos = body + size + (size & 1)  # chunks are word-aligned
 
 
-def _decode_samples(raw: bytes, audio_format: int, bits: int, offset: int, path: str):
-    """Decode interleaved sample bytes to float64 in [-1, 1]."""
-    if audio_format == 1 and bits == 16:
-        ints = np.frombuffer(raw, dtype="<i2")
-        return ints.astype(np.float64) / 2**15
-    if audio_format == 1 and bits == 24:
-        padded = np.zeros((len(raw) // 3, 4), dtype=np.uint8)
-        padded[:, 1:] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3)
-        ints = padded.view("<i4").reshape(-1) >> 8
-        return ints.astype(np.float64) / 2**23
-    if audio_format == 1 and bits == 32:
-        ints = np.frombuffer(raw, dtype="<i4")
-        return ints.astype(np.float64) / 2**31
-    if audio_format == 3 and bits == 32:
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
-    raise AudioFormatError(
-        f"{path}: unsupported codec (format {audio_format}, {bits}-bit)",
-        byte_offset=offset,
-    )
+# (format tag, bits) -> (stored sample dtype, divisor onto [-1, 1]). 24-bit
+# samples are widened into the top three bytes of an int32, so they share the
+# 32-bit divisor. Every divisor is a power of two, so the division is exact.
+_CODECS = {
+    (1, 16): ("<i2", 2.0**15),
+    (1, 24): ("<i4", 2.0**31),
+    (1, 32): ("<i4", 2.0**31),
+    (3, 32): ("<f4", 1.0),
+}
+
+
+def _decode_channels(data: bytes, body: int, size: int, fmt, fmt_offset: int, path: str):
+    """Decode the interleaved data chunk body to one float64 array per channel.
+
+    The samples are read in place from `data`; each channel is written once,
+    C-contiguous, by the division that normalizes it.
+    """
+    audio_format, n_channels, _, _, _, bits = fmt
+    codec = _CODECS.get((audio_format, bits))
+    if codec is None:
+        raise AudioFormatError(
+            f"{path}: unsupported codec (format {audio_format}, {bits}-bit)",
+            byte_offset=fmt_offset,
+        )
+    dtype, scale = codec
+    if bits == 24:
+        packed = np.frombuffer(data, np.uint8, size, body).reshape(-1, 3)
+        widened = np.zeros((len(packed), 4), dtype=np.uint8)
+        widened[:, 1:] = packed
+        samples = widened.view(dtype)
+    else:
+        samples = np.frombuffer(data, dtype, size // np.dtype(dtype).itemsize, body)
+    frames = samples.reshape(-1, n_channels)
+    return [np.divide(frames[:, c], scale, dtype=np.float64) for c in range(n_channels)]
+
+
+def _peak(ch: np.ndarray) -> float:
+    """Largest |sample|; NaN or infinite when any sample is non-finite.
+
+    One min and one max pass, with no |x| temporary: NaN propagates through
+    both, and an infinite sample makes one of them infinite.
+    """
+    if not len(ch):
+        return 0.0
+    return max(-float(ch.min()), float(ch.max()))
 
 
 def read_wav(path) -> tuple[list[np.ndarray], float]:
@@ -163,20 +191,20 @@ def _read_wav_full(path) -> tuple[list[np.ndarray], float, int]:
                     f"{path.name}: data size {size} not a whole number of frames",
                     byte_offset=body,
                 )
-            samples = _decode_samples(
-                data[body : body + size], audio_format, bits, fmt_offset, path.name
-            )
-            channels = [samples[c::n_channels] for c in range(n_channels)]
-            for ch in channels:
-                if not np.all(np.isfinite(ch)):
-                    raise AudioFormatError(
-                        f"{path.name}: non-finite float samples", byte_offset=body
-                    )
-                if len(ch) and np.max(np.abs(ch)) > 1.0:
-                    raise AudioFormatError(
-                        f"{path.name}: float samples exceed full scale",
-                        byte_offset=body,
-                    )
+            channels = _decode_channels(data, body, size, fmt, fmt_offset, path.name)
+            # integer PCM lands in [-1, 1) by construction; only floats can fail
+            if audio_format == 3:
+                for ch in channels:
+                    peak = _peak(ch)
+                    if not math.isfinite(peak):
+                        raise AudioFormatError(
+                            f"{path.name}: non-finite float samples", byte_offset=body
+                        )
+                    if peak > 1.0:
+                        raise AudioFormatError(
+                            f"{path.name}: float samples exceed full scale",
+                            byte_offset=body,
+                        )
             return channels, float(sample_rate), fmt_offset
     if fmt is None:
         raise AudioFormatError(f"{path.name}: no fmt chunk found", byte_offset=len(data))

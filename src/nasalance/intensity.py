@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import StereoRecording
 
@@ -132,14 +132,17 @@ def frame_intensity_db(frame, window="rectangular") -> float:
 
 
 def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray):
+    frames = sliding_window_view(x, frame_len)
     sw = w.sum()
     out = np.empty(len(starts))
-    span = np.arange(frame_len)
-    # chunked so long recordings never materialize the full frame matrix
+    # Each block is a contiguous row copy squared in place, so x is never
+    # written and the full frame matrix never exists. Keep 4096 rows: the
+    # BLAS product's summation order depends on the block's shape, and other
+    # sizes move the last bits of some dB values (and so the CSV bytes).
     for i in range(0, len(starts), 4096):
-        block = starts[i : i + 4096]
-        segs = x[block[:, None] + span]
-        rms = np.sqrt((segs * segs) @ w / sw)
+        segs = frames[starts[i : i + 4096]]
+        np.square(segs, out=segs)
+        rms = np.sqrt(segs @ w / sw)
         with np.errstate(divide="ignore"):
             out[i : i + 4096] = 20.0 * np.log10(rms)
     return np.maximum(out, DB_CLAMP_FLOOR)
@@ -181,6 +184,10 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     If ringing overshoots full scale, both channels are rescaled by the same
     factor, which leaves nasalance untouched.
     """
+    # imported here: scipy.signal is slow to import and only band-passed
+    # runs need it
+    from scipy.signal import butter, sosfiltfilt
+
     nyquist = rec.sample_rate / 2.0
     if spec.high_hz >= nyquist:
         raise ValueError(

@@ -9,7 +9,6 @@ cannot be measured are collected as rejects with a reason, never dropped.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +17,7 @@ from .calibration import CalibrationProfile, apply_calibration
 from .core import nasalance_track, value_at
 from .errors import TokenSchemaError, UnmeasurableError, WordlistError
 from .intensity import BandpassSpec, FrameConfig, bandpass, intensity_track
-from .stats import TokenRecord
+from .stats import TokenRecord, _csv_text
 from .textgrid import DEFAULT_VOWEL_LABELS, find_tier, select_vowel_tokens
 
 TOKEN_CSV_HEADER = (
@@ -142,14 +141,6 @@ def extract_token_records(
             )
         )
     return records, rejects
-
-
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def tokens_to_csv(records) -> str:

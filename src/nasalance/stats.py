@@ -12,13 +12,13 @@ Bonferroni-adjusted over an explicit family size.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import betainc
 
 from .errors import DesignError, NumericError, RankDeficiencyError
 
@@ -160,6 +160,9 @@ def ols_fit(X, y, names=None, codings=None) -> FitResult:
 
     covariance = residual_variance * (X'X)^-1, computed from the R factor.
     """
+    # SciPy is imported on first use so commands that never fit skip its cost
+    from scipy.linalg import solve_triangular
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or len(y) != X.shape[0]:
@@ -393,6 +396,8 @@ def student_t_p(t: float, df: float) -> float:
     Uses the regularized incomplete beta identity
     P(|T| >= t) = I_{df/(df+t^2)}(df/2, 1/2).
     """
+    from scipy.special import betainc
+
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     if not math.isfinite(t):
@@ -401,21 +406,27 @@ def student_t_p(t: float, df: float) -> float:
     return float(betainc(df / 2.0, 0.5, x))
 
 
+def _csv_text(header, rows) -> str:
+    """RFC 4180 CSV text: fields holding commas, quotes or newlines are quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def emm_to_csv(table: EmmTable) -> str:
     """CSV dump with columns system,environment,emm,se."""
-    lines = ["system,environment,emm,se"]
-    for row in table:
-        lines.append(f"{row.system},{row.environment},{row.emm:.9g},{row.se:.9g}")
-    return "\n".join(lines) + "\n"
+    rows = [(r.system, r.environment, f"{r.emm:.9g}", f"{r.se:.9g}") for r in table]
+    return _csv_text(("system", "environment", "emm", "se"), rows)
 
 
 def contrasts_to_csv(*tables: ContrastTable) -> str:
     """CSV dump with columns contrast,estimate,se,t,df,p,p_adj (9 sig digits)."""
-    lines = ["contrast,estimate,se,t,df,p,p_adj"]
-    for table in tables:
-        for r in table:
-            lines.append(
-                f"{r.description},{r.estimate:.9g},{r.se:.9g},{r.t:.9g},"
-                f"{r.df},{r.p:.9g},{r.p_adjusted:.9g}"
-            )
-    return "\n".join(lines) + "\n"
+    rows = [
+        (r.description, f"{r.estimate:.9g}", f"{r.se:.9g}", f"{r.t:.9g}",
+         r.df, f"{r.p:.9g}", f"{r.p_adjusted:.9g}")
+        for table in tables
+        for r in table
+    ]
+    return _csv_text(("contrast", "estimate", "se", "t", "df", "p", "p_adj"), rows)

@@ -32,6 +32,7 @@ def test_load_stereo_16bit_normalization(tmp_path):
     path.write_bytes(wav_bytes(1, 2, 16, payload))
     rec = load_stereo(path)
     assert rec.sample_rate == 48000
+    assert rec.nasal.flags.c_contiguous and rec.oral.flags.c_contiguous
     np.testing.assert_array_equal(rec.nasal, [16384 / 32768, 0.0, -1.0])
     np.testing.assert_array_equal(rec.oral, [-8192 / 32768, 32767 / 32768, 1 / 32768])
     assert rec.source_id == "s.wav"
@@ -118,6 +119,16 @@ def test_float_out_of_range_rejected(tmp_path):
         load_stereo(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_float_non_finite_rejected_at_data_body(tmp_path, bad):
+    samples = np.array([0.5, 0.0, 0.25, bad], dtype="<f4")  # bad sample in the right channel
+    path = tmp_path / "f.wav"
+    path.write_bytes(wav_bytes(3, 2, 32, samples.tobytes()))
+    with pytest.raises(AudioFormatError, match="non-finite float samples") as err:
+        load_stereo(path)
+    assert err.value.byte_offset == 44  # data chunk body
+
+
 def test_load_pair_equal_lengths(tmp_path):
     for name, value in (("n.wav", 0.5), ("o.wav", -0.5)):
         write_wav(tmp_path / name, [np.full(48000, value)], 48000, "float32")
@@ -165,12 +176,15 @@ def test_pcm16_normalization_round_trip(tmp_path):
 def test_write_read_all_formats(tmp_path, fmt):
     rng = np.random.default_rng(3)
     x = rng.uniform(-0.9, 0.9, 200)
-    write_wav(tmp_path / "w.wav", [x, -x], 44100, fmt)
-    channels, sr = read_wav(tmp_path / "w.wav")
-    assert sr == 44100
     tol = {"pcm16": 2**-15, "pcm24": 2**-23, "pcm32": 2**-31, "float32": 2**-23}[fmt]
-    np.testing.assert_allclose(channels[0], x, atol=tol)
-    np.testing.assert_allclose(channels[1], -x, atol=tol)
+    for sent in ([x], [x, -x], [x, -x, x[::-1]]):
+        write_wav(tmp_path / "w.wav", sent, 44100, fmt)
+        channels, sr = read_wav(tmp_path / "w.wav")
+        assert sr == 44100
+        assert len(channels) == len(sent)
+        for got, want in zip(channels, sent):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            np.testing.assert_allclose(got, want, atol=tol)
 
 
 def test_stereo_recording_validation():
@@ -180,8 +194,13 @@ def test_stereo_recording_validation():
         StereoRecording(nasal=np.zeros(0), oral=np.zeros(0), sample_rate=48000)
     with pytest.raises(ValueError, match="full scale"):
         StereoRecording(nasal=np.array([1.5]), oral=np.array([0.0]), sample_rate=48000)
-    with pytest.raises(ValueError, match="non-finite"):
-        StereoRecording(nasal=np.array([np.nan]), oral=np.array([0.0]), sample_rate=48000)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="nasal channel contains non-finite"):
+            StereoRecording(nasal=np.array([0.5, bad]), oral=np.zeros(2), sample_rate=48000)
+        with pytest.raises(ValueError, match="oral channel contains non-finite"):
+            StereoRecording(nasal=np.zeros(2), oral=np.array([bad, 0.5]), sample_rate=48000)
+    with pytest.raises(ValueError, match=r"oral channel exceeds full scale \(peak 1.5\)"):
+        StereoRecording(nasal=np.zeros(2), oral=np.array([0.2, -1.5]), sample_rate=48000)
     with pytest.raises(ValueError, match="sample_rate"):
         StereoRecording(nasal=np.zeros(2), oral=np.zeros(2), sample_rate=0)
 

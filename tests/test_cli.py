@@ -1,10 +1,15 @@
 """Command-line behavior: exit codes, outputs, determinism of small runs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nasalance
 from conftest import make_alignment_tiers, segment_envelopes
 from nasalance.audio_io import write_wav
 from nasalance.cli import main
@@ -106,6 +111,32 @@ def test_analyze_bad_wav_exits_2(session, tmp_path):
     bad.write_bytes(b"not audio")
     assert main(["analyze", str(bad), str(tg), "--wordlist", str(wordlist),
                  "--out", str(tmp_path / "t.csv")]) == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_analyze_non_finite_wav_exits_2(session, tmp_path, capsys, bad):
+    _, tg, wordlist = session
+    nasal = np.zeros(4800)
+    nasal[100] = bad
+    wav = tmp_path / "nonfinite.wav"
+    write_wav(wav, [nasal, np.zeros(4800)], 48000, "float32")
+    out = tmp_path / "t.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--out", str(out)]) == 2
+    assert "non-finite float samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy is imported by the calls that need it (band-pass, stats), not by
+    # importing the command line; counted in a fresh interpreter
+    src = Path(nasalance.__file__).resolve().parents[1]
+    code = ("import sys, nasalance.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_track_command(session, tmp_path):

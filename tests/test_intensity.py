@@ -58,6 +58,31 @@ def enumerate_frame_count(n, frame_len, step):
     return count
 
 
+@pytest.mark.parametrize("sample_rate", [48000, 44100])  # 44.1 kHz: 352.8-sample hop
+@pytest.mark.parametrize("window", ["hann", "rectangular"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_framing_kernel_matches_per_frame_oracle(sample_rate, window, stride):
+    rng = np.random.default_rng(29)
+    # over 4096 frames, so the kernel's block boundary is crossed
+    raw = rng.uniform(-0.9, 0.9, (2, stride * int(35.0 * sample_rate)))
+    raw[:, : stride * 4000] = 0.0  # silent lead-in exercises the clamp
+    nasal, oral = raw[0, ::stride], raw[1, ::stride]
+    before = (nasal.copy(), oral.copy())
+    cfg = FrameConfig(window=window)
+    track = intensity_track(StereoRecording(nasal, oral, sample_rate), cfg)
+    assert len(track) > 4096
+
+    frame_len = cfg.frame_samples(sample_rate)
+    step = cfg.step_ms * sample_rate / 1000.0
+    for k in range(len(track)):
+        start = int(np.rint(k * step))
+        for x, db in ((nasal, track.nasal_db[k]), (oral, track.oral_db[k])):
+            oracle = frame_intensity_db(x[start : start + frame_len], window)
+            assert abs(db - oracle) <= 1e-12, (k, db, oracle)
+    np.testing.assert_array_equal(nasal, before[0])
+    np.testing.assert_array_equal(oral, before[1])
+
+
 def test_frame_count_one_second_48k():
     rec = tone_recording(duration_s=1.0, sample_rate=48000)
     track = intensity_track(rec, FrameConfig())

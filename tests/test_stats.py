@@ -1,10 +1,12 @@
 """Model fitting, EMMs, contrasts: checked against brute-force oracles."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as spstats
 from scipy.integrate import quad
 
@@ -445,4 +447,39 @@ def test_csv_emitters():
     lines = out.strip().split("\n")
     assert lines[0] == "contrast,estimate,se,t,df,p,p_adj"
     assert len(lines) == 1 + len(table) + len(dod)
-    assert lines[1].startswith("s1: e1 - e2,")
+    # plain labels are written unquoted, byte for byte as before
+    row = table.rows[0]
+    assert lines[1] == (
+        f"s1: e1 - e2,{row.estimate:.9g},{row.se:.9g},{row.t:.9g},{row.df},"
+        f"{row.p:.9g},{row.p_adjusted:.9g}")
+    cell = emms.cell("s1", "e1")
+    assert text.split("\n")[1] == f"s1,e1,{cell.emm:.9g},{cell.se:.9g}"
+
+
+# printable labels, with the characters CSV must quote drawn often
+labels = st.text(
+    st.sampled_from([",", '"', " ", "-", ":"]) | st.characters(
+        min_codepoint=32, blacklist_categories=("Cc", "Cs")),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems=st.lists(labels, min_size=2, max_size=2, unique=True),
+       environments=st.lists(labels, min_size=2, max_size=3, unique=True))
+def test_csv_rows_keep_header_width_for_any_label(systems, environments):
+    records = balanced_tokens(systems, environments, ["v1"], 2,
+                              lambda s, e, v, r: 40.0 + 3 * environments.index(e) + r)
+    fit = fit_nasalance_model(records)
+    emms = emmeans(fit)
+    tables = [pairwise_env_contrasts(emms, s) for s in fit.codings["system"][0]]
+    tables.append(difference_of_differences_table(fit))
+
+    emm_rows = list(csv.reader(io.StringIO(emm_to_csv(emms))))
+    assert all(len(row) == 4 for row in emm_rows)
+    assert [tuple(row[:2]) for row in emm_rows[1:]] == [
+        (r.system, r.environment) for r in emms]
+    contrast_rows = list(csv.reader(io.StringIO(contrasts_to_csv(*tables))))
+    assert all(len(row) == 7 for row in contrast_rows)
+    assert [row[0] for row in contrast_rows[1:]] == [
+        r.description for t in tables for r in t]
