@@ -38,9 +38,11 @@ class ChannelMap:
 class StereoRecording:
     """Paired nasal/oral sample sequences at a common sample rate.
 
-    Samples are C-contiguous float64, normalized to [-1, 1]; an input that is
-    already one is kept without a copy. Instances are immutable and safe to
-    share between threads.
+    Samples are C-contiguous float64, normalized to [-1, 1], and read-only.
+    A read-only input that is already one is kept without a copy; a writeable
+    one is copied, so the caller's array stays writeable and later writes to
+    it do not reach the recording. Instances are immutable and safe to share
+    between threads.
     """
 
     nasal: np.ndarray
@@ -49,8 +51,7 @@ class StereoRecording:
     source_id: str = ""
 
     def __post_init__(self):
-        nasal = np.ascontiguousarray(self.nasal, dtype=np.float64)
-        oral = np.ascontiguousarray(self.oral, dtype=np.float64)
+        nasal, oral = (_owned(x) for x in (self.nasal, self.oral))
         if nasal.ndim != 1 or oral.ndim != 1:
             raise ValueError("channels must be one-dimensional")
         if len(nasal) != len(oral):
@@ -79,6 +80,15 @@ class StereoRecording:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate
+
+
+def _owned(x) -> np.ndarray:
+    """x as a C-contiguous float64 array; a writeable input is copied, so the
+    caller keeps its own array writeable and separate."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr is x and arr.flags.writeable:
+        arr = arr.copy()
+    return arr
 
 
 def _read_chunks(data: bytes, path: str):
@@ -113,19 +123,12 @@ _CODECS = {
 }
 
 
-def _decode_channels(data: bytes, body: int, size: int, fmt, fmt_offset: int, path: str):
+def _decode_channels(data: bytes, body: int, size: int, n_channels: int, bits: int, codec):
     """Decode the interleaved data chunk body to one float64 array per channel.
 
     The samples are read in place from `data`; each channel is written once,
     C-contiguous, by the division that normalizes it.
     """
-    audio_format, n_channels, _, _, _, bits = fmt
-    codec = _CODECS.get((audio_format, bits))
-    if codec is None:
-        raise AudioFormatError(
-            f"{path}: unsupported codec (format {audio_format}, {bits}-bit)",
-            byte_offset=fmt_offset,
-        )
     dtype, scale = codec
     if bits == 24:
         packed = np.frombuffer(data, np.uint8, size, body).reshape(-1, 3)
@@ -186,12 +189,19 @@ def _read_wav_full(path) -> tuple[list[np.ndarray], float, int]:
                     f"(declared {size} bytes, {len(data) - body} available)",
                     byte_offset=len(data),
                 )
+            # before the frame-size check: a 0-bit fmt makes block_align 0
+            codec = _CODECS.get((audio_format, bits))
+            if codec is None:
+                raise AudioFormatError(
+                    f"{path.name}: unsupported codec (format {audio_format}, {bits}-bit)",
+                    byte_offset=fmt_offset,
+                )
             if block_align != n_channels * bits // 8 or size % block_align:
                 raise AudioFormatError(
                     f"{path.name}: data size {size} not a whole number of frames",
                     byte_offset=body,
                 )
-            channels = _decode_channels(data, body, size, fmt, fmt_offset, path.name)
+            channels = _decode_channels(data, body, size, n_channels, bits, codec)
             # integer PCM lands in [-1, 1) by construction; only floats can fail
             if audio_format == 3:
                 for ch in channels:
@@ -221,6 +231,8 @@ def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
             f"{path.name}: channel count != 2 (got {len(channels)})",
             byte_offset=fmt_offset + 2,  # the fmt chunk's channel field
         )
+    for ch in channels:
+        ch.flags.writeable = False  # fresh arrays: StereoRecording keeps them
     by_source = {"left": channels[0], "right": channels[1]}
     return StereoRecording(
         nasal=by_source[channel_map.nasal_source],
@@ -263,6 +275,7 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
         else:
             oral = np.concatenate([oral, np.zeros(pad)])
             source_id += f"#pad_oral={pad}"
+    nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
     return StereoRecording(
         nasal=nasal, oral=oral, sample_rate=nasal_rate, source_id=source_id
     )

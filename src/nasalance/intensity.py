@@ -134,17 +134,24 @@ def frame_intensity_db(frame, window="rectangular") -> float:
 def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray):
     frames = sliding_window_view(x, frame_len)
     sw = w.sum()
-    out = np.empty(len(starts))
-    # Each block is a contiguous row copy squared in place, so x is never
+    n = len(starts)
+    out = np.empty(n)
+    # Each block holds the squared frame rows contiguously, so x is never
     # written and the full frame matrix never exists. Keep 4096 rows: the
     # BLAS product's summation order depends on the block's shape, and other
     # sizes move the last bits of some dB values (and so the CSV bytes).
-    for i in range(0, len(starts), 4096):
-        segs = frames[starts[i : i + 4096]]
-        np.square(segs, out=segs)
-        rms = np.sqrt(segs @ w / sw)
+    # One buffer serves every block: a fresh 4096-row block (50 MB at 48 kHz)
+    # is above the allocator's mmap threshold, so each would be a new mapping
+    # faulted in page by page. Rows are gathered and squared 64 at a time, so
+    # the gather's temporary (0.75 MB) is still in cache when it is squared.
+    segs = np.empty((min(4096, n), frame_len))
+    for i in range(0, n, 4096):
+        block = segs[: min(4096, n - i)]
+        for j in range(0, len(block), 64):
+            np.square(frames[starts[i + j : i + j + 64]], out=block[j : j + 64])
+        rms = np.sqrt(block @ w / sw)
         with np.errstate(divide="ignore"):
-            out[i : i + 4096] = 20.0 * np.log10(rms)
+            out[i : i + len(block)] = 20.0 * np.log10(rms)
     return np.maximum(out, DB_CLAMP_FLOOR)
 
 
@@ -206,6 +213,7 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     if peak > 1.0:
         nasal = nasal / peak
         oral = oral / peak
+    nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
     return StereoRecording(
         nasal=nasal, oral=oral, sample_rate=rec.sample_rate, source_id=rec.source_id
     )

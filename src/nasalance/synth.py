@@ -173,6 +173,7 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
     peak = max(np.max(np.abs(nasal)), np.max(np.abs(oral)))
     if peak > 1.0:
         raise SynthSpecError(f"spec clips: peak amplitude {peak:.4f} > 1")
+    nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
     rec = StereoRecording(
         nasal=nasal, oral=oral, sample_rate=spec.sample_rate, source_id="synth"
     )

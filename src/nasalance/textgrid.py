@@ -9,6 +9,7 @@ path. Writing always emits the long format with 6-decimal times.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import TextGridParseError
@@ -378,6 +379,9 @@ def select_vowel_tokens(
             f"[{word_tier.tmin}, {word_tier.tmax}]"
         )
     vowel_labels = set(vowel_labels)
+    words = word_tier.intervals
+    word_starts = [w.tmin for w in words]
+    word_ends = [w.tmax for w in words]
     tokens = []
     for iv in phone_tier.intervals:
         label = iv.label.strip()
@@ -387,11 +391,13 @@ def select_vowel_tokens(
         if vowel not in vowel_labels:
             continue
         mid = iv.midpoint
-        word = ""
-        for w in word_tier.intervals:
-            if w.tmin <= mid < w.tmax or (mid == w.tmax == word_tier.tmax):
-                word = w.label.strip()
-                break
+        # Words are contiguous, so only the last word starting at or before
+        # mid can hold it; a midpoint on the tier's end goes to the first
+        # word ending there (zero-length words may follow it).
+        k = bisect_right(word_starts, mid) - 1
+        if k < 0 or mid >= word_ends[k]:
+            k = bisect_left(word_ends, mid) if mid == word_tier.tmax else len(words)
+        word = words[k].label.strip() if k < len(words) else ""
         tokens.append(
             TokenSelection(
                 word=word,

@@ -8,12 +8,22 @@ themselves.
 
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 
+import nasalance
 from nasalance.audio_io import StereoRecording
 from nasalance.textgrid import Interval, IntervalTier
+
+# Child processes (`python -m nasalance`) import the package the tests
+# import, also when only pytest's `pythonpath` setting put src/ on the path.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(nasalance.__file__).resolve().parents[1]),
+                os.environ.get("PYTHONPATH")) if p
+)
 
 
 def tone_recording(

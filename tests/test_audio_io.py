@@ -94,6 +94,17 @@ def test_unsupported_bit_depth_reports_offset(tmp_path):
     assert err.value.byte_offset == 20  # fmt chunk body
 
 
+def test_zero_bit_fmt_is_unsupported_codec(tmp_path):
+    # 0 bits makes block align 0; the codec check must come before the
+    # frame-size check divides by it
+    path = tmp_path / "z.wav"
+    path.write_bytes(wav_bytes(1, 1, 0, b"\x00" * 4))
+    assert path.stat().st_size == 48
+    with pytest.raises(AudioFormatError, match=r"unsupported codec \(format 1, 0-bit\)") as err:
+        read_wav(path)
+    assert err.value.byte_offset == 20  # fmt chunk body
+
+
 def test_truncated_data_chunk(tmp_path):
     good = wav_bytes(1, 2, 16, struct.pack("<hh", 1, 2) * 10)
     path = tmp_path / "t.wav"
@@ -216,3 +227,18 @@ def test_recording_is_immutable(tmp_path):
     rec = StereoRecording(nasal=np.zeros(4), oral=np.zeros(4), sample_rate=48000)
     with pytest.raises(ValueError):
         rec.nasal[0] = 1.0
+
+
+def test_recording_leaves_caller_array_writeable():
+    x = np.zeros(4)
+    rec = StereoRecording(x, x.copy(), 1.0)
+    x[0] = 1.0  # the caller's array is not frozen
+    assert rec.nasal[0] == 0.0  # and the recording does not see the write
+    assert not rec.nasal.flags.writeable
+
+
+def test_read_only_input_kept_without_copy():
+    x = np.zeros(4)
+    x.flags.writeable = False
+    rec = StereoRecording(x, x, 1.0)
+    assert rec.nasal is x and rec.oral is x

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,18 @@ def test_analyze_non_finite_wav_exits_2(session, tmp_path, capsys, bad):
     assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
                  "--out", str(out)]) == 2
     assert "non-finite float samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_track_zero_bit_wav_exits_2(tmp_path, capsys):
+    # fmt chunk declaring 0 bits per sample and a block align of 0
+    wav = tmp_path / "zero.wav"
+    wav.write_bytes(b"RIFF" + struct.pack("<I", 40) + b"WAVEfmt "
+                    + struct.pack("<IHHIIHH", 16, 1, 2, 48000, 0, 0, 0)
+                    + b"data" + struct.pack("<I", 4) + b"\x00" * 4)
+    out = tmp_path / "z.csv"
+    assert main(["track", str(wav), "--out", str(out)]) == 2
+    assert "unsupported codec (format 1, 0-bit)" in capsys.readouterr().err
     assert not out.exists()
 
 

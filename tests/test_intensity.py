@@ -83,6 +83,29 @@ def test_framing_kernel_matches_per_frame_oracle(sample_rate, window, stride):
     np.testing.assert_array_equal(oral, before[1])
 
 
+@pytest.mark.parametrize("sample_rate", [48000, 44100])
+@pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 4096, 4097])
+def test_framing_kernel_buffer_edges(sample_rate, n_frames):
+    # frame counts at and around the kernel's 64-row batch and 4096-row block
+    cfg = FrameConfig()
+    frame_len = cfg.frame_samples(sample_rate)
+    step = cfg.step_ms * sample_rate / 1000.0
+    n = int(np.rint((n_frames - 1) * step)) + frame_len
+    rng = np.random.default_rng(n_frames)
+    nasal, oral = rng.uniform(-0.9, 0.9, (2, n))
+    before = (nasal.copy(), oral.copy())
+    track = intensity_track(StereoRecording(nasal, oral, sample_rate), cfg)
+    assert len(track) == n_frames
+
+    for k in range(n_frames):
+        start = int(np.rint(k * step))
+        for x, db in ((nasal, track.nasal_db[k]), (oral, track.oral_db[k])):
+            oracle = frame_intensity_db(x[start : start + frame_len], cfg.window)
+            assert abs(db - oracle) <= 1e-12, (k, db, oracle)
+    np.testing.assert_array_equal(nasal, before[0])
+    np.testing.assert_array_equal(oral, before[1])
+
+
 def test_frame_count_one_second_48k():
     rec = tone_recording(duration_s=1.0, sample_rate=48000)
     track = intensity_track(rec, FrameConfig())

@@ -1,6 +1,8 @@
 """TextGrid parsing, format equivalence, round-trips, token selection."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import corpus_variants, random_tiers, write_long, write_short
 from nasalance.errors import TextGridParseError
@@ -255,3 +257,71 @@ def test_find_tier_case_and_plural():
 def test_tiers_absent_flag():
     text = 'File type = "ooTextFile"\nObject class = "TextGrid"\n\n0\n1\n<absent>\n'
     assert parse_textgrid(text) == []
+
+def first_match_tokens(phone_tier, word_tier, vowel_labels):
+    """Brute-force oracle: scan every word in order for each vowel."""
+    tokens = []
+    for iv in phone_tier.intervals:
+        label = iv.label.strip()
+        if not label or iv.tmax <= iv.tmin or strip_stress(label) not in vowel_labels:
+            continue
+        mid = (iv.tmin + iv.tmax) / 2.0
+        word = ""
+        for w in word_tier.intervals:
+            if w.tmin <= mid < w.tmax or mid == w.tmax == word_tier.tmax:
+                word = w.label.strip()
+                break
+        tokens.append((word, strip_stress(label), iv, mid, word == ""))
+    return tokens
+
+
+def grid_tier(name, cuts, labels, end):
+    """Contiguous tier over [0, end] cut at the sorted points (repeats allowed)."""
+    bounds = [0.0, *cuts, end]
+    return IntervalTier(
+        name, 0.0, end,
+        tuple(Interval(a, b, lab) for a, b, lab in zip(bounds, bounds[1:], labels)),
+    )
+
+
+@st.composite
+def phone_word_tiers(draw):
+    # Boundaries on a 0.5 grid put phone midpoints on word boundaries often;
+    # a last phone that ends one ulp after its start has its midpoint on the
+    # tier end, and repeated cuts make zero-length intervals.
+    end = 0.5 * draw(st.integers(1, 12))
+    grid = st.integers(0, int(2 * end)).map(lambda i: 0.5 * i)
+    phone_cuts = sorted(draw(st.lists(grid, max_size=12)))
+    if draw(st.booleans()):
+        phone_cuts = [c for c in phone_cuts if c < end]
+        phone_cuts.append(float(np.nextafter(end, 0.0)))
+    word_cuts = sorted(draw(st.lists(grid, max_size=8)))
+    phone_labels = draw(st.lists(
+        st.sampled_from(["", " ", "IH1", "EH", "AE0", "sil", " AH2 "]),
+        min_size=len(phone_cuts) + 1, max_size=len(phone_cuts) + 1,
+    ))
+    word_labels = draw(st.lists(
+        st.sampled_from(["", " ", "bin", "bet", " pat "]),
+        min_size=len(word_cuts) + 1, max_size=len(word_cuts) + 1,
+    ))
+    return (grid_tier("phone", phone_cuts, phone_labels, end),
+            grid_tier("word", word_cuts, word_labels, end))
+
+
+@settings(max_examples=300, deadline=None)
+@given(phone_word_tiers())
+def test_select_vowel_tokens_matches_first_match_scan(tiers):
+    phones, words = tiers
+    vowels = {"IH", "EH", "AE", "AH"}
+    got = [(t.word, t.vowel_label, t.interval, t.midpoint, t.in_empty_word)
+           for t in select_vowel_tokens(phones, words, vowels)]
+    assert got == first_match_tokens(phones, words, vowels)
+
+
+def test_select_vowel_midpoint_on_tier_end_takes_first_word_ending_there():
+    end = 10.0
+    phones = grid_tier("phone", [float(np.nextafter(end, 0.0))], ["sil", "IH1"], end)
+    assert phones.intervals[-1].midpoint == end
+    words = grid_tier("word", [4.0, end, end], ["", "bin", "", "pat"], end)
+    (token,) = select_vowel_tokens(phones, words, {"IH"})
+    assert (token.word, token.in_empty_word) == ("bin", False)
