@@ -50,6 +50,8 @@ def estimate_gain_offset(
     cfg = cfg or FrameConfig()
     if window is not None:
         t0, t1 = window
+        if not (np.isfinite(t0) and np.isfinite(t1)):
+            raise CalibrationError(f"stimulus window [{t0}, {t1}] is not finite")
         sr = rec.sample_rate
         i0, i1 = max(0, int(round(t0 * sr))), min(rec.n_samples, int(round(t1 * sr)))
         if i1 - i0 < 1:

@@ -30,6 +30,7 @@ from .pipeline import (
     tokens_to_csv,
 )
 from .stats import (
+    _csv_text,
     contrasts_to_csv,
     difference_of_differences_table,
     emm_to_csv,
@@ -207,7 +208,8 @@ def cmd_stats(args) -> int:
     env_levels = fit.codings["environment"][0]
 
     n_pairs = len(env_levels) * (len(env_levels) - 1) // 2
-    pairwise_family = args.family_size or n_pairs * len(sys_levels)
+    pairwise_family = (args.family_size if args.family_size is not None
+                       else n_pairs * len(sys_levels))
     pairwise = [
         pairwise_env_contrasts(emms, s, family_size=pairwise_family)
         for s in sys_levels
@@ -226,10 +228,9 @@ def cmd_stats(args) -> int:
     se = [float(fit.covariance[i, i]) ** 0.5 for i in range(len(fit.names))]
     print(f"# n={len(records)} residual_df={fit.residual_df} "
           f"residual_variance={fit.residual_variance:.9g}")
-    print("coefficient,estimate,se")
-    for name, est, s in zip(fit.names, fit.estimates, se):
-        print(f"{name},{est:.9g},{s:.9g}")
-    print()
+    coefficients = [(name, f"{est:.9g}", f"{s:.9g}")
+                    for name, est, s in zip(fit.names, fit.estimates, se)]
+    print(_csv_text(("coefficient", "estimate", "se"), coefficients))
     print(emm_to_csv(emms), end="")
 
     Path(args.out).write_text(contrasts_to_csv(*tables), encoding="utf-8")
@@ -294,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="contrast results CSV")
     p.add_argument("--emm-out", default=None, help="optional EMM table CSV")
     p.add_argument("--family-size", type=int, default=None,
-                   help="Bonferroni family size (default: rows in each table)")
+                   help="Bonferroni family size for every table (default: "
+                        "pairwise rows summed over all systems for pairwise "
+                        "tables, own rows for the difference-of-differences)")
     p.set_defaults(func=cmd_stats)
 
     return parser

@@ -7,6 +7,7 @@ ratio downstream, so no absolute SPL calibration is pretended.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,6 +32,13 @@ class FrameConfig:
     silence_floor_db: float = -60.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.frame_length_ms) and math.isfinite(self.step_ms)):
+            raise ValueError(
+                f"frame_length_ms and step_ms must be finite, got "
+                f"step {self.step_ms}, frame {self.frame_length_ms}"
+            )
+        if math.isnan(self.silence_floor_db):
+            raise ValueError("silence_floor_db must not be NaN")
         if not 0 < self.step_ms <= self.frame_length_ms:
             raise ValueError(
                 f"need 0 < step_ms <= frame_length_ms, got "

@@ -16,7 +16,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -61,10 +61,8 @@ def deviation_code(levels) -> np.ndarray:
         raise DesignError(f"factor needs at least 2 levels, got {levels!r}")
     if len(set(levels)) != k:
         raise DesignError(f"duplicate factor levels in {levels!r}")
-    m = np.zeros((k, k - 1))
-    for i in range(k - 1):
-        m[i, i] = 1.0
-    m[k - 1, :] = -1.0
+    m = np.eye(k, k - 1)
+    m[k - 1] = -1.0
     return m
 
 
@@ -88,6 +86,35 @@ def _factor_levels(records, attr, order):
     else:
         levels = sorted(observed)
     return levels
+
+
+def _coded(codings, factor, names) -> np.ndarray:
+    """Coding-matrix rows of one factor, one per level name in names."""
+    levels, m = codings[factor]
+    index = {lv: i for i, lv in enumerate(levels)}
+    try:
+        return m[[index[name] for name in names]]
+    except KeyError as exc:
+        raise ValueError(f"unknown {factor} level {exc.args[0]!r}") from None
+
+
+def _rows(codings, systems, environments, vowels=None) -> np.ndarray:
+    """Model rows for parallel sequences of level names, one row per position.
+
+    Columns: intercept, system, environment, system x environment (system
+    outer), vowel. With vowels=None the vowel columns sit at the coding
+    centroid, which weights every vowel equally (the EMM reference grid).
+    """
+    s = _coded(codings, "system", systems)
+    e = _coded(codings, "environment", environments)
+    n = len(s)
+    cols = [np.ones((n, 1)), s, e, (s[:, :, None] * e[:, None, :]).reshape(n, -1)]
+    if "vowel" in codings:
+        if vowels is None:
+            cols.append(np.tile(codings["vowel"][1].mean(axis=0), (n, 1)))
+        else:
+            cols.append(_coded(codings, "vowel", vowels))
+    return np.hstack(cols)
 
 
 def build_design(records, level_order=None) -> Design:
@@ -125,20 +152,8 @@ def build_design(records, level_order=None) -> Design:
     if "vowel" in codings:
         names += [f"vowel.{lv}" for lv in vow_levels[:-1]]
 
-    sys_index = {lv: i for i, lv in enumerate(sys_levels)}
-    env_index = {lv: i for i, lv in enumerate(env_levels)}
-    vow_index = {lv: i for i, lv in enumerate(vow_levels)}
-    sys_m = codings["system"][1]
-    env_m = codings["environment"][1]
-    rows = []
-    for r in records:
-        s = sys_m[sys_index[r.system]]
-        e = env_m[env_index[r.environment]]
-        row = [1.0, *s, *e, *np.outer(s, e).ravel()]
-        if "vowel" in codings:
-            row.extend(codings["vowel"][1][vow_index[r.vowel]])
-        rows.append(row)
-    X = np.array(rows, dtype=np.float64)
+    X = _rows(codings, [r.system for r in records],
+              [r.environment for r in records], [r.vowel for r in records])
     y = np.array([r.nasalance_pct for r in records], dtype=np.float64)
     return Design(X=X, y=y, names=tuple(names), codings=codings)
 
@@ -209,22 +224,6 @@ def _require_codings(fit: FitResult):
         raise ValueError("fit carries no system/environment coding tables")
 
 
-def _cell_row(fit: FitResult, system: str, environment: str) -> np.ndarray:
-    """Prediction row for one system x environment cell, vowel averaged."""
-    sys_levels, sys_m = fit.codings["system"]
-    env_levels, env_m = fit.codings["environment"]
-    if system not in sys_levels:
-        raise ValueError(f"unknown system level {system!r}")
-    if environment not in env_levels:
-        raise ValueError(f"unknown environment level {environment!r}")
-    s = sys_m[sys_levels.index(system)]
-    e = env_m[env_levels.index(environment)]
-    row = [1.0, *s, *e, *np.outer(s, e).ravel()]
-    if "vowel" in fit.codings:
-        row.extend(fit.codings["vowel"][1].mean(axis=0))
-    return np.array(row, dtype=np.float64)
-
-
 @dataclass(frozen=True)
 class EmmRow:
     system: str
@@ -255,15 +254,13 @@ def emmeans(fit: FitResult) -> EmmTable:
     proportions), so an EMM is the model's cell value at the vowel centroid.
     """
     _require_codings(fit)
-    sys_levels = fit.codings["system"][0]
-    env_levels = fit.codings["environment"][0]
+    cells = list(product(fit.codings["system"][0], fit.codings["environment"][0]))
+    grid = _rows(fit.codings, *zip(*cells))
     rows = []
-    for s in sys_levels:
-        for e in env_levels:
-            x = _cell_row(fit, s, e)
-            emm = float(x @ fit.estimates)
-            se = math.sqrt(max(float(x @ fit.covariance @ x), 0.0))
-            rows.append(EmmRow(system=s, environment=e, emm=emm, se=se))
+    for (s, e), x in zip(cells, grid):
+        emm = float(x @ fit.estimates)
+        se = math.sqrt(max(float(x @ fit.covariance @ x), 0.0))
+        rows.append(EmmRow(system=s, environment=e, emm=emm, se=se))
     return EmmTable(rows=tuple(rows), fit=fit)
 
 
@@ -332,12 +329,13 @@ def pairwise_env_contrasts(
     env_levels = fit.codings["environment"][0]
     if len(env_levels) < 2:
         raise DesignError("need at least 2 environments for contrasts")
-    rows = []
-    for env_i, env_j in combinations(env_levels, 2):
-        d = _cell_row(fit, within_system, env_i) - _cell_row(fit, within_system, env_j)
-        rows.append(
-            _contrast_from_vector(fit, d, f"{within_system}: {env_i} - {env_j}")
-        )
+    pairs = list(combinations(env_levels, 2))
+    x = _rows(fit.codings, [within_system] * (2 * len(pairs)),
+              [env for pair in pairs for env in pair])
+    rows = [
+        _contrast_from_vector(fit, x_i - x_j, f"{within_system}: {env_i} - {env_j}")
+        for (env_i, env_j), x_i, x_j in zip(pairs, x[0::2], x[1::2])
+    ]
     return _adjusted(rows, family_size)
 
 
@@ -356,12 +354,9 @@ def system_difference_of_differences(fit: FitResult, env_pair) -> ContrastRow:
         )
     sys_a, sys_b = sys_levels
     env_i, env_j = env_pair
-    d = (
-        _cell_row(fit, sys_a, env_i)
-        - _cell_row(fit, sys_a, env_j)
-        - _cell_row(fit, sys_b, env_i)
-        + _cell_row(fit, sys_b, env_j)
-    )
+    a_i, a_j, b_i, b_j = _rows(fit.codings, (sys_a, sys_a, sys_b, sys_b),
+                               (env_i, env_j, env_i, env_j))
+    d = a_i - a_j - b_i + b_j
     description = f"({env_i} - {env_j}): {sys_a} - {sys_b}"
     return _contrast_from_vector(fit, d, description)
 

@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism of small runs."""
 
+import csv
+import io
 import json
 import os
 import struct
@@ -195,6 +197,23 @@ def test_calibration_flag_in_analyze(session, tmp_path):
                  "--calibration", str(profile), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("track", ["--frame-ms", "inf"], "must be finite"),
+    ("track", ["--silence-floor-db", "nan"], "must not be NaN"),
+    ("calibrate", ["--stimulus-window", "0:inf"], "stimulus window [0.0, inf]"),
+    ("calibrate", ["--stimulus-window", "nan:1"], "stimulus window [nan, 1.0]"),
+], ids=["frame-ms-inf", "silence-floor-db-nan", "stimulus-window-inf",
+        "stimulus-window-nan"])
+def test_non_finite_numeric_flags_exit_2(tmp_path, capsys, command, flags, message):
+    tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, [tone, tone], 48000, "float32")
+    out = tmp_path / "out"
+    assert main([command, str(wav), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_command(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(synth_spec_doc([25.0])))
@@ -234,6 +253,41 @@ def test_stats_command(session, tmp_path, capsys):
     assert emm_out.read_text().splitlines()[0] == "system,environment,emm,se"
     stdout = capsys.readouterr().out
     assert "coefficient,estimate,se" in stdout
+
+
+TOKEN_HEADER = "source_id,speaker,system,word,vowel,environment,t_mid_s,nasalance_pct"
+
+
+def write_token_rows(path, systems, environments, reps=2):
+    """Token CSV with every system x environment cell filled reps times."""
+    rows = [
+        f"a,sp,{system},w,v1,{env},0.5,{40 + 3 * i + r}"
+        for system in systems
+        for i, env in enumerate(environments)
+        for r in range(reps)
+    ]
+    path.write_text(TOKEN_HEADER + "\n" + "\n".join(rows) + "\n")
+
+
+def test_stats_stdout_table_quotes_comma_labels(tmp_path, capsys):
+    tokens = tmp_path / "tokens.csv"
+    write_token_rows(tokens, ['"a,b"', "c"], ["e1", "e2"])
+    assert main(["stats", str(tokens), "--out", str(tmp_path / "r.csv")]) == 0
+    stdout = capsys.readouterr().out
+    table = stdout.split("\n\n")[0].split("\n", 1)[1]  # past the '# n=' line
+    rows = list(csv.reader(io.StringIO(table)))
+    assert rows[0] == ["coefficient", "estimate", "se"]
+    assert all(len(row) == 3 for row in rows)
+    assert [row[0] for row in rows[1:3]] == ["intercept", "system.a,b"]
+
+
+def test_stats_family_size_zero_exits_2(tmp_path, capsys):
+    tokens = tmp_path / "tokens.csv"
+    write_token_rows(tokens, ["s1", "s2", "s3"], ["e1", "e2"])
+    out = tmp_path / "r.csv"
+    assert main(["stats", str(tokens), "--out", str(out), "--family-size", "0"]) == 2
+    assert "family size must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stats_single_environment_exits_2(tmp_path):

@@ -163,6 +163,13 @@ def test_frame_config_validation():
         FrameConfig(step_ms=0)
     with pytest.raises(ValueError, match="window"):
         FrameConfig(window="hamming")
+    for bad in ({"frame_length_ms": math.inf}, {"step_ms": math.nan},
+                {"frame_length_ms": -math.inf}):
+        with pytest.raises(ValueError, match="must be finite"):
+            FrameConfig(**bad)
+    with pytest.raises(ValueError, match="NaN"):
+        FrameConfig(silence_floor_db=math.nan)
+    assert FrameConfig(silence_floor_db=-math.inf).silence_floor_db == -math.inf
     with pytest.raises(ValueError, match="under 2 samples"):
         FrameConfig(frame_length_ms=0.01, step_ms=0.01).frame_samples(8000)
 

@@ -96,6 +96,59 @@ def test_design_single_level_factor_rejected():
         build_design(records)
 
 
+def reference_row(codings, system, environment, vowel=None):
+    """One model row built the per-record way: np.outer for the interaction,
+    and the vowel coding centroid when no vowel is given."""
+    s = codings["system"][1][codings["system"][0].index(system)]
+    e = codings["environment"][1][codings["environment"][0].index(environment)]
+    row = [1.0, *s, *e, *np.outer(s, e).ravel()]
+    if "vowel" in codings:
+        vowels, m = codings["vowel"]
+        row.extend(m.mean(axis=0) if vowel is None else m[vowels.index(vowel)])
+    return np.array(row, dtype=np.float64)
+
+
+@st.composite
+def unbalanced_records(draw):
+    """2-4 levels per factor (or a single vowel), every cell filled once plus
+    at least one extra token, so the fit is full rank and unbalanced; with
+    or without an explicit level order."""
+    systems = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
+    envs = [f"e{i}" for i in range(draw(st.integers(2, 4)))]
+    vowels = [f"v{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4])))]
+    cells = [(s, e, v) for s in systems for e in envs for v in vowels]
+    extra = draw(st.lists(st.tuples(st.sampled_from(systems), st.sampled_from(envs),
+                                     st.sampled_from(vowels)), min_size=1, max_size=30))
+    records = [
+        make_token(s, e, v, draw(st.floats(0.0, 100.0)), rep=i)
+        for i, (s, e, v) in enumerate(draw(st.permutations(cells + extra)))
+    ]
+    order = None
+    if draw(st.booleans()):
+        order = {"system": draw(st.permutations(systems)),
+                 "environment": draw(st.permutations(envs)),
+                 "vowel": draw(st.permutations(vowels))}
+    return records, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(unbalanced_records())
+def test_design_and_emm_rows_bitwise_equal_per_record_reference(case):
+    records, order = case
+    design = build_design(records, level_order=order)
+    reference = np.array([
+        reference_row(design.codings, r.system, r.environment, r.vowel)
+        for r in records
+    ])
+    assert np.array_equal(design.X, reference)
+    assert design.X.tobytes() == reference.tobytes()  # tells -0.0 from 0.0 too
+    fit = ols_fit(design.X, design.y, names=design.names, codings=design.codings)
+    for row in emmeans(fit):
+        x = reference_row(fit.codings, row.system, row.environment)
+        assert row.emm == float(x @ fit.estimates)
+        assert row.se == math.sqrt(max(float(x @ fit.covariance @ x), 0.0))
+
+
 def test_token_record_validation():
     with pytest.raises(ValueError, match="outside"):
         make_token("s1", "e1", "v1", 130.0)
@@ -244,9 +297,9 @@ def test_emm_unknown_level():
                               lambda s, e, v, r: 50.0)
     fit = fit_nasalance_model(records)
     with pytest.raises(ValueError, match="unknown system"):
-        from nasalance.stats import _cell_row
-
-        _cell_row(fit, "s9", "e1")
+        pairwise_env_contrasts(emmeans(fit), "s9")
+    with pytest.raises(ValueError, match="unknown environment"):
+        system_difference_of_differences(fit, ("e1", "e9"))
 
 
 # --- contrasts --------------------------------------------------------------
