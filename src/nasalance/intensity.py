@@ -173,12 +173,18 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None) -> Int
     cfg = cfg or FrameConfig()
     sr = rec.sample_rate
     frame_len = cfg.frame_samples(sr)
+    step_samples = cfg.step_ms * sr / 1000.0
+    if step_samples < 1:
+        # a shorter hop only repeats frames, and a tiny one would ask numpy
+        # for a huge array of frame starts
+        raise ValueError(
+            f"step_ms of {cfg.step_ms} ms is under 1 sample at {sr:g} Hz"
+        )
     n = rec.n_samples
     if n < frame_len:
         raise ValueError(
             f"recording of {n} samples is shorter than one {frame_len}-sample frame"
         )
-    step_samples = cfg.step_ms * sr / 1000.0
     n_nominal = int(np.floor((n - frame_len) / step_samples)) + 1
     starts = np.rint(np.arange(n_nominal + 1) * step_samples).astype(np.int64)
     starts = starts[starts + frame_len <= n]

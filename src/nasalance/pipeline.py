@@ -48,9 +48,12 @@ class RejectRecord:
 
 
 def load_wordlist(path) -> dict[str, WordInfo]:
-    """Read a word,vowel,environment CSV into a lowercase word map."""
+    """Read a word,vowel,environment CSV into a lowercase word map.
+
+    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
+    """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["word", "vowel", "environment"]:
@@ -164,9 +167,12 @@ def rejects_to_csv(rejects) -> str:
 
 
 def read_token_csv(path) -> list[TokenRecord]:
-    """Read a token CSV back; the header row is mandatory."""
+    """Read a token CSV back; the header row is mandatory.
+
+    A leading UTF-8 byte-order mark is skipped, as in load_wordlist.
+    """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != TOKEN_CSV_HEADER:

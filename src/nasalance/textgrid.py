@@ -1,13 +1,18 @@
 """Praat TextGrid parsing, serialization, and vowel token selection.
 
-Reads both the long and the short text formats by tokenizing the payload
-(numbers, quoted strings, <flags>); long-format key decorations and bracket
-indices are skipped as noise, so the two formats parse through one code
-path. Writing always emits the long format with 6-decimal times.
+Reads both the long and the short text formats with one lexer: a compiled
+pattern whose every match skips the text that carries no payload
+(separators, bracket indices, long-format key words) and then takes one
+token (a quoted string, a <flag> or a number), so the two formats parse
+through one code path. A stray word, a non-finite number or an unterminated
+string, bracket or flag is an error located by its line. Writing always
+emits the long format with 6-decimal times.
 """
 
 from __future__ import annotations
 
+import math
+import re
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -79,87 +84,63 @@ class TokenSelection:
     in_empty_word: bool = False
 
 
-class _Token:
-    __slots__ = ("kind", "value", "line")
+# One match: the noise that carries no payload (separators, bracketed
+# indices, long-format key words), then exactly one token or the end. Any
+# other run of word characters (str.isalnum, "_", "?") is a stray word, so a
+# key word glued to a longer word is one too. A quote closes a string only
+# when no quote follows it, as in Praat's doubled-quote escape.
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n=:!;]+
+      | \[ [^\]]* \]
+      | (?: %s ) \?* (?![\w?])
+    )*
+    (?: (?P<str> " [^"]* (?: "" [^"]* )* " (?!") )
+      | (?P<flag> < [^>]* > )
+      | (?P<num> [\d+\-.] [\d+\-.eE]* )
+      | (?P<word> (?: [^\W\d] | \? ) [\w?]* )
+      | (?P<bad> . )
+      | (?P<end> \Z )
+    )
+""" % "|".join(sorted(_KEYWORDS)), re.VERBOSE)
 
-    def __init__(self, kind, value, line):
-        self.kind = kind  # "num" | "str" | "flag"
-        self.value = value
-        self.line = line
+_UNTERMINATED = {'"': "unterminated string", "[": "unterminated bracket",
+                 "<": "unterminated flag"}
 
 
-def _tokenize(text: str):
-    """Payload tokens for both TextGrid text formats.
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """(kind, value, line) payload tokens for both TextGrid text formats.
 
-    Bracketed indices (item [3]:) and bare key words carry no payload and
-    are skipped; quoted strings may span lines and use doubled quotes for
-    embedded quotes.
+    kind is "num", "str" or "flag"; quoted strings may span lines and use
+    doubled quotes for embedded quotes.
     """
     tokens = []
-    i, line = 0, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-        elif c in " \t\r=:!;":
-            i += 1
-        elif c == '"':
-            start_line = line
-            i += 1
-            parts = []
-            while True:
-                if i >= n:
-                    raise TextGridParseError("unterminated string", line=start_line)
-                c = text[i]
-                if c == '"':
-                    if i + 1 < n and text[i + 1] == '"':
-                        parts.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                if c == "\n":
-                    line += 1
-                parts.append(c)
-                i += 1
-            tokens.append(_Token("str", "".join(parts), start_line))
-        elif c == "[":
-            j = text.find("]", i)
-            if j < 0:
-                raise TextGridParseError("unterminated bracket", line=line)
-            line += text.count("\n", i, j)
-            i = j + 1
-        elif c == "<":
-            j = text.find(">", i)
-            if j < 0:
-                raise TextGridParseError("unterminated flag", line=line)
-            tokens.append(_Token("flag", text[i + 1 : j], line))
-            i = j + 1
-        elif c.isdigit() or c in "+-.":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] in "+-.eE"):
-                j += 1
-            word = text[i:j]
+    line, pos = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value = m[kind]
+        line += text.count("\n", pos, m.start(kind))
+        pos = m.end()
+        if kind == "num":
             try:
-                value = float(word)
+                number = float(value)
             except ValueError:
                 raise TextGridParseError(
-                    f"non-numeric value {word!r}", line=line
-                ) from None
-            tokens.append(_Token("num", value, line))
-            i = j
-        elif c.isalpha() or c in "?_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "?_"):
-                j += 1
-            word = text[i:j]
-            if word.rstrip("?") not in _KEYWORDS:
-                raise TextGridParseError(f"unexpected word {word!r}", line=line)
-            i = j  # structural key word, carries no payload
-        else:
-            raise TextGridParseError(f"unexpected character {c!r}", line=line)
+                    f"non-numeric value {value!r}", line=line) from None
+            if not math.isfinite(number):
+                raise TextGridParseError(f"non-finite value {value!r}", line=line)
+            tokens.append(("num", number, line))
+        elif kind == "str":
+            tokens.append(("str", value[1:-1].replace('""', '"'), line))
+            line += value.count("\n")
+        elif kind == "flag":
+            tokens.append(("flag", value[1:-1], line))
+            line += value.count("\n")
+        elif kind == "word":
+            raise TextGridParseError(f"unexpected word {value!r}", line=line)
+        elif kind == "bad":
+            raise TextGridParseError(
+                _UNTERMINATED.get(value, f"unexpected character {value!r}"),
+                line=line)
     return tokens
 
 
@@ -174,24 +155,22 @@ class _Stream:
     @property
     def last_line(self) -> int:
         if self._tokens:
-            return self._tokens[min(self._pos, len(self._tokens) - 1)].line
+            return self._tokens[min(self._pos, len(self._tokens) - 1)][2]
         return 1
 
     def _next(self, kind, what):
         if self._pos >= len(self._tokens):
             raise TextGridParseError(f"expected {what}, got end of file",
                                      line=self.last_line)
-        tok = self._tokens[self._pos]
-        if tok.kind != kind:
-            raise TextGridParseError(
-                f"expected {what}, got {tok.kind} {tok.value!r}", line=tok.line
-            )
+        got, value, line = self._tokens[self._pos]
+        if got != kind:
+            raise TextGridParseError(f"expected {what}, got {got} {value!r}",
+                                     line=line)
         self._pos += 1
-        return tok
+        return value, line
 
     def number(self, what) -> tuple[float, int]:
-        tok = self._next("num", what)
-        return tok.value, tok.line
+        return self._next("num", what)
 
     def count(self, what) -> tuple[int, int]:
         value, line = self.number(what)
@@ -201,19 +180,12 @@ class _Stream:
         return int(value), line
 
     def string(self, what) -> tuple[str, int]:
-        tok = self._next("str", what)
-        return tok.value, tok.line
-
-    def peek_kind(self):
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos].kind
-        return None
+        return self._next("str", what)
 
     def flag_or_none(self):
-        if self.peek_kind() == "flag":
-            tok = self._tokens[self._pos]
+        if not self.exhausted() and self._tokens[self._pos][0] == "flag":
             self._pos += 1
-            return tok.value
+            return self._tokens[self._pos - 1][1]
         return None
 
 

@@ -142,6 +142,44 @@ def test_track_zero_bit_wav_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_analyze_non_finite_textgrid_exits_2(session, tmp_path, capsys):
+    wav, tg, wordlist = session
+    text = tg.read_text()
+    assert text.count("intervals: size = 12") == 1  # the phone tier
+    bad = tmp_path / "huge.TextGrid"
+    bad.write_text(text.replace("intervals: size = 12", "intervals: size = 1e999"))
+    out = tmp_path / "t.csv"
+    assert main(["analyze", str(wav), str(bad), "--wordlist", str(wordlist),
+                 "--out", str(out)]) == 2
+    assert "non-finite value '1e999'" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "t.rejects.csv").exists()
+
+
+def test_track_hop_under_one_sample_exits_2(tmp_path, capsys):
+    tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(4800) / 48000.0)
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, [tone, tone], 48000, "float32")
+    out = tmp_path / "track.csv"
+    assert main(["track", str(wav), "--out", str(out), "--step-ms", "0.01"]) == 2
+    assert "step_ms of 0.01 ms is under 1 sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_byte_order_mark_wordlist_reads_as_plain(session, tmp_path):
+    # Excel's "CSV UTF-8" export starts with a UTF-8 byte-order mark
+    wav, tg, wordlist = session
+    bom_words = tmp_path / "words_bom.csv"
+    bom_words.write_bytes(b"\xef\xbb\xbf" + wordlist.read_bytes())
+    for words, name in ((wordlist, "plain"), (bom_words, "bom")):
+        assert main(["analyze", str(wav), str(tg), "--wordlist", str(words),
+                     "--out", str(tmp_path / f"{name}.csv")]) == 0
+    for suffix in (".csv", ".rejects.csv"):
+        assert ((tmp_path / f"bom{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes())
+    assert len((tmp_path / "bom.csv").read_text().splitlines()) == 5
+
+
 def test_cli_import_loads_no_scipy():
     # SciPy is imported by the calls that need it (band-pass, stats), not by
     # importing the command line; counted in a fresh interpreter
@@ -279,6 +317,22 @@ def test_stats_stdout_table_quotes_comma_labels(tmp_path, capsys):
     assert rows[0] == ["coefficient", "estimate", "se"]
     assert all(len(row) == 3 for row in rows)
     assert [row[0] for row in rows[1:3]] == ["intercept", "system.a,b"]
+
+
+def test_stats_byte_order_mark_token_csv_fits_same_model(tmp_path, capsys):
+    tokens = tmp_path / "tokens.csv"
+    write_token_rows(tokens, ["s1", "s2"], ["e1", "e2"])
+    bom_tokens = tmp_path / "tokens_bom.csv"
+    bom_tokens.write_bytes(b"\xef\xbb\xbf" + tokens.read_bytes())
+    printed = []
+    for path, name in ((tokens, "plain"), (bom_tokens, "bom")):
+        assert main(["stats", str(path), "--out", str(tmp_path / f"{name}.csv"),
+                     "--emm-out", str(tmp_path / f"{name}.emm.csv")]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    for suffix in (".csv", ".emm.csv"):
+        assert ((tmp_path / f"bom{suffix}").read_bytes()
+                == (tmp_path / f"plain{suffix}").read_bytes())
 
 
 def test_stats_family_size_zero_exits_2(tmp_path, capsys):

@@ -127,6 +127,17 @@ def test_too_short_recording():
         intensity_track(rec, FrameConfig())
 
 
+def test_hop_under_one_sample_rejected():
+    # 0.01 ms is 0.48 samples at 48 kHz; a shorter hop only repeats frames
+    rec = tone_recording(duration_s=0.1, sample_rate=48000)
+    with pytest.raises(ValueError, match="step_ms of 0.01 ms is under 1 sample"):
+        intensity_track(rec, FrameConfig(step_ms=0.01))
+    # a hop of exactly one sample is kept: 0.125 ms at 8 kHz
+    rec = tone_recording(duration_s=0.1, sample_rate=8000)
+    track = intensity_track(rec, FrameConfig(step_ms=0.125))
+    assert len(track) == 800 - 256 + 1
+
+
 def test_silent_recording_clamps_both_channels():
     rec = StereoRecording(np.zeros(48000), np.zeros(48000), 48000)
     track = intensity_track(rec, FrameConfig())

@@ -325,3 +325,82 @@ def test_select_vowel_midpoint_on_tier_end_takes_first_word_ending_there():
     words = grid_tier("word", [4.0, end, end], ["", "bin", "", "pat"], end)
     (token,) = select_vowel_tokens(phones, words, {"IH"})
     assert (token.word, token.in_empty_word) == ("bin", False)
+
+
+# (edits to MINIMAL_LONG, message, line); the lexer reads the whole text
+# before parsing, so its errors come first
+LEXER_ERRORS = {
+    "unterminated-string": (
+        [('text = "ih"', 'text = "ih')], "unterminated string", 22),
+    "unterminated-string-ending-in-doubled-quote": (
+        [('text = "ih"', 'text = "ih\n""')], "unterminated string", 22),
+    "unterminated-bracket": (
+        [("intervals [2]:", "intervals [2:")], "unterminated bracket", 19),
+    "unterminated-flag": ([("<exists>", "<exists")], "unterminated flag", 6),
+    "unexpected-character": (
+        [("xmax = 0.4", "xmax = 0.4,")], "unexpected character ','", 17),
+    "unexpected-word": ([('text = "b"', "text = b")], "unexpected word 'b'", 18),
+    "key-word-glued-to-word": (
+        [("size = 1", "sizes = 1")], "unexpected word 'sizes'", 7),
+    "non-numeric-value": (
+        [("xmax = 0.4", "xmax = 0.4.1")], "non-numeric value '0.4.1'", 17),
+    "non-finite-count": (
+        [("intervals: size = 2", "intervals: size = 1e999")],
+        "non-finite value '1e999'", 14),
+    "non-finite-time": (
+        [("xmax = 0.4", "xmax = -1e999")], "non-finite value '-1e999'", 17),
+    "string-spans-lines": (
+        [('text = "b"', 'text = "b\n\n"'), ('text = "ih"', 'text = "ih" #')],
+        "unexpected character '#'", 24),
+    "flag-spans-lines": (
+        [("<exists>", "<exists\n>"), ('text = "ih"', 'text = "ih" #')],
+        "unexpected character '#'", 23),
+    "bracket-spans-lines": (
+        [("intervals [1]:", "intervals [1\n]:"), ('text = "ih"', 'text = "ih" #')],
+        "unexpected character '#'", 23),
+}
+
+
+@pytest.mark.parametrize("edits, message, line", LEXER_ERRORS.values(),
+                         ids=LEXER_ERRORS.keys())
+def test_lexer_errors_carry_message_and_line(edits, message, line):
+    text = MINIMAL_LONG
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    with pytest.raises(TextGridParseError) as err:
+        parse_textgrid(text)
+    assert str(err.value) == f"{message} (line {line})"
+    assert err.value.line == line
+
+
+# label pieces that look like TextGrid syntax, plus arbitrary text
+_AWKWARD = st.lists(
+    st.sampled_from(['"', '""', "\n", "\r\n", "\t", "[", "]", "<", ">", "[1]",
+                     "<exists>", "size", "xmin", "tiers?", "= 1", "1e999",
+                     "é", "中文", " ", "IH1"]),
+    max_size=5,
+).map("".join) | st.text(max_size=6)
+
+
+@st.composite
+def awkward_tiers(draw):
+    tiers = []
+    for _ in range(draw(st.integers(1, 3))):
+        start_ms = t_ms = draw(st.integers(0, 500))
+        intervals = []
+        for label in draw(st.lists(_AWKWARD, min_size=1, max_size=5)):
+            dur_ms = draw(st.integers(0, 700))
+            intervals.append(Interval(t_ms / 1000.0, (t_ms + dur_ms) / 1000.0, label))
+            t_ms += dur_ms
+        tiers.append(IntervalTier(draw(_AWKWARD), start_ms / 1000.0, t_ms / 1000.0,
+                                  tuple(intervals)))
+    return tiers
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_tiers())
+def test_parse_round_trips_awkward_labels(tiers):
+    assert parse_textgrid(write_long(tiers)) == tiers
+    assert parse_textgrid(write_short(tiers)) == tiers
+    assert parse_textgrid(serialize_textgrid(tiers)) == tiers
