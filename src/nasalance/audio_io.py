@@ -122,6 +122,9 @@ _CODECS = {
     (3, 32): ("<f4", 1.0),
 }
 
+# write_wav's sample_format names -> _CODECS keys
+_SAMPLE_FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32), "float32": (3, 32)}
+
 
 def _decode_channels(data: bytes, body: int, size: int, n_channels: int, bits: int, codec):
     """Decode the interleaved data chunk body to one float64 array per channel.
@@ -152,19 +155,16 @@ def _peak(ch: np.ndarray) -> float:
     return max(-float(ch.min()), float(ch.max()))
 
 
-def read_wav(path) -> tuple[list[np.ndarray], float]:
-    """Read a WAV file; returns (per-channel normalized samples, sample rate)."""
-    channels, sample_rate, _ = _read_wav_full(path)
-    return channels, sample_rate
+def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
+    """Read a WAV file of n_channels channels.
 
-
-def _read_wav_full(path) -> tuple[list[np.ndarray], float, int]:
-    """read_wav plus the fmt chunk body offset, for error reporting."""
+    Returns (per-channel normalized samples, sample rate). Any other channel
+    count is refused before the data chunk is checked or decoded.
+    """
     path = Path(path)
     data = path.read_bytes()
     fmt = None
     fmt_offset = None
-    channels = None
     for chunk_id, body, size in _read_chunks(data, path.name):
         if chunk_id == b"fmt ":
             if body + 16 > len(data) or size < 16:
@@ -178,10 +178,15 @@ def _read_wav_full(path) -> tuple[list[np.ndarray], float, int]:
                 raise AudioFormatError(
                     f"{path.name}: data chunk before fmt chunk", byte_offset=body
                 )
-            audio_format, n_channels, sample_rate, _, block_align, bits = fmt
-            if n_channels < 1:
+            audio_format, got_channels, sample_rate, _, block_align, bits = fmt
+            if got_channels < 1:
                 raise AudioFormatError(
                     f"{path.name}: zero channels", byte_offset=fmt_offset + 2
+                )
+            if got_channels != n_channels:
+                raise AudioFormatError(
+                    f"{path.name}: channel count != {n_channels} (got {got_channels})",
+                    byte_offset=fmt_offset + 2,  # the fmt chunk's channel field
                 )
             if body + size > len(data):
                 raise AudioFormatError(
@@ -215,7 +220,7 @@ def _read_wav_full(path) -> tuple[list[np.ndarray], float, int]:
                             f"{path.name}: float samples exceed full scale",
                             byte_offset=body,
                         )
-            return channels, float(sample_rate), fmt_offset
+            return channels, float(sample_rate)
     if fmt is None:
         raise AudioFormatError(f"{path.name}: no fmt chunk found", byte_offset=len(data))
     raise AudioFormatError(f"{path.name}: no data chunk found", byte_offset=len(data))
@@ -225,12 +230,7 @@ def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
     """Load one stereo WAV file, assigning channels per the map."""
     channel_map = channel_map or ChannelMap()
     path = Path(path)
-    channels, sample_rate, fmt_offset = _read_wav_full(path)
-    if len(channels) != 2:
-        raise AudioFormatError(
-            f"{path.name}: channel count != 2 (got {len(channels)})",
-            byte_offset=fmt_offset + 2,  # the fmt chunk's channel field
-        )
+    channels, sample_rate = read_wav(path, 2)
     for ch in channels:
         ch.flags.writeable = False  # fresh arrays: StereoRecording keeps them
     by_source = {"left": channels[0], "right": channels[1]}
@@ -252,12 +252,7 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
     nasal_path, oral_path = Path(nasal_path), Path(oral_path)
     loaded = {}
     for role, path in (("nasal", nasal_path), ("oral", oral_path)):
-        channels, rate, fmt_offset = _read_wav_full(path)
-        if len(channels) != 1:
-            raise AudioFormatError(
-                f"{path.name}: channel count != 1 (got {len(channels)})",
-                byte_offset=fmt_offset + 2,
-            )
+        channels, rate = read_wav(path, 1)
         loaded[role] = (channels[0], rate)
     nasal, nasal_rate = loaded["nasal"]
     oral, oral_rate = loaded["oral"]
@@ -286,6 +281,11 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
 
     sample_format is one of pcm16, pcm24, pcm32, float32.
     """
+    key = _SAMPLE_FORMATS.get(sample_format)
+    if key is None:
+        raise ValueError(f"unknown sample format {sample_format!r}")
+    fmt_code, bits = key
+    dtype = np.dtype(_CODECS[key][0])
     channels = [np.asarray(ch, dtype=np.float64) for ch in channels]
     n = len(channels[0])
     if any(len(ch) != n for ch in channels):
@@ -293,32 +293,13 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     interleaved = np.empty(n * len(channels))
     for i, ch in enumerate(channels):
         interleaved[i :: len(channels)] = ch
-
-    if sample_format == "pcm16":
-        fmt_code, bits = 1, 16
-        payload = (
-            np.clip(np.rint(interleaved * 2**15), -(2**15), 2**15 - 1)
-            .astype("<i2")
-            .tobytes()
-        )
-    elif sample_format == "pcm24":
-        fmt_code, bits = 1, 24
-        ints = np.clip(np.rint(interleaved * 2**23), -(2**23), 2**23 - 1).astype(
-            "<i4"
-        )
-        payload = ints.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    elif sample_format == "pcm32":
-        fmt_code, bits = 1, 32
-        payload = (
-            np.clip(np.rint(interleaved * 2**31), -(2**31), 2**31 - 1)
-            .astype("<i4")
-            .tobytes()
-        )
-    elif sample_format == "float32":
-        fmt_code, bits = 3, 32
-        payload = interleaved.astype("<f4").tobytes()
-    else:
-        raise ValueError(f"unknown sample format {sample_format!r}")
+    if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
+        full = 2.0 ** (bits - 1)
+        interleaved *= full
+        np.clip(np.rint(interleaved, out=interleaved), -full, full - 1, out=interleaved)
+    # 24-bit samples are stored in an int32; keep each one's low three bytes
+    samples = interleaved.astype(dtype).view(np.uint8).reshape(-1, dtype.itemsize)
+    payload = samples[:, : bits // 8].tobytes()
 
     n_channels = len(channels)
     block_align = n_channels * bits // 8

@@ -99,7 +99,7 @@ def load_profile(path) -> CalibrationProfile:
     """Load a profile written by save_profile."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
         window = doc.get("stimulus_window", [0.0, 0.0])
         return CalibrationProfile(
             gain_offset_db=float(doc["gain_offset_db"]),

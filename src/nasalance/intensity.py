@@ -109,11 +109,7 @@ class IntensityTrack:
 
 
 def window_weights(window, n: int) -> np.ndarray:
-    """Weight vector for a window name (or pass an array through)."""
-    if isinstance(window, np.ndarray):
-        if len(window) != n:
-            raise ValueError("window weight length mismatch")
-        return window
+    """Weight vector for a window name."""
     if window == "rectangular":
         return np.ones(n)
     if window == "hann":

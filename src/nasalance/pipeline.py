@@ -47,32 +47,41 @@ class RejectRecord:
     reason: str
 
 
-def load_wordlist(path) -> dict[str, WordInfo]:
-    """Read a word,vowel,environment CSV into a lowercase word map.
+def _read_rows(path, header, error):
+    """Yield ("name:line", fields) for each non-blank row of a CSV file.
 
-    A leading UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
+    The header row must match `header` (fields stripped) and every row must
+    have as many fields; otherwise `error` is raised. A leading UTF-8
+    byte-order mark (Excel's "CSV UTF-8") is skipped. The line is the row's
+    first physical line, also after a quoted field that spans lines.
     """
-    path = Path(path)
+    name = Path(path).name
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["word", "vowel", "environment"]:
-            raise WordlistError(
-                f"{path.name}: expected header word,vowel,environment, got {header}"
-            )
-        mapping = {}
-        for lineno, row in enumerate(reader, start=2):
+        got = next(reader, None)
+        if got is None or tuple(h.strip() for h in got) != header:
+            raise error(f"{name}: expected header {','.join(header)}, got {got}")
+        line = reader.line_num + 1
+        for row in reader:
+            where, line = f"{name}:{line}", reader.line_num + 1
             if not row:
                 continue
-            if len(row) != 3:
-                raise WordlistError(f"{path.name}:{lineno}: expected 3 fields")
-            word, vowel, environment = (f.strip() for f in row)
-            if not word or not vowel or not environment:
-                raise WordlistError(f"{path.name}:{lineno}: empty field")
-            key = word.lower()
-            if key in mapping:
-                raise WordlistError(f"{path.name}:{lineno}: duplicate word {word!r}")
-            mapping[key] = WordInfo(vowel=vowel, environment=environment)
+            if len(row) != len(header):
+                raise error(f"{where}: expected {len(header)} fields")
+            yield where, row
+
+
+def load_wordlist(path) -> dict[str, WordInfo]:
+    """Read a word,vowel,environment CSV into a lowercase word map."""
+    mapping = {}
+    for where, row in _read_rows(path, ("word", "vowel", "environment"), WordlistError):
+        word, vowel, environment = (f.strip() for f in row)
+        if not word or not vowel or not environment:
+            raise WordlistError(f"{where}: empty field")
+        key = word.lower()
+        if key in mapping:
+            raise WordlistError(f"{where}: duplicate word {word!r}")
+        mapping[key] = WordInfo(vowel=vowel, environment=environment)
     return mapping
 
 
@@ -146,56 +155,35 @@ def extract_token_records(
     return records, rejects
 
 
+def _token_row(r, last) -> tuple:
+    """The seven columns token and reject CSVs share, then `last`."""
+    return (r.source_id, r.speaker, r.system, r.word, r.vowel, r.environment,
+            f"{r.t_mid_s:.6f}", last)
+
+
 def tokens_to_csv(records) -> str:
     """Token CSV with the documented schema; fixed 6-decimal floats."""
-    rows = [
-        (r.source_id, r.speaker, r.system, r.word, r.vowel, r.environment,
-         f"{r.t_mid_s:.6f}", f"{r.nasalance_pct:.6f}")
-        for r in records
-    ]
+    rows = [_token_row(r, f"{r.nasalance_pct:.6f}") for r in records]
     return _csv_text(TOKEN_CSV_HEADER, rows)
 
 
 def rejects_to_csv(rejects) -> str:
     """Sidecar CSV for unmeasurable tokens, with a reason column."""
-    rows = [
-        (r.source_id, r.speaker, r.system, r.word, r.vowel, r.environment,
-         f"{r.t_mid_s:.6f}", r.reason)
-        for r in rejects
-    ]
-    return _csv_text(REJECT_CSV_HEADER, rows)
+    return _csv_text(REJECT_CSV_HEADER, [_token_row(r, r.reason) for r in rejects])
 
 
 def read_token_csv(path) -> list[TokenRecord]:
-    """Read a token CSV back; the header row is mandatory.
-
-    A leading UTF-8 byte-order mark is skipped, as in load_wordlist.
-    """
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != TOKEN_CSV_HEADER:
-            raise TokenSchemaError(
-                f"{path.name}: expected header {','.join(TOKEN_CSV_HEADER)}, "
-                f"got {header}"
+    """Read a token CSV back; the header row is mandatory."""
+    records = []
+    for where, row in _read_rows(path, TOKEN_CSV_HEADER, TokenSchemaError):
+        try:
+            records.append(
+                TokenRecord(
+                    source_id=row[0], speaker=row[1], system=row[2],
+                    word=row[3], vowel=row[4], environment=row[5],
+                    t_mid_s=float(row[6]), nasalance_pct=float(row[7]),
+                )
             )
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TOKEN_CSV_HEADER):
-                raise TokenSchemaError(
-                    f"{path.name}:{lineno}: expected {len(TOKEN_CSV_HEADER)} fields"
-                )
-            try:
-                records.append(
-                    TokenRecord(
-                        source_id=row[0], speaker=row[1], system=row[2],
-                        word=row[3], vowel=row[4], environment=row[5],
-                        t_mid_s=float(row[6]), nasalance_pct=float(row[7]),
-                    )
-                )
-            except ValueError as exc:
-                raise TokenSchemaError(f"{path.name}:{lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise TokenSchemaError(f"{where}: {exc}") from exc
     return records

@@ -222,7 +222,7 @@ def load_synth_spec(path) -> SynthSpec:
     """Load a JSON synthesis spec file."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise SynthSpecError(f"{path.name}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

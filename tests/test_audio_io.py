@@ -86,6 +86,16 @@ def test_mono_rejected_by_load_stereo(tmp_path):
     assert err.value.byte_offset == 22  # channel field inside the fmt chunk
 
 
+def test_channel_count_checked_before_data_chunk(tmp_path):
+    path = tmp_path / "m.wav"
+    path.write_bytes(wav_bytes(1, 1, 16, struct.pack("<h", 1) * 10)[:-7])  # truncated
+    with pytest.raises(AudioFormatError, match=r"channel count != 2 \(got 1\)") as err:
+        load_stereo(path)
+    assert err.value.byte_offset == 22
+    with pytest.raises(AudioFormatError, match="truncated data"):
+        read_wav(path, 1)
+
+
 def test_unsupported_bit_depth_reports_offset(tmp_path):
     path = tmp_path / "b.wav"
     path.write_bytes(wav_bytes(1, 2, 8, b"\x00\x00"))
@@ -101,7 +111,7 @@ def test_zero_bit_fmt_is_unsupported_codec(tmp_path):
     path.write_bytes(wav_bytes(1, 1, 0, b"\x00" * 4))
     assert path.stat().st_size == 48
     with pytest.raises(AudioFormatError, match=r"unsupported codec \(format 1, 0-bit\)") as err:
-        read_wav(path)
+        read_wav(path, 1)
     assert err.value.byte_offset == 20  # fmt chunk body
 
 
@@ -178,7 +188,7 @@ def test_pcm16_normalization_round_trip(tmp_path):
     ints = rng.integers(-(2**15), 2**15, size=400)
     floats = ints / 2**15
     write_wav(tmp_path / "r.wav", [floats, floats[::-1]], 48000, "pcm16")
-    channels, _ = read_wav(tmp_path / "r.wav")
+    channels, _ = read_wav(tmp_path / "r.wav", 2)
     np.testing.assert_array_equal(channels[0] * 2**15, ints)
     np.testing.assert_array_equal(channels[1] * 2**15, ints[::-1])
 
@@ -190,7 +200,7 @@ def test_write_read_all_formats(tmp_path, fmt):
     tol = {"pcm16": 2**-15, "pcm24": 2**-23, "pcm32": 2**-31, "float32": 2**-23}[fmt]
     for sent in ([x], [x, -x], [x, -x, x[::-1]]):
         write_wav(tmp_path / "w.wav", sent, 44100, fmt)
-        channels, sr = read_wav(tmp_path / "w.wav")
+        channels, sr = read_wav(tmp_path / "w.wav", len(sent))
         assert sr == 44100
         assert len(channels) == len(sent)
         for got, want in zip(channels, sent):
@@ -242,3 +252,29 @@ def test_read_only_input_kept_without_copy():
     x.flags.writeable = False
     rec = StereoRecording(x, x, 1.0)
     assert rec.nasal is x and rec.oral is x
+
+
+# ±1.0, values just inside full scale, half-LSB ties at each integer depth
+# (rint rounds half to even) and -0.0, as a short stereo signal
+_EXACT_LEFT = [1.0, -1.0, 1 - 2**-53, 1 - 2**-16, 0.5 * 2**-15, 1.5 * 2**-15,
+               2.5 * 2**-15, -0.5 * 2**-15, -1.5 * 2**-15, -0.0]
+_EXACT_RIGHT = [-0.0, 0.25, -(1 - 2**-53), 1 - 2**-24, 0.5 * 2**-23, 1.5 * 2**-23,
+                -2.5 * 2**-23, 0.5 * 2**-31, 1.5 * 2**-31, -2.5 * 2**-31]
+
+
+@pytest.mark.parametrize(
+    "fmt, fmt_code, bits",
+    [("pcm16", 1, 16), ("pcm24", 1, 24), ("pcm32", 1, 32), ("float32", 3, 32)],
+)
+def test_write_wav_exact_bytes(tmp_path, fmt, fmt_code, bits):
+    def encode(x):
+        if fmt_code == 3:
+            return struct.pack("<f", x)
+        full = 2 ** (bits - 1)
+        v = min(max(round(x * full), -full), full - 1)  # round() is half-to-even
+        return struct.pack("<i", v)[: bits // 8]
+
+    frames = zip(_EXACT_LEFT, _EXACT_RIGHT)
+    payload = b"".join(encode(l) + encode(r) for l, r in frames)
+    write_wav(tmp_path / "x.wav", [_EXACT_LEFT, _EXACT_RIGHT], 44100, fmt)
+    assert (tmp_path / "x.wav").read_bytes() == wav_bytes(fmt_code, 2, bits, payload, 44100)

@@ -122,6 +122,14 @@ def test_profile_json_round_trip(tmp_path):
     assert '"gain_offset_db"' in text and '"stimulus_window"' in text
 
 
+def test_profile_with_byte_order_mark_loads(tmp_path):
+    profile = CalibrationProfile(-2.5, created_from="cal.wav")
+    path = tmp_path / "cal.json"
+    save_profile(profile, path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_profile(path) == profile
+
+
 def test_profile_validation(tmp_path):
     with pytest.raises(ValueError, match="finite"):
         CalibrationProfile(float("nan"))

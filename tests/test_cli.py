@@ -415,7 +415,7 @@ def test_pair_input_via_oral_flag(session, tmp_path):
     wav, tg, wordlist = session
     from nasalance.audio_io import read_wav
 
-    channels, sr = read_wav(wav)
+    channels, sr = read_wav(wav, 2)
     write_wav(tmp_path / "nasal.wav", [channels[0]], sr, "float32")
     write_wav(tmp_path / "oral.wav", [channels[1]], sr, "float32")
     out_pair = tmp_path / "pair.csv"

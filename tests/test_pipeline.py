@@ -167,3 +167,21 @@ def test_load_wordlist(tmp_path):
     path.write_text("word,vowel,environment\nbin,,nasal\n")
     with pytest.raises(WordlistError, match="empty field"):
         load_wordlist(path)
+
+def test_wordlist_error_names_physical_line(tmp_path):
+    path = tmp_path / "words.csv"
+    path.write_text('word,vowel,environment\n"bi\nn",KIT,nasal\nbed,DRESS\n')
+    with pytest.raises(WordlistError, match=r"words\.csv:4: expected 3 fields"):
+        load_wordlist(path)
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("a,b,c,d,e,f,0.5", "expected 8 fields"),
+    ("a,b,c,d,e,f,zz,50.0", "could not convert"),
+])
+def test_token_csv_error_names_physical_line(tmp_path, bad_row, message):
+    header = "source_id,speaker,system,word,vowel,environment,t_mid_s,nasalance_pct"
+    path = tmp_path / "tok.csv"
+    path.write_text(f'{header}\na,b,c,"two\nlines",e,f,0.5,50.0\n{bad_row}\n')
+    with pytest.raises(TokenSchemaError, match=rf"tok\.csv:4: {message}"):
+        read_token_csv(path)

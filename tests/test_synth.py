@@ -183,6 +183,15 @@ def test_spec_json_loading(tmp_path):
         load_synth_spec(path)
 
 
+def test_spec_with_byte_order_mark_loads(tmp_path):
+    doc = {"duration_s": 0.5, "sample_rate": 48000,
+           "carrier": {"type": "sine", "f_hz": 440.0},
+           "nasal_env": [[0.0, 0.2]], "oral_env": [[0.0, 0.6]]}
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(doc).encode())
+    assert load_synth_spec(path) == spec_from_dict(doc)
+
+
 def test_truth_csv_format():
     _, truth = synthesize(const_spec(0.2, 0.6, duration=0.01))
     lines = truth_to_csv(truth).strip().split("\n")
