@@ -279,7 +279,9 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
 def write_wav(path, channels, sample_rate, sample_format="float32"):
     """Write a WAV file from per-channel float arrays in [-1, 1].
 
-    sample_format is one of pcm16, pcm24, pcm32, float32.
+    sample_format is one of pcm16, pcm24, pcm32, float32. Non-finite samples
+    are refused in every format, and float32 samples beyond full scale
+    (which read_wav would refuse); integer formats clip out-of-range values.
     """
     key = _SAMPLE_FORMATS.get(sample_format)
     if key is None:
@@ -293,12 +295,20 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     interleaved = np.empty(n * len(channels))
     for i, ch in enumerate(channels):
         interleaved[i :: len(channels)] = ch
+    if not math.isfinite(_peak(interleaved)):
+        raise ValueError("samples must be finite")
     if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
         full = 2.0 ** (bits - 1)
         interleaved *= full
         np.clip(np.rint(interleaved, out=interleaved), -full, full - 1, out=interleaved)
+    with np.errstate(over="ignore"):  # a float32 overflow is refused just below
+        stored = interleaved.astype(dtype)
+    if fmt_code == 3:
+        peak = _peak(stored)
+        if peak > 1.0:
+            raise ValueError(f"float32 samples exceed full scale (peak {peak:g})")
     # 24-bit samples are stored in an int32; keep each one's low three bytes
-    samples = interleaved.astype(dtype).view(np.uint8).reshape(-1, dtype.itemsize)
+    samples = stored.view(np.uint8).reshape(-1, dtype.itemsize)
     payload = samples[:, : bits // 8].tobytes()
 
     n_channels = len(channels)

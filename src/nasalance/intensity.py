@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import StereoRecording
+from .audio_io import StereoRecording, _peak
 
 # Silence clamp keeps arithmetic finite; amplitudes at/below this are
 # treated as exactly zero when converted back to linear scale.
@@ -194,38 +194,137 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None) -> Int
     )
 
 
+# The band-pass kernel ends where its slowest pole has decayed by this factor
+_KERNEL_TOL = 1e-13
+# Overlap-save blocks are at least this many samples and 8 kernel half-widths
+# long; a recording that fits in less is filtered as one smaller block
+_FFT_BLOCK = 2**16
+# Longest kernel half-width (22 s at 48 kHz, a lower edge near 0.3 Hz): the
+# blocks, and so the memory, grow with it
+_MAX_HALF_WIDTH = 2**20
+
+
+def _squared_magnitude(spec: BandpassSpec, sample_rate: float, n_fft: int) -> np.ndarray:
+    """|H|^2 of the bilinear-transform Butterworth band-pass on an rfft grid."""
+    # the 2*fs factor of W = 2 fs tan(w/2) cancels in q
+    w_low, w_high = (math.tan(math.pi * f / sample_rate)
+                     for f in (spec.low_hz, spec.high_hz))
+    w = np.tan(np.pi * np.arange(n_fft // 2 + 1) / n_fft)
+    with np.errstate(divide="ignore", over="ignore"):
+        q = (w * w - w_low * w_high) / ((w_high - w_low) * w)
+        return 1.0 / (1.0 + q**spec.order)
+
+
+def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
+    """Taps h[0..R] of the even zero-phase kernel whose spectrum is |H|^2.
+
+    The kernel is a sum of pole powers r**|n|. R is the number of samples
+    over which the slowest pole decays by _KERNEL_TOL, so the dropped tail
+    is about that fraction of the peak h[0] or less, and the grid the taps
+    are sampled from is 4R or more long, so they do not alias.
+    """
+    n_half = spec.order // 2
+    # analog Butterworth poles, mapped to the band-pass and then bilinearly
+    # to z, with frequencies prewarped as 2*tan(pi f / fs) (so fs = 1)
+    p = np.exp(1j * np.pi * (2 * np.arange(1, n_half + 1) + n_half - 1) / (2 * n_half))
+    w_low, w_high = (2.0 * math.tan(math.pi * f / sample_rate)
+                     for f in (spec.low_hz, spec.high_hz))
+    b = p * (w_high - w_low) / 2.0
+    root = np.sqrt(b * b - w_low * w_high)
+    s = np.concatenate([b + root, b - root])
+    radius = float(np.max(np.abs((2.0 + s) / (2.0 - s))))
+    if radius >= 1.0 or math.log(_KERNEL_TOL) / math.log(radius) > _MAX_HALF_WIDTH:
+        raise ValueError(
+            f"band-pass {spec.low_hz:g}:{spec.high_hz:g} Hz rings for more than "
+            f"{_MAX_HALF_WIDTH} samples at {sample_rate:g} Hz; move its edges "
+            f"away from 0 Hz and the Nyquist rate"
+        )
+    half = math.ceil(math.log(_KERNEL_TOL) / math.log(radius))
+    fine = 1 << (4 * half).bit_length()
+    return np.fft.irfft(_squared_magnitude(spec, sample_rate, fine), fine)[: half + 1]
+
+
+def _zero_phase(x: np.ndarray, kernel_fft: np.ndarray, half: int, n_fft: int) -> np.ndarray:
+    """Overlap-save convolution of the odd-extended x with a symmetric kernel.
+
+    kernel_fft is the real rfft of the 2*half+1 kernel taps, wrapped around
+    index 0 of an n_fft buffer.
+    """
+    n = len(x)
+    k = np.arange(1, half + 1)
+    # odd extension about each end sample, held at its last value once the
+    # recording is shorter than the extension
+    head = 2.0 * x[0] - x[np.minimum(k, n - 1)][::-1]
+    tail = 2.0 * x[-1] - x[np.maximum(n - 1 - k, 0)]
+    pieces = ((head, 0), (x, half), (tail, half + n))
+    out = np.empty(n)
+    buf = np.empty(n_fft)
+    hop = n_fft - 2 * half
+    for s in range(0, n, hop):
+        # buf holds samples s .. s + n_fft of head + x + tail, then zeros
+        for piece, start in pieces:
+            a, b = max(s, start), min(s + n_fft, start + len(piece))
+            if a < b:
+                buf[a - s : b - s] = piece[a - start : b - start]
+        buf[max(0, 2 * half + n - s) :] = 0.0
+        y = np.fft.irfft(np.fft.rfft(buf) * kernel_fft, n_fft)
+        m = min(hop, n - s)
+        out[s : s + m] = y[half : half + m]
+    return out
+
+
 def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     """Zero-phase Butterworth band-pass applied identically to both channels.
 
-    Forward-backward filtering keeps frame timing aligned with annotations.
+    Each channel is multiplied in the frequency domain by the squared
+    magnitude of the bilinear-transform Butterworth band-pass,
+    |H|^2 = 1 / (1 + q**order) with q = (W^2 - Wl*Wh) / ((Wh - Wl) * W) and
+    W = 2 fs tan(w/2): the steady-state response of forward-backward
+    filtering, so frame timing stays aligned with annotations. The kernel is
+    truncated to the R samples each side over which its slowest pole decays
+    by 1e-13 (R is about 0.11 s for 60:4000 Hz), and the channel is
+    convolved with it in power-of-two FFT blocks (overlap-save), so memory
+    stays O(block) beyond the output.
+
+    Edges: each channel is odd-extended by R samples about its end samples
+    (held constant past the far end of a recording shorter than R). More than
+    R samples from either end, the result matches scipy's sosfiltfilt
+    within about 1e-13; nearer the ends the two edge treatments differ, and
+    neither is ground truth (Gustafsson 1996).
+
     If ringing overshoots full scale, both channels are rescaled by the same
     factor, which leaves nasalance untouched.
     """
-    # imported here: scipy.signal is slow to import and only band-passed
-    # runs need it
-    from scipy.signal import butter, sosfiltfilt
-
-    nyquist = rec.sample_rate / 2.0
+    sr = rec.sample_rate
+    nyquist = sr / 2.0
     if spec.high_hz >= nyquist:
         raise ValueError(
             f"high_hz {spec.high_hz:g} must be below the Nyquist rate {nyquist:g}"
         )
-    sos = butter(
-        spec.order // 2,
-        [spec.low_hz, spec.high_hz],
-        btype="bandpass",
-        fs=rec.sample_rate,
-        output="sos",
+    taps = _zero_phase_taps(spec, sr)
+    half = len(taps) - 1
+    n_fft = min(
+        max(_FFT_BLOCK, 1 << (8 * half).bit_length()),
+        1 << (rec.n_samples + 2 * half - 1).bit_length(),
     )
-    nasal = sosfiltfilt(sos, rec.nasal)
-    oral = sosfiltfilt(sos, rec.oral)
-    peak = max(np.max(np.abs(nasal)), np.max(np.abs(oral)))
+    wrapped = np.zeros(n_fft)
+    wrapped[: half + 1] = taps
+    wrapped[n_fft - half :] = taps[:0:-1]
+    kernel_fft = np.fft.rfft(wrapped).real  # the kernel is even, so this is real
+    # imported here: only band-passed runs need threads. NumPy's FFTs release
+    # the GIL, so the two channels run side by side
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        nasal, oral = pool.map(lambda x: _zero_phase(x, kernel_fft, half, n_fft),
+                               (rec.nasal, rec.oral))
+    peak = max(_peak(nasal), _peak(oral))
     if peak > 1.0:
-        nasal = nasal / peak
-        oral = oral / peak
+        nasal /= peak
+        oral /= peak
     nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
     return StereoRecording(
-        nasal=nasal, oral=oral, sample_rate=rec.sample_rate, source_id=rec.source_id
+        nasal=nasal, oral=oral, sample_rate=sr, source_id=rec.source_id
     )
 
 

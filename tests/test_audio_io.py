@@ -278,3 +278,29 @@ def test_write_wav_exact_bytes(tmp_path, fmt, fmt_code, bits):
     payload = b"".join(encode(l) + encode(r) for l, r in frames)
     write_wav(tmp_path / "x.wav", [_EXACT_LEFT, _EXACT_RIGHT], 44100, fmt)
     assert (tmp_path / "x.wav").read_bytes() == wav_bytes(fmt_code, 2, bits, payload, 44100)
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_write_wav_refuses_non_finite(tmp_path, fmt, bad):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match="samples must be finite"):
+        write_wav(path, [[0.5, 0.0], [0.25, bad]], 48000, fmt)
+    assert not path.exists()
+
+
+def test_write_wav_float32_full_scale(tmp_path):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match=r"float32 samples exceed full scale \(peak 1.5\)"):
+        write_wav(path, [[1.5, 0.0]], 48000, "float32")
+    with pytest.raises(ValueError, match=r"exceed full scale \(peak inf\)"):
+        write_wav(path, [[0.0, -1e39]], 48000, "float32")  # beyond float32's range
+    assert not path.exists()
+    # just above 1.0 in float64 but 1.0 in float32, which read_wav accepts
+    write_wav(path, [[1 + 2**-30, -1.0]], 48000, "float32")
+    (got,), _ = read_wav(path, 1)
+    assert got.tolist() == [1.0, -1.0]
+    # integer formats keep clipping
+    write_wav(path, [[1.5, -1.5]], 48000, "pcm16")
+    (got,), _ = read_wav(path, 1)
+    assert got.tolist() == [32767 / 32768, -1.0]

@@ -119,10 +119,11 @@ def test_analyze_bad_wav_exits_2(session, tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_analyze_non_finite_wav_exits_2(session, tmp_path, capsys, bad):
     _, tg, wordlist = session
-    nasal = np.zeros(4800)
-    nasal[100] = bad
     wav = tmp_path / "nonfinite.wav"
-    write_wav(wav, [nasal, np.zeros(4800)], 48000, "float32")
+    write_wav(wav, [np.zeros(4800), np.zeros(4800)], 48000, "float32")
+    data = bytearray(wav.read_bytes())  # write_wav refuses a non-finite sample
+    data[44 + 100 * 8 : 44 + 100 * 8 + 4] = struct.pack("<f", bad)  # nasal sample 100
+    wav.write_bytes(bytes(data))
     out = tmp_path / "t.csv"
     assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
                  "--out", str(out)]) == 2
@@ -190,6 +191,54 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+_WITHOUT_SCIPY = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.startswith("scipy"):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from nasalance.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def run_without_scipy(argvs):
+    """Run CLI calls in a fresh interpreter where importing scipy fails."""
+    src = Path(nasalance.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_study_runs_without_scipy(session, tmp_path):
+    wav, tg, wordlist = session
+    words = [("bin", "IH1"), ("bid", "IH1"), ("men", "EH1"), ("med", "EH1")]
+    wav2, tg2 = write_session(tmp_path, [78.0, 48.0, 73.0, 43.0], words, "take2")
+    profile = tmp_path / "cal.json"
+    parts = [tmp_path / "t1.csv", tmp_path / "t2.csv"]
+    analyze = [
+        ["analyze", str(w), str(g), "--wordlist", str(wordlist), "--system", system,
+         "--calibration", str(profile), "--bandpass", "60:4000", "--out", str(out)]
+        for w, g, system, out in ((wav, tg, "icspeech", parts[0]),
+                                  (wav2, tg2, "nosey", parts[1]))
+    ]
+    codes, loaded = run_without_scipy([["calibrate", str(wav), "--out", str(profile)],
+                                       *analyze])
+    assert codes == [0, 0, 0] and loaded == []
+    merged = tmp_path / "all.csv"
+    lines = [p.read_text().splitlines() for p in parts]
+    merged.write_text("\n".join(lines[0] + lines[1][1:]) + "\n")
+    results = tmp_path / "results.csv"
+    codes, loaded = run_without_scipy([["stats", str(merged), "--out", str(results)]])
+    assert codes == [0] and loaded == []
+    assert len(results.read_text().splitlines()) == 4
 
 
 def test_track_command(session, tmp_path):

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import butter, sosfiltfilt
 
 from conftest import tone_recording
 from nasalance.audio_io import StereoRecording
 from nasalance.intensity import (
+    _FFT_BLOCK,
     DB_CLAMP_FLOOR,
     BandpassSpec,
     FrameConfig,
+    _zero_phase_taps,
     bandpass,
     frame_intensity_db,
     intensity_to_csv,
@@ -210,10 +213,94 @@ def test_bandpass_passband_and_stopband():
 
 def test_bandpass_applied_identically():
     rng = np.random.default_rng(5)
-    x = rng.uniform(-0.5, 0.5, 48000)
-    rec = StereoRecording(x, x.copy(), 48000)
-    out = bandpass(rec, BandpassSpec(300, 3000))
-    np.testing.assert_array_equal(out.nasal, out.oral)
+    for n in (48000, 3 * _FFT_BLOCK):  # one FFT block and several
+        x = rng.uniform(-0.5, 0.5, n)
+        rec = StereoRecording(x, x.copy(), 48000)
+        out = bandpass(rec, BandpassSpec(300, 3000))
+        np.testing.assert_array_equal(out.nasal, out.oral)
+        assert not out.nasal.flags.writeable and not out.oral.flags.writeable
+
+
+def half_width(spec, sr):
+    """R: the band-pass kernel's taps on each side of its centre."""
+    return len(_zero_phase_taps(spec, sr)) - 1
+
+
+def _sosfiltfilt(x, spec, sr):
+    sos = butter(spec.order // 2, [spec.low_hz, spec.high_hz], btype="bandpass",
+                 fs=sr, output="sos")
+    return sosfiltfilt(sos, x)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("sr, low, high", [(8000.0, 100.0, 3000.0),
+                                           (44100.0, 60.0, 4000.0),
+                                           (48000.0, 60.0, 4000.0)])
+def test_bandpass_interior_matches_sosfiltfilt(sr, low, high, order):
+    spec = BandpassSpec(low, high, order)
+    half = half_width(spec, sr)
+    n_fft = max(_FFT_BLOCK, 1 << (8 * half).bit_length())
+    rng = np.random.default_rng(order)
+    # under one FFT block, exactly one (the extended signal fills it), several
+    for n in (4 * half, n_fft - 2 * half, 3 * n_fft + 17):
+        x = rng.uniform(-0.3, 0.3, n)
+        out = bandpass(StereoRecording(x, -x, sr), spec)
+        interior = slice(half + 1, n - half - 1)  # more than R from either end
+        want = _sosfiltfilt(x, spec, sr)[interior]
+        np.testing.assert_allclose(out.nasal[interior], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.oral[interior], -want, rtol=0, atol=1e-12)
+
+
+def test_bandpass_half_width_follows_the_filter():
+    # about 0.11 s for 60:4000 Hz; a lower edge rings longer, a higher rate
+    # spans more samples for the same time
+    r = half_width(BandpassSpec(60.0, 4000.0), 48000.0)
+    assert 0.09 < r / 48000.0 < 0.13
+    assert half_width(BandpassSpec(30.0, 4000.0), 48000.0) > r
+    assert half_width(BandpassSpec(60.0, 4000.0, order=6), 48000.0) > r
+    assert half_width(BandpassSpec(60.0, 3000.0), 8000.0) < r
+    rec = tone_recording(duration_s=0.2)
+    for spec in (BandpassSpec(0.01, 4000.0), BandpassSpec(60.0, 24000.0 - 1e-9)):
+        with pytest.raises(ValueError, match="rings for more than"):
+            bandpass(rec, spec)
+
+
+def test_bandpass_recording_shorter_than_half_width():
+    sr = 48000.0
+    spec = BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sr)
+    n = half // 3
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-0.3, 0.3, n)
+    out = bandpass(StereoRecording(x, x[::-1].copy(), sr), spec)
+    assert out.n_samples == n and np.all(np.isfinite(out.nasal))
+    # the documented edge treatment, by direct convolution: odd extension
+    # about each end sample, held at its last value past the far end
+    k = np.arange(1, half + 1)
+    head = 2 * x[0] - x[np.minimum(k, n - 1)][::-1]
+    tail = 2 * x[-1] - x[np.maximum(n - 1 - k, 0)]
+    taps = _zero_phase_taps(spec, sr)
+    kernel = np.concatenate([taps[:0:-1], taps])
+    want = np.convolve(np.concatenate([head, x, tail]), kernel, mode="valid")
+    np.testing.assert_allclose(out.nasal, want, rtol=0, atol=1e-12)
+
+
+def test_bandpass_overshoot_rescales_both_channels_alike():
+    # a full-scale square wave rings past 1.0; both channels share one factor
+    sr = 8000.0
+    square = np.where(np.arange(8000) % 80 < 40, 1.0, -1.0)
+    rec = StereoRecording(square, 0.5 * square, sr)
+    spec = BandpassSpec(100.0, 3000.0)
+    out = bandpass(rec, spec)
+    raw = _sosfiltfilt(square, spec, sr)
+    assert np.max(np.abs(out.nasal)) == 1.0
+    half = half_width(spec, sr)
+    interior = slice(half + 1, 8000 - half - 1)
+    got, want = out.nasal[interior], raw[interior]
+    gain = float(got @ want / (got @ got))  # the one factor that was divided out
+    assert gain > 1.0
+    np.testing.assert_allclose(gain * got, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(out.oral, 0.5 * out.nasal)
 
 
 def test_bandpass_spec_validation():

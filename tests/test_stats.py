@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as spstats
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
+from scipy.special import betainc, betaincc
 
 from nasalance.errors import DesignError, NumericError, RankDeficiencyError
 from nasalance.stats import (
@@ -480,6 +482,52 @@ def test_student_t_against_quadrature():
     for t in (0.5, 1.0, 2.0, 3.0):
         for df in (1, 5, 10, 100):
             assert student_t_p(t, df) == pytest.approx(quad_t_p(t, df), abs=1e-8)
+
+
+def betainc_t_p(t, df):
+    """scipy's regularized incomplete beta at a well-conditioned argument.
+
+    P(|T| >= t) = I_x(df/2, 1/2) with x = df/(df+t^2). At large df, x is so
+    near 1 that rounding it moves I_x by about df * 1e-16 relative (2e-10 at
+    df = 1e6); the complement 1 - I_{1-x}(1/2, df/2) is then taken at the
+    small 1-x, as Boost's Student t does.
+    """
+    t2 = t * t
+    if df > 2 * t2:
+        return float(betaincc(0.5, df / 2, t2 / (df + t2)))
+    return float(betainc(df / 2, 0.5, df / (df + t2)))
+
+
+@pytest.mark.parametrize("df", [1, 2, 5, 30, 462, 120000, 1e6])
+def test_student_t_matches_betainc_oracle(df):
+    tiny = np.finfo(float).tiny  # below it a double has no 1e-12 relative precision
+    for t in np.concatenate([np.linspace(0.0, 40.0, 401), [1e-12, 1e-6, 1.7320508]]):
+        want = betainc_t_p(float(t), df)
+        got = student_t_p(float(t), df)
+        if want < tiny:
+            assert got < tiny, (t, df)
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (t, df)
+        assert student_t_p(-float(t), df) == got
+
+
+def test_ols_matches_scipy_triangular_solve_bitwise():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n, p = int(rng.integers(12, 400)), int(rng.integers(2, 16))
+        X = rng.normal(size=(n, p))
+        if trial % 2:  # deviation-coded columns, as build_design makes
+            X = rng.choice([-1.0, 0.0, 1.0], size=(n, p))
+            X[:, 0] = 1.0
+        y = 50.0 + 10.0 * rng.normal(size=n)
+        q, r = np.linalg.qr(X, mode="reduced")
+        if np.abs(np.diag(r)).min() < 1e-8:
+            continue
+        fit = ols_fit(X, y)
+        np.testing.assert_array_equal(fit.estimates, solve_triangular(r, q.T @ y))
+        r_inv = solve_triangular(r, np.eye(p))
+        cov = fit.residual_variance * (r_inv @ r_inv.T)
+        np.testing.assert_array_equal(fit.covariance, (cov + cov.T) / 2.0)
 
 
 # --- CSV emitters ------------------------------------------------------------
