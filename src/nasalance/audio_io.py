@@ -1,8 +1,9 @@
 """Load and validate two-channel WAV recordings with nasal/oral channel roles.
 
-Supports RIFF/WAVE with PCM 16/24/32-bit integer or 32-bit float samples.
-No resampling is performed anywhere: mismatched rates are an error so the
-intensity frame timing downstream stays exact.
+Supports RIFF/WAVE with PCM 16/24/32-bit integer or 32-bit float samples,
+as plain fmt chunks or as WAVE_FORMAT_EXTENSIBLE. No resampling is performed
+anywhere: mismatched rates are an error so the intensity frame timing
+downstream stays exact.
 """
 
 from __future__ import annotations
@@ -34,24 +35,32 @@ class ChannelMap:
             raise ValueError("nasal and oral cannot come from the same channel")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class StereoRecording:
-    """Paired nasal/oral sample sequences at a common sample rate.
+    """Paired nasal/oral channels at a common sample rate.
 
-    Samples are C-contiguous float64, normalized to [-1, 1], and read-only.
-    A read-only input that is already one is kept without a copy; a writeable
-    one is copied, so the caller's array stays writeable and later writes to
-    it do not reach the recording. Instances are immutable and safe to share
-    between threads.
+    Each channel is kept in the dtype it is stored in, with one `scale` for
+    both: a sample's value on [-1, 1] is stored / scale. A loaded WAV keeps
+    its int16, int32 (24- and 32-bit) or float32 samples, usually as a
+    strided column of the file's buffer; any other input is stored as
+    float64. `scale` must be a power of two, so decoding is exact.
+
+    `nasal` and `oral` decode on demand to read-only, C-contiguous float64;
+    for float64 storage at scale 1 they return the stored array itself.
+    Stored arrays are read-only. A read-only input that is already in a
+    stored dtype is kept without a copy; a writeable one is copied, so the
+    caller's array stays writeable and later writes to it do not reach the
+    recording. Instances are immutable and safe to share between threads.
     """
 
-    nasal: np.ndarray
-    oral: np.ndarray
+    nasal_stored: np.ndarray
+    oral_stored: np.ndarray
     sample_rate: float
-    source_id: str = ""
+    source_id: str
+    scale: float
 
-    def __post_init__(self):
-        nasal, oral = (_owned(x) for x in (self.nasal, self.oral))
+    def __init__(self, nasal, oral, sample_rate, source_id="", scale=1.0):
+        nasal, oral = (_owned(x) for x in (nasal, oral))
         if nasal.ndim != 1 or oral.ndim != 1:
             raise ValueError("channels must be one-dimensional")
         if len(nasal) != len(oral):
@@ -60,35 +69,83 @@ class StereoRecording:
             )
         if len(nasal) < 1:
             raise ValueError("recording is empty")
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
+        if not (0 < scale < math.inf and math.frexp(scale)[0] == 0.5):
+            raise ValueError(f"scale must be a positive power of two, got {scale}")
         for name, ch in (("nasal", nasal), ("oral", oral)):
-            peak = _peak(ch)
+            if ch.dtype.kind == "i" and -np.iinfo(ch.dtype).min <= scale:
+                continue  # every value of the dtype is within full scale
+            peak = _peak(ch) / scale
             if not math.isfinite(peak):
                 raise ValueError(f"{name} channel contains non-finite samples")
             if peak > 1.0:
                 raise ValueError(f"{name} channel exceeds full scale (peak {peak:g})")
-        nasal.flags.writeable = False
-        oral.flags.writeable = False
-        object.__setattr__(self, "nasal", nasal)
-        object.__setattr__(self, "oral", oral)
+        for name, value in (("nasal_stored", nasal), ("oral_stored", oral),
+                            ("sample_rate", sample_rate), ("source_id", source_id),
+                            ("scale", float(scale))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def nasal(self) -> np.ndarray:
+        return _decoded(self.nasal_stored, self.scale)
+
+    @property
+    def oral(self) -> np.ndarray:
+        return _decoded(self.oral_stored, self.scale)
 
     @property
     def n_samples(self) -> int:
-        return len(self.nasal)
+        return len(self.nasal_stored)
 
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate
 
 
+# (format tag, bits) -> (stored sample dtype, divisor onto [-1, 1]). 24-bit
+# samples are widened into the top three bytes of an int32, so they share the
+# 32-bit divisor. Every divisor is a power of two, so the division is exact.
+_CODECS = {
+    (1, 16): ("<i2", 2.0**15),
+    (1, 24): ("<i4", 2.0**31),
+    (1, 32): ("<i4", 2.0**31),
+    (3, 32): ("<f4", 1.0),
+}
+
+# write_wav's sample_format names -> _CODECS keys
+_SAMPLE_FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32), "float32": (3, 32)}
+
+# the file dtypes a recording keeps undecoded; any other input becomes float64
+_CODEC_DTYPES = {np.dtype(dtype) for dtype, _ in _CODECS.values()}
+
+# WAVE_FORMAT_EXTENSIBLE: the fmt chunk carries a 22-byte extension whose
+# sub-format GUID starts with the plain format tag; KSDATAFORMAT_SUBTYPE_PCM
+# and _IEEE_FLOAT share the GUID's other 12 bytes
+_EXTENSIBLE = 0xFFFE
+_SUBTYPE_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
+
+
 def _owned(x) -> np.ndarray:
-    """x as a C-contiguous float64 array; a writeable input is copied, so the
-    caller keeps its own array writeable and separate."""
-    arr = np.ascontiguousarray(x, dtype=np.float64)
+    """x, read-only, in its stored dtype (C-contiguous when float64); a
+    writeable input is copied, so the caller keeps its own array writeable
+    and separate."""
+    arr = np.asarray(x)
+    if arr.dtype not in _CODEC_DTYPES:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr is x and arr.flags.writeable:
         arr = arr.copy()
+    arr.flags.writeable = False
     return arr
+
+
+def _decoded(x: np.ndarray, scale: float) -> np.ndarray:
+    """Stored samples as read-only, C-contiguous float64 on [-1, 1]."""
+    if x.dtype == np.float64 and scale == 1.0:
+        return x
+    out = np.divide(x, scale, dtype=np.float64)
+    out.flags.writeable = False
+    return out
 
 
 def _read_chunks(data: bytes, path: str):
@@ -112,36 +169,52 @@ def _read_chunks(data: bytes, path: str):
         pos = body + size + (size & 1)  # chunks are word-aligned
 
 
-# (format tag, bits) -> (stored sample dtype, divisor onto [-1, 1]). 24-bit
-# samples are widened into the top three bytes of an int32, so they share the
-# 32-bit divisor. Every divisor is a power of two, so the division is exact.
-_CODECS = {
-    (1, 16): ("<i2", 2.0**15),
-    (1, 24): ("<i4", 2.0**31),
-    (1, 32): ("<i4", 2.0**31),
-    (3, 32): ("<f4", 1.0),
-}
+def _extensible_format(data: bytes, fmt_offset: int, fmt_size: int, bits: int, name: str) -> int:
+    """The plain format tag named by a WAVE_FORMAT_EXTENSIBLE fmt chunk.
 
-# write_wav's sample_format names -> _CODECS keys
-_SAMPLE_FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32), "float32": (3, 32)}
-
-
-def _decode_channels(data: bytes, body: int, size: int, n_channels: int, bits: int, codec):
-    """Decode the interleaved data chunk body to one float64 array per channel.
-
-    The samples are read in place from `data`; each channel is written once,
-    C-contiguous, by the division that normalizes it.
+    The extension after the 16-byte fmt body holds cbSize, the valid bits
+    per sample, the channel mask and the 16-byte sub-format GUID.
     """
-    dtype, scale = codec
+    ext = fmt_offset + 16
+    if fmt_size < 40 or ext + 24 > len(data) or struct.unpack_from("<H", data, ext)[0] < 22:
+        raise AudioFormatError(
+            f"{name}: WAVE_FORMAT_EXTENSIBLE extension shorter than 22 bytes",
+            byte_offset=ext,
+        )
+    (valid_bits,) = struct.unpack_from("<H", data, ext + 2)
+    if valid_bits != bits:
+        raise AudioFormatError(
+            f"{name}: {valid_bits} valid bits in {bits}-bit samples are unsupported",
+            byte_offset=ext + 2,
+        )
+    guid = data[ext + 8 : ext + 24]
+    tag = int.from_bytes(guid[:4], "little")
+    if guid[4:] != _SUBTYPE_TAIL or tag not in (1, 3):
+        import uuid  # only to name the GUID in the message
+
+        raise AudioFormatError(
+            f"{name}: unsupported sub-format {uuid.UUID(bytes_le=guid)}",
+            byte_offset=ext + 8,
+        )
+    return tag
+
+
+def _stored_frames(data: bytes, body: int, size: int, n_channels: int, bits: int,
+                   dtype: str) -> np.ndarray:
+    """The data chunk body as a read-only (frames, channels) array.
+
+    Samples stay in `data`, except 24-bit ones, which are widened once into
+    the top three bytes of a new int32 array.
+    """
     if bits == 24:
         packed = np.frombuffer(data, np.uint8, size, body).reshape(-1, 3)
         widened = np.zeros((len(packed), 4), dtype=np.uint8)
         widened[:, 1:] = packed
         samples = widened.view(dtype)
+        samples.flags.writeable = False
     else:
         samples = np.frombuffer(data, dtype, size // np.dtype(dtype).itemsize, body)
-    frames = samples.reshape(-1, n_channels)
-    return [np.divide(frames[:, c], scale, dtype=np.float64) for c in range(n_channels)]
+    return samples.reshape(-1, n_channels)
 
 
 def _peak(ch: np.ndarray) -> float:
@@ -150,21 +223,23 @@ def _peak(ch: np.ndarray) -> float:
     One min and one max pass, with no |x| temporary: NaN propagates through
     both, and an infinite sample makes one of them infinite.
     """
-    if not len(ch):
+    if not ch.size:
         return 0.0
     return max(-float(ch.min()), float(ch.max()))
 
 
-def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
-    """Read a WAV file of n_channels channels.
+def _read_samples(path, n_channels: int) -> tuple[np.ndarray, float, float]:
+    """Read and check a WAV file of n_channels channels, without decoding it.
 
-    Returns (per-channel normalized samples, sample rate). Any other channel
-    count is refused before the data chunk is checked or decoded.
+    Returns (frames, scale, sample rate): frames is a read-only
+    (n, n_channels) array in the stored dtype (see _CODECS), and a sample's
+    value on [-1, 1] is frames / scale. Any other channel count is refused
+    before the data chunk is checked or read.
     """
     path = Path(path)
     data = path.read_bytes()
     fmt = None
-    fmt_offset = None
+    fmt_offset = fmt_size = None
     for chunk_id, body, size in _read_chunks(data, path.name):
         if chunk_id == b"fmt ":
             if body + 16 > len(data) or size < 16:
@@ -172,7 +247,7 @@ def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
                     f"{path.name}: truncated fmt chunk", byte_offset=body
                 )
             fmt = struct.unpack_from("<HHIIHH", data, body)
-            fmt_offset = body
+            fmt_offset, fmt_size = body, size
         elif chunk_id == b"data":
             if fmt is None:
                 raise AudioFormatError(
@@ -188,12 +263,19 @@ def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
                     f"{path.name}: channel count != {n_channels} (got {got_channels})",
                     byte_offset=fmt_offset + 2,  # the fmt chunk's channel field
                 )
+            if sample_rate == 0:
+                raise AudioFormatError(
+                    f"{path.name}: zero sample rate", byte_offset=fmt_offset + 4
+                )
             if body + size > len(data):
                 raise AudioFormatError(
                     f"{path.name}: truncated data chunk "
                     f"(declared {size} bytes, {len(data) - body} available)",
                     byte_offset=len(data),
                 )
+            if audio_format == _EXTENSIBLE:
+                audio_format = _extensible_format(data, fmt_offset, fmt_size, bits,
+                                                  path.name)
             # before the frame-size check: a 0-bit fmt makes block_align 0
             codec = _CODECS.get((audio_format, bits))
             if codec is None:
@@ -206,39 +288,54 @@ def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
                     f"{path.name}: data size {size} not a whole number of frames",
                     byte_offset=body,
                 )
-            channels = _decode_channels(data, body, size, n_channels, bits, codec)
+            dtype, scale = codec
+            frames = _stored_frames(data, body, size, n_channels, bits, dtype)
             # integer PCM lands in [-1, 1) by construction; only floats can fail
             if audio_format == 3:
-                for ch in channels:
-                    peak = _peak(ch)
-                    if not math.isfinite(peak):
-                        raise AudioFormatError(
-                            f"{path.name}: non-finite float samples", byte_offset=body
-                        )
-                    if peak > 1.0:
-                        raise AudioFormatError(
-                            f"{path.name}: float samples exceed full scale",
-                            byte_offset=body,
-                        )
-            return channels, float(sample_rate)
+                peak = _peak(frames)
+                if not math.isfinite(peak):
+                    raise AudioFormatError(
+                        f"{path.name}: non-finite float samples", byte_offset=body
+                    )
+                if peak > 1.0:
+                    raise AudioFormatError(
+                        f"{path.name}: float samples exceed full scale",
+                        byte_offset=body,
+                    )
+            return frames, scale, float(sample_rate)
     if fmt is None:
         raise AudioFormatError(f"{path.name}: no fmt chunk found", byte_offset=len(data))
     raise AudioFormatError(f"{path.name}: no data chunk found", byte_offset=len(data))
 
 
+def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
+    """Read a WAV file of n_channels channels.
+
+    Returns (per-channel samples as C-contiguous float64 on [-1, 1], sample
+    rate). Any other channel count is refused before the data chunk is
+    checked or decoded.
+    """
+    frames, scale, sample_rate = _read_samples(path, n_channels)
+    return [np.divide(frames[:, c], scale, dtype=np.float64)
+            for c in range(n_channels)], sample_rate
+
+
 def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
-    """Load one stereo WAV file, assigning channels per the map."""
+    """Load one stereo WAV file, assigning channels per the map.
+
+    The recording keeps the file's samples undecoded: each channel is a
+    read-only column of the file's buffer.
+    """
     channel_map = channel_map or ChannelMap()
     path = Path(path)
-    channels, sample_rate = read_wav(path, 2)
-    for ch in channels:
-        ch.flags.writeable = False  # fresh arrays: StereoRecording keeps them
-    by_source = {"left": channels[0], "right": channels[1]}
+    frames, scale, sample_rate = _read_samples(path, 2)
+    by_source = {"left": frames[:, 0], "right": frames[:, 1]}
     return StereoRecording(
         nasal=by_source[channel_map.nasal_source],
         oral=by_source[channel_map.oral_source],
         sample_rate=sample_rate,
         source_id=path.name,
+        scale=scale,
     )
 
 
@@ -247,32 +344,35 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
 
     The shorter channel is zero-padded at the end (never truncated) so
     annotation time axes that reference the longer file stay valid; the
-    padding is recorded in source_id.
+    padding is recorded in source_id. Files in different sample formats are
+    both decoded to float64.
     """
     nasal_path, oral_path = Path(nasal_path), Path(oral_path)
-    loaded = {}
-    for role, path in (("nasal", nasal_path), ("oral", oral_path)):
-        channels, rate = read_wav(path, 1)
-        loaded[role] = (channels[0], rate)
-    nasal, nasal_rate = loaded["nasal"]
-    oral, oral_rate = loaded["oral"]
+    (nasal, nasal_scale, nasal_rate), (oral, oral_scale, oral_rate) = (
+        _read_samples(path, 1) for path in (nasal_path, oral_path)
+    )
     if nasal_rate != oral_rate:
         raise AudioFormatError(
             f"sample-rate mismatch: {nasal_path.name} is {nasal_rate:g} Hz, "
             f"{oral_path.name} is {oral_rate:g} Hz"
         )
+    nasal, oral = nasal[:, 0], oral[:, 0]
+    scale = nasal_scale
+    if (nasal.dtype, nasal_scale) != (oral.dtype, oral_scale):
+        nasal, oral = _decoded(nasal, nasal_scale), _decoded(oral, oral_scale)
+        scale = 1.0
     source_id = f"{nasal_path.name}+{oral_path.name}"
     if len(nasal) != len(oral):
         pad = abs(len(nasal) - len(oral))
         if len(nasal) < len(oral):
-            nasal = np.concatenate([nasal, np.zeros(pad)])
+            nasal = np.concatenate([nasal, np.zeros(pad, nasal.dtype)])
             source_id += f"#pad_nasal={pad}"
         else:
-            oral = np.concatenate([oral, np.zeros(pad)])
+            oral = np.concatenate([oral, np.zeros(pad, oral.dtype)])
             source_id += f"#pad_oral={pad}"
-    nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
+        nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
     return StereoRecording(
-        nasal=nasal, oral=oral, sample_rate=nasal_rate, source_id=source_id
+        nasal=nasal, oral=oral, sample_rate=nasal_rate, source_id=source_id, scale=scale
     )
 
 
@@ -282,6 +382,8 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     sample_format is one of pcm16, pcm24, pcm32, float32. Non-finite samples
     are refused in every format, and float32 samples beyond full scale
     (which read_wav would refuse); integer formats clip out-of-range values.
+    sample_rate must be a whole number of Hz that the header can hold.
+    Nothing is written when a check fails.
     """
     key = _SAMPLE_FORMATS.get(sample_format)
     if key is None:
@@ -289,12 +391,30 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     fmt_code, bits = key
     dtype = np.dtype(_CODECS[key][0])
     channels = [np.asarray(ch, dtype=np.float64) for ch in channels]
+    if not channels:
+        raise ValueError("no channels to write")
+    n_channels = len(channels)
+    block_align = n_channels * bits // 8
+    if block_align >= 2**16:
+        raise ValueError(f"{n_channels} channels of {bits}-bit samples do not fit "
+                         f"the WAV header")
+    if not (1 <= sample_rate < 2**32 and sample_rate == int(sample_rate)):
+        raise ValueError(
+            f"sample_rate must be a whole number of Hz in 1..{2**32 - 1}, "
+            f"got {sample_rate!r}"
+        )
+    byte_rate = int(sample_rate) * block_align
+    if byte_rate >= 2**32:
+        raise ValueError(
+            f"byte rate {byte_rate} ({sample_rate:g} Hz x {block_align}-byte frames) "
+            f"does not fit the WAV header"
+        )
     n = len(channels[0])
     if any(len(ch) != n for ch in channels):
         raise ValueError("all channels must have equal length")
-    interleaved = np.empty(n * len(channels))
+    interleaved = np.empty(n * n_channels)
     for i, ch in enumerate(channels):
-        interleaved[i :: len(channels)] = ch
+        interleaved[i::n_channels] = ch
     if not math.isfinite(_peak(interleaved)):
         raise ValueError("samples must be finite")
     if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
@@ -311,9 +431,6 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     samples = stored.view(np.uint8).reshape(-1, dtype.itemsize)
     payload = samples[:, : bits // 8].tobytes()
 
-    n_channels = len(channels)
-    block_align = n_channels * bits // 8
-    byte_rate = int(sample_rate) * block_align
     header = b"RIFF"
     header += struct.pack("<I", 4 + 8 + 16 + 8 + len(payload))
     header += b"WAVEfmt "

@@ -140,8 +140,7 @@ def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
 def nasalance_to_csv(nt: NasalanceTrack) -> str:
     """CSV dump with columns t_s,nasalance_pct,valid; invalid rows leave
     the value field empty."""
-    lines = ["t_s,nasalance_pct,valid"]
-    for t, v, ok in zip(nt.times, nt.nasalance_pct, nt.valid):
-        value = f"{v:.6f}" if ok else ""
-        lines.append(f"{t:.6f},{value},{1 if ok else 0}")
-    return "\n".join(lines) + "\n"
+    rows = ["%.6f,%.6f,1" % (t, v) if ok else "%.6f,,0" % t
+            for t, v, ok in zip(nt.times.tolist(), nt.nasalance_pct.tolist(),
+                                nt.valid.tolist())]
+    return "\n".join(["t_s,nasalance_pct,valid", *rows]) + "\n"

@@ -135,9 +135,19 @@ def frame_intensity_db(frame, window="rectangular") -> float:
     return max(20.0 * np.log10(rms), DB_CLAMP_FLOOR)
 
 
-def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray):
+def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray,
+               scale: float = 1.0):
+    """dB full scale of the frames of x that start at `starts`.
+
+    x holds stored samples whose values are x / scale, and scale is a power
+    of two. Each sample is squared as stored and the window-weighted sum is
+    scaled by scale**-2: scaling by a power of two commutes with rounding in
+    the normal range, so the dB values are bitwise those of squaring x /
+    scale. (Squares of 16- and 24-bit integers are exact in float64.)
+    """
     frames = sliding_window_view(x, frame_len)
     sw = w.sum()
+    inv_scale2 = scale**-2
     n = len(starts)
     out = np.empty(n)
     # Each block holds the squared frame rows contiguously, so x is never
@@ -147,13 +157,15 @@ def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray)
     # One buffer serves every block: a fresh 4096-row block (50 MB at 48 kHz)
     # is above the allocator's mmap threshold, so each would be a new mapping
     # faulted in page by page. Rows are gathered and squared 64 at a time, so
-    # the gather's temporary (0.75 MB) is still in cache when it is squared.
+    # the gather's temporary (0.75 MB at most, for float64 samples) is still
+    # in cache when it is squared.
     segs = np.empty((min(4096, n), frame_len))
     for i in range(0, n, 4096):
         block = segs[: min(4096, n - i)]
         for j in range(0, len(block), 64):
-            np.square(frames[starts[i + j : i + j + 64]], out=block[j : j + 64])
-        rms = np.sqrt(block @ w / sw)
+            np.square(frames[starts[i + j : i + j + 64]], out=block[j : j + 64],
+                      dtype=np.float64)
+        rms = np.sqrt(block @ w * inv_scale2 / sw)
         with np.errstate(divide="ignore"):
             out[i : i + len(block)] = 20.0 * np.log10(rms)
     return np.maximum(out, DB_CLAMP_FLOOR)
@@ -188,8 +200,8 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None) -> Int
     w = window_weights(cfg.window, frame_len)
     return IntensityTrack(
         times=times,
-        nasal_db=_frames_db(rec.nasal, starts, frame_len, w),
-        oral_db=_frames_db(rec.oral, starts, frame_len, w),
+        nasal_db=_frames_db(rec.nasal_stored, starts, frame_len, w, rec.scale),
+        oral_db=_frames_db(rec.oral_stored, starts, frame_len, w, rec.scale),
         config=cfg,
     )
 
@@ -312,12 +324,15 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     wrapped[n_fft - half :] = taps[:0:-1]
     kernel_fft = np.fft.rfft(wrapped).real  # the kernel is even, so this is real
     # imported here: only band-passed runs need threads. NumPy's FFTs release
-    # the GIL, so the two channels run side by side
+    # the GIL, so the two channels run side by side, each decoded to float64
+    # in its own thread
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=2) as pool:
-        nasal, oral = pool.map(lambda x: _zero_phase(x, kernel_fft, half, n_fft),
-                               (rec.nasal, rec.oral))
+        nasal, oral = pool.map(
+            lambda role: _zero_phase(getattr(rec, role), kernel_fft, half, n_fft),
+            ("nasal", "oral"),
+        )
     peak = max(_peak(nasal), _peak(oral))
     if peak > 1.0:
         nasal /= peak
@@ -330,10 +345,9 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
 
 def intensity_to_csv(track: IntensityTrack) -> str:
     """CSV dump with columns t_s,nasal_db,oral_db at 6 decimal places."""
-    lines = ["t_s,nasal_db,oral_db"]
-    for t, n_db, o_db in zip(track.times, track.nasal_db, track.oral_db):
-        lines.append(f"{t:.6f},{n_db:.6f},{o_db:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = map("%.6f,%.6f,%.6f".__mod__, zip(
+        track.times.tolist(), track.nasal_db.tolist(), track.oral_db.tolist()))
+    return "\n".join(["t_s,nasal_db,oral_db", *rows]) + "\n"
 
 
 def shift_nasal_db(track: IntensityTrack, delta_db: float) -> IntensityTrack:

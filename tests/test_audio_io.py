@@ -1,6 +1,8 @@
 """WAV loading against hand-assembled byte fixtures."""
 
+import math
 import struct
+import uuid
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from nasalance.audio_io import (
     ChannelMap,
     StereoRecording,
     load_pair,
+    _read_samples,
     load_stereo,
     read_wav,
     write_wav,
@@ -23,6 +26,25 @@ def wav_bytes(fmt_code, n_channels, bits, payload, sr=48000):
         "<IHHIIHH", 16, fmt_code, n_channels, sr, sr * block_align, block_align, bits
     )
     return header + b"data" + struct.pack("<I", len(payload)) + payload
+
+
+def extensible_bytes(n_channels, bits, payload, sub_format, valid_bits=None, cb_size=22,
+                     sr=48000):
+    """A WAVE_FORMAT_EXTENSIBLE file: 16-byte fmt body, cbSize, then the
+    22-byte extension (valid bits, channel mask, sub-format GUID)."""
+    block_align = n_channels * bits // 8
+    fmt = struct.pack("<HHIIHH", 0xFFFE, n_channels, sr, sr * block_align, block_align,
+                      bits)
+    fmt += struct.pack("<HHI", cb_size, bits if valid_bits is None else valid_bits,
+                       2**n_channels - 1)
+    fmt += uuid.UUID(sub_format).bytes_le if cb_size >= 22 else b""
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+PCM_GUID = "00000001-0000-0010-8000-00aa00389b71"
+FLOAT_GUID = "00000003-0000-0010-8000-00aa00389b71"
 
 
 def test_load_stereo_16bit_normalization(tmp_path):
@@ -222,8 +244,9 @@ def test_stereo_recording_validation():
             StereoRecording(nasal=np.zeros(2), oral=np.array([bad, 0.5]), sample_rate=48000)
     with pytest.raises(ValueError, match=r"oral channel exceeds full scale \(peak 1.5\)"):
         StereoRecording(nasal=np.zeros(2), oral=np.array([0.2, -1.5]), sample_rate=48000)
-    with pytest.raises(ValueError, match="sample_rate"):
-        StereoRecording(nasal=np.zeros(2), oral=np.zeros(2), sample_rate=0)
+    for bad_rate in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sample_rate must be finite and > 0"):
+            StereoRecording(nasal=np.zeros(2), oral=np.zeros(2), sample_rate=bad_rate)
 
 
 def test_channel_map_validation():
@@ -304,3 +327,116 @@ def test_write_wav_float32_full_scale(tmp_path):
     write_wav(path, [[1.5, -1.5]], 48000, "pcm16")
     (got,), _ = read_wav(path, 1)
     assert got.tolist() == [32767 / 32768, -1.0]
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+def test_load_stereo_keeps_stored_samples(tmp_path, fmt):
+    x = np.array([[0.5, -0.25, 1.0, -1.0], [0.0, 0.75, -0.5, 0.125]])
+    write_wav(tmp_path / "s.wav", list(x), 48000, fmt)
+    rec = load_stereo(tmp_path / "s.wav")
+    dtype, scale = {"pcm16": (np.int16, 2**15), "pcm24": (np.int32, 2**31),
+                    "pcm32": (np.int32, 2**31), "float32": (np.float32, 1.0)}[fmt]
+    assert rec.nasal_stored.dtype == dtype and rec.oral_stored.dtype == dtype
+    assert rec.scale == scale
+    assert not rec.nasal_stored.flags.writeable and not rec.oral_stored.flags.writeable
+    for ch in (rec.nasal_stored, rec.oral_stored):  # columns of the interleaved buffer
+        assert ch.strides == (2 * ch.itemsize,) and not ch.flags.owndata
+    decoded, _ = read_wav(tmp_path / "s.wav", 2)
+    for got, want in ((rec.nasal, decoded[0]), (rec.oral, decoded[1])):
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
+def test_load_pair_pads_in_the_stored_dtype(tmp_path):
+    write_wav(tmp_path / "n.wav", [np.full(100, 0.5)], 48000, "pcm16")
+    write_wav(tmp_path / "o.wav", [np.full(90, -0.25)], 48000, "pcm16")
+    rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
+    assert rec.oral_stored.dtype == np.int16 and rec.scale == 2**15
+    assert rec.oral_stored[-11:].tolist() == [-8192] + [0] * 10
+    assert not rec.oral_stored.flags.writeable
+    assert rec.source_id == "n.wav+o.wav#pad_oral=10"
+
+
+def test_load_pair_of_mixed_formats_decodes_both(tmp_path):
+    write_wav(tmp_path / "n.wav", [np.full(10, 0.5)], 48000, "pcm16")
+    write_wav(tmp_path / "o.wav", [np.full(12, -0.25)], 48000, "float32")
+    rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
+    assert rec.nasal_stored.dtype == rec.oral_stored.dtype == np.float64
+    assert rec.scale == 1.0
+    assert rec.nasal.tolist() == [0.5] * 10 + [0.0] * 2
+    assert rec.oral.tolist() == [-0.25] * 12
+
+
+def test_recording_scale_must_be_a_power_of_two():
+    ints = np.array([100, -200], dtype=np.int16)
+    assert StereoRecording(ints, ints, 48000, scale=2**15).nasal.tolist() == [
+        100 / 2**15, -200 / 2**15]
+    for bad in (3.0, 0.0, -2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="power of two"):
+            StereoRecording(ints, ints, 48000, scale=bad)
+    with pytest.raises(ValueError, match=r"nasal channel exceeds full scale \(peak 200\)"):
+        StereoRecording(ints, ints, 48000)  # int16 codes at scale 1
+
+
+def test_zero_sample_rate_is_located(tmp_path):
+    path = tmp_path / "r.wav"
+    path.write_bytes(wav_bytes(1, 2, 16, struct.pack("<hh", 1, 2), sr=0))
+    with pytest.raises(AudioFormatError, match="r.wav: zero sample rate") as err:
+        load_stereo(path)
+    assert err.value.byte_offset == 24  # the fmt chunk's sample-rate field
+
+
+@pytest.mark.parametrize("fmt, sub_format, bits", [
+    ("pcm16", PCM_GUID, 16), ("pcm24", PCM_GUID, 24), ("pcm32", PCM_GUID, 32),
+    ("float32", FLOAT_GUID, 32),
+])
+def test_extensible_reads_like_plain(tmp_path, fmt, sub_format, bits):
+    rng = np.random.default_rng(bits)
+    write_wav(tmp_path / "plain.wav", list(rng.uniform(-1, 1, (2, 50))), 44100, fmt)
+    plain = (tmp_path / "plain.wav").read_bytes()
+    path = tmp_path / "ext.wav"
+    path.write_bytes(extensible_bytes(2, bits, plain[44:], sub_format, sr=44100))
+    got, want = load_stereo(path), load_stereo(tmp_path / "plain.wav")
+    assert got.sample_rate == 44100 and got.scale == want.scale
+    np.testing.assert_array_equal(got.nasal_stored, want.nasal_stored)
+    np.testing.assert_array_equal(got.oral_stored, want.oral_stored)
+
+
+@pytest.mark.parametrize("kwargs, message, offset", [
+    ({"cb_size": 0}, "extension shorter than 22 bytes", 36),
+    ({"cb_size": 21}, "extension shorter than 22 bytes", 36),
+    ({"valid_bits": 20}, "20 valid bits in 24-bit samples", 38),
+    ({"sub_format": "00000006-0000-0010-8000-00aa00389b71"},  # A-law
+     "unsupported sub-format 00000006-0000-0010-8000-00aa00389b71", 44),
+    ({"sub_format": "00000001-0000-0010-8000-00aa00389b72"},
+     "unsupported sub-format 00000001-0000-0010-8000-00aa00389b72", 44),
+])
+def test_extensible_refusals_are_located(tmp_path, kwargs, message, offset):
+    args = {"sub_format": PCM_GUID, **kwargs}
+    path = tmp_path / "ext.wav"
+    path.write_bytes(extensible_bytes(2, 24, b"\x00" * 12, **args))
+    with pytest.raises(AudioFormatError, match=message) as err:
+        load_stereo(path)
+    assert err.value.byte_offset == offset
+
+
+@pytest.mark.parametrize("rate", [8000.7, 0, -1, 2**32, math.nan, math.inf])
+def test_write_wav_refuses_a_rate_the_header_cannot_hold(tmp_path, rate):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match="sample_rate must be a whole number of Hz"):
+        write_wav(path, [[0.0, 0.5]], rate, "pcm16")
+    assert not path.exists()
+
+
+def test_write_wav_rate_and_channel_limits(tmp_path):
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match="no channels"):
+        write_wav(path, [], 48000)
+    with pytest.raises(ValueError, match="32768 channels of 16-bit samples do not fit"):
+        write_wav(path, [[0.0]] * 2**15, 1, "pcm16")  # a 65536-byte frame
+    with pytest.raises(ValueError, match="byte rate 4294967296 .* does not fit"):
+        write_wav(path, [[0.0], [0.0]], 2**29, "float32")  # 8-byte frames
+    assert not path.exists()
+    write_wav(path, [[0.0, 0.5]], 8000.0, "pcm16")  # a whole float is a whole rate
+    assert read_wav(path, 1)[1] == 8000.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import tone_recording
-from nasalance.audio_io import StereoRecording
+from nasalance import audio_io
+from nasalance.audio_io import StereoRecording, load_stereo, write_wav
 from nasalance.calibration import (
     CalibrationProfile,
     apply_calibration,
@@ -53,6 +54,23 @@ def test_stimulus_window_restricts_frames():
     profile = estimate_gain_offset(rec, window=(0.5, 1.0))
     assert profile.gain_offset_db == pytest.approx(20 * math.log10(2.0), abs=1e-6)
     assert profile.stimulus_window == (0.5, 1.0)
+
+
+def test_stimulus_window_slices_stored_samples(tmp_path, monkeypatch):
+    n = 48000
+    t = np.arange(n) / 48000.0
+    burst = np.where(t >= 0.5, np.sin(2 * np.pi * 440 * t), 0.0)
+    write_wav(tmp_path / "cal.wav", [0.4 * burst, 0.2 * burst], 48000, "pcm16")
+    rec = load_stereo(tmp_path / "cal.wav")
+    decoded = StereoRecording(rec.nasal, rec.oral, 48000, source_id=rec.source_id)
+    want = estimate_gain_offset(decoded, window=(0.5, 1.0))
+
+    def no_decode(*args):
+        raise AssertionError("the stimulus window decoded the recording")
+
+    monkeypatch.setattr(audio_io, "_decoded", no_decode)
+    got = estimate_gain_offset(rec, window=(0.5, 1.0))
+    assert got == want
 
 
 def test_estimate_invariant_to_common_gain():

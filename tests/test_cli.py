@@ -143,6 +143,28 @@ def test_track_zero_bit_wav_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_track_extensible_wav(session, tmp_path, capsys):
+    wav, _, _ = session
+    plain = wav.read_bytes()  # float32 stereo, 44-byte header
+    ext = struct.pack("<HHIIHHHHI", 0xFFFE, 2, 48000, 48000 * 8, 8, 32, 22, 32, 3)
+    ext += bytes.fromhex("03000000000010008000" "00aa00389b71")  # IEEE float GUID
+    body = b"WAVEfmt " + struct.pack("<I", len(ext)) + ext + plain[36:]
+    extensible = tmp_path / "ext.wav"
+    extensible.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert main(["track", str(wav), "--out", str(tmp_path / "plain.csv")]) == 0
+    assert main(["track", str(extensible), "--out", str(tmp_path / "ext.csv")]) == 0
+    assert (tmp_path / "ext.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    data = bytearray(extensible.read_bytes())
+    data[38:40] = struct.pack("<H", 24)  # valid bits below the 32-bit container
+    extensible.write_bytes(bytes(data))
+    out = tmp_path / "bad.csv"
+    assert main(["track", str(extensible), "--out", str(out)]) == 2
+    assert "24 valid bits in 32-bit samples are unsupported (byte offset 38)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_analyze_non_finite_textgrid_exits_2(session, tmp_path, capsys):
     wav, tg, wordlist = session
     text = tg.read_text()
@@ -311,6 +333,15 @@ def test_synth_command(tmp_path):
 
     spec.write_text("{broken")
     assert main(["synth", str(spec), "--out", str(tmp_path / "fix2")]) == 2
+
+
+def test_synth_fractional_rate_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**synth_spec_doc([25.0]), "sample_rate": 8000.7}))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
+    assert "sample_rate must be a whole number of Hz" in capsys.readouterr().err
+    assert not (tmp_path / "fix.wav").exists()
+    assert not (tmp_path / "fix.truth.csv").exists()
 
 
 def test_stats_command(session, tmp_path, capsys):

@@ -1,23 +1,26 @@
 """Short-time intensity: framing, windows, clamps, band-pass."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import butter, sosfiltfilt
 
 from conftest import tone_recording
-from nasalance.audio_io import StereoRecording
+from nasalance.audio_io import StereoRecording, _read_samples, load_stereo, read_wav, write_wav
 from nasalance.intensity import (
     _FFT_BLOCK,
     DB_CLAMP_FLOOR,
     BandpassSpec,
     FrameConfig,
+    _frames_db,
     _zero_phase_taps,
     bandpass,
     frame_intensity_db,
     intensity_to_csv,
     intensity_track,
+    window_weights,
 )
 
 
@@ -107,6 +110,58 @@ def test_framing_kernel_buffer_edges(sample_rate, n_frames):
             assert abs(db - oracle) <= 1e-12, (k, db, oracle)
     np.testing.assert_array_equal(nasal, before[0])
     np.testing.assert_array_equal(oral, before[1])
+
+
+@pytest.mark.parametrize("n_channels", [1, 2, 3])
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels):
+    # framing a WAV's own samples with its scale gives, bit for bit, the dB
+    # of framing the decoded float64 channels (pcm32 squares are inexact)
+    rng = np.random.default_rng(n_channels)
+    path = tmp_path / "x.wav"
+    # 4-ms frames keep the test short; the 64-row batch and 4096-row block
+    # boundaries are the same for every frame length
+    cfg = FrameConfig(frame_length_ms=4.0, step_ms=1.0)
+    for sample_rate in (48000, 44100):  # 44.1 kHz: a fractional hop
+        frame_len = cfg.frame_samples(sample_rate)
+        starts = np.rint(np.arange(8193) * (cfg.step_ms * sample_rate / 1000.0))
+        starts = starts.astype(np.int64)
+        x = rng.uniform(-1.0, 1.0, (n_channels, starts[-1] + frame_len))
+        x[:, :3000] = 0.0  # silence clamps
+        x[:, 3000:3100] = 1.0  # full scale (pcm clips to its largest code)
+        x[:, 3100:3200] = -1.0
+        write_wav(path, list(x), sample_rate, fmt)
+        frames, scale, _ = _read_samples(path, n_channels)
+        decoded, _ = read_wav(path, n_channels)
+        assert frames.dtype != np.float64 and not frames.flags.writeable
+        for window in ("hann", "rectangular"):
+            w = window_weights(window, frame_len)
+            for c in range(n_channels):
+                for n_frames in (1, 64, 4097, 8193):  # around the 4096-row block
+                    got = _frames_db(frames[:, c], starts[:n_frames], frame_len, w, scale)
+                    want = _frames_db(decoded[c], starts[:n_frames], frame_len, w)
+                    np.testing.assert_array_equal(got, want)
+                assert want[0] == DB_CLAMP_FLOOR and want[-1] > -10.0
+
+
+def test_load_and_track_allocate_the_file_and_one_block(tmp_path):
+    # a loaded pcm16 take is framed from the file's buffer: no whole-channel
+    # float64 copy on top of the file and the one 4096-row framing block
+    sample_rate = 48000
+    path = tmp_path / "take.wav"
+    rng = np.random.default_rng(8)
+    write_wav(path, list(rng.uniform(-0.5, 0.5, (2, 60 * sample_rate))), sample_rate,
+              "pcm16")
+    cfg = FrameConfig()
+    block_bytes = 4096 * cfg.frame_samples(sample_rate) * 8
+    tracemalloc.start()
+    try:
+        track = intensity_track(load_stereo(path), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(track) > 4096
+    assert peak < 1.1 * (path.stat().st_size + block_bytes), peak
 
 
 def test_frame_count_one_second_48k():

@@ -102,6 +102,13 @@ def test_synthesis_is_deterministic():
     assert not np.array_equal(other.nasal, rec1.nasal)
 
 
+def test_synthesized_channels_are_stored_without_a_copy():
+    rec, _ = synthesize(const_spec(0.2, 0.4, noise=0.01))
+    assert rec.nasal is rec.nasal_stored and rec.oral is rec.oral_stored
+    assert rec.scale == 1.0 and rec.nasal.dtype == np.float64
+    assert not rec.nasal.flags.writeable
+
+
 def test_clipping_spec_rejected():
     with pytest.raises(SynthSpecError, match="clips"):
         synthesize(const_spec(0.9, 0.4))
