@@ -111,11 +111,11 @@ def _nearest_index(times: np.ndarray, t: float) -> int:
 def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
     """Nasalance at time t by nearest-frame lookup or linear interpolation.
 
-    Raises UnmeasurableError when t falls outside the track or when the
-    frame(s) needed are invalid.
+    Raises UnmeasurableError when t falls outside the track (a NaN t does
+    too) or when the frame(s) needed are invalid.
     """
     times = nt.times
-    if len(times) == 0 or t < times[0] or t > times[-1]:
+    if len(times) == 0 or not times[0] <= t <= times[-1]:  # NaN fails too
         raise UnmeasurableError(t, reason="outside-track")
     if method == "nearest":
         i = _nearest_index(times, t)

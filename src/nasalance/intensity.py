@@ -139,6 +139,11 @@ def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray,
                scale: float = 1.0):
     """dB full scale of the frames of x that start at `starts`.
 
+    A frame's dB depends only on its own samples: each frame is reduced by
+    its own dot product with w (one ddot), never by a matrix product whose
+    summation order moves with the frame's row in a block. So framing any
+    subset of `starts` gives, bitwise, the same rows as framing all of them.
+
     x holds stored samples whose values are x / scale, and scale is a power
     of two. Each sample is squared as stored and the window-weighted sum is
     scaled by scale**-2: scaling by a power of two commutes with rounding in
@@ -146,37 +151,35 @@ def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray,
     scale. (Squares of 16- and 24-bit integers are exact in float64.)
     """
     frames = sliding_window_view(x, frame_len)
-    sw = w.sum()
-    inv_scale2 = scale**-2
     n = len(starts)
-    out = np.empty(n)
-    # Each block holds the squared frame rows contiguously, so x is never
-    # written and the full frame matrix never exists. Keep 4096 rows: the
-    # BLAS product's summation order depends on the block's shape, and other
-    # sizes move the last bits of some dB values (and so the CSV bytes).
-    # One buffer serves every block: a fresh 4096-row block (50 MB at 48 kHz)
-    # is above the allocator's mmap threshold, so each would be a new mapping
-    # faulted in page by page. Rows are gathered and squared 64 at a time, so
-    # the gather's temporary (0.75 MB at most, for float64 samples) is still
-    # in cache when it is squared.
-    segs = np.empty((min(4096, n), frame_len))
-    for i in range(0, n, 4096):
-        block = segs[: min(4096, n - i)]
-        for j in range(0, len(block), 64):
-            np.square(frames[starts[i + j : i + j + 64]], out=block[j : j + 64],
-                      dtype=np.float64)
-        rms = np.sqrt(block @ w * inv_scale2 / sw)
-        with np.errstate(divide="ignore"):
-            out[i : i + len(block)] = 20.0 * np.log10(rms)
-    return np.maximum(out, DB_CLAMP_FLOOR)
+    power = np.empty(n)
+    # Frames are gathered and squared 64 rows at a time into one reused
+    # buffer (0.75 MB at 48 kHz), so x is never written, the frame matrix
+    # never exists, and each batch is still in cache when it is reduced.
+    rows = np.empty((min(64, n), frame_len))
+    for i in range(0, n, 64):
+        batch = rows[: min(64, n - i)]
+        np.square(frames[starts[i : i + 64]], out=batch, dtype=np.float64)
+        power[i : i + len(batch)] = np.vecdot(batch, w)
+    with np.errstate(divide="ignore"):
+        db = 20.0 * np.log10(np.sqrt(power * scale**-2 / w.sum()))
+    return np.maximum(db, DB_CLAMP_FLOOR)
 
 
-def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None) -> IntensityTrack:
+def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
+                    at=None) -> IntensityTrack:
     """Frame both channels identically and return their dB tracks.
 
     Frames are tiled from t=0 with hop step_ms; the last partial frame is
     dropped. Frame centers sit at k*step + frame_length/2; start sample
     indices are rounded to the nearest sample when the hop is fractional.
+
+    With `at` (times in seconds), only the frames that `value_at` can read
+    at those times are framed: for each time, the last frame centred at or
+    before it and the first centred at or after it, clipped to the track.
+    Every other frame holds DB_CLAMP_FLOOR on both channels, which
+    `nasalance_track` marks invalid; no lookup at an `at` time reaches it.
+    The framed frames are bitwise those of framing every frame.
     """
     cfg = cfg or FrameConfig()
     sr = rec.sample_rate
@@ -197,13 +200,19 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None) -> Int
     starts = np.rint(np.arange(n_nominal + 1) * step_samples).astype(np.int64)
     starts = starts[starts + frame_len <= n]
     times = np.arange(len(starts)) * (cfg.step_ms / 1000.0) + frame_len / (2.0 * sr)
+    if at is None:
+        framed = slice(None)
+    else:
+        at = np.asarray(at, dtype=np.float64)
+        framed = np.unique(np.concatenate([
+            np.searchsorted(times, at, side="right") - 1,
+            np.searchsorted(times, at, side="left"),
+        ]).clip(0, len(times) - 1))
     w = window_weights(cfg.window, frame_len)
-    return IntensityTrack(
-        times=times,
-        nasal_db=_frames_db(rec.nasal_stored, starts, frame_len, w, rec.scale),
-        oral_db=_frames_db(rec.oral_stored, starts, frame_len, w, rec.scale),
-        config=cfg,
-    )
+    nasal_db, oral_db = np.full((2, len(times)), DB_CLAMP_FLOOR)
+    nasal_db[framed] = _frames_db(rec.nasal_stored, starts[framed], frame_len, w, rec.scale)
+    oral_db[framed] = _frames_db(rec.oral_stored, starts[framed], frame_len, w, rec.scale)
+    return IntensityTrack(times=times, nasal_db=nasal_db, oral_db=oral_db, config=cfg)
 
 
 # The band-pass kernel ends where its slowest pole has decayed by this factor

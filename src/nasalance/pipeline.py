@@ -103,17 +103,18 @@ def extract_token_records(
     Returns (records, rejects); every selected token lands in exactly one
     of the two lists.
     """
-    frame_cfg = frame_cfg or FrameConfig()
-    if bandpass_spec is not None:
-        rec = bandpass(rec, bandpass_spec)
-    it = intensity_track(rec, frame_cfg)
-    if calibration_profile is not None:
-        it = apply_calibration(it, calibration_profile)
-    nt = nasalance_track(it)
-
     phone_tier = find_tier(tiers, "phone")
     word_tier = find_tier(tiers, "word")
     tokens = select_vowel_tokens(phone_tier, word_tier, vowel_labels)
+
+    frame_cfg = frame_cfg or FrameConfig()
+    if bandpass_spec is not None:
+        rec = bandpass(rec, bandpass_spec)
+    # only the frames value_at reads at the midpoints are framed
+    it = intensity_track(rec, frame_cfg, at=[token.midpoint for token in tokens])
+    if calibration_profile is not None:
+        it = apply_calibration(it, calibration_profile)
+    nt = nasalance_track(it)
 
     records, rejects = [], []
     for token in tokens:

@@ -181,6 +181,14 @@ def test_value_at_errors():
         value_at(nt, nt.times[0], "cubic")
 
 
+@pytest.mark.parametrize("method", ["nearest", "linear"])
+def test_value_at_nan_time_is_outside_track(method):
+    nt = nasalance_track(make_track([-10.0, -20.0], [-10.0, -20.0]))
+    with pytest.raises(UnmeasurableError) as err:
+        value_at(nt, float("nan"), method)
+    assert err.value.reason == "outside-track"
+
+
 def test_csv_dump_marks_invalid_rows():
     nt = nasalance_track(make_track([-10.0, DB_CLAMP_FLOOR], [-10.0, DB_CLAMP_FLOOR]))
     lines = nasalance_to_csv(nt).strip().split("\n")

@@ -69,7 +69,7 @@ def enumerate_frame_count(n, frame_len, step):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_framing_kernel_matches_per_frame_oracle(sample_rate, window, stride):
     rng = np.random.default_rng(29)
-    # over 4096 frames, so the kernel's block boundary is crossed
+    # over 4096 frames, so many 64-row batches
     raw = rng.uniform(-0.9, 0.9, (2, stride * int(35.0 * sample_rate)))
     raw[:, : stride * 4000] = 0.0  # silent lead-in exercises the clamp
     nasal, oral = raw[0, ::stride], raw[1, ::stride]
@@ -92,7 +92,7 @@ def test_framing_kernel_matches_per_frame_oracle(sample_rate, window, stride):
 @pytest.mark.parametrize("sample_rate", [48000, 44100])
 @pytest.mark.parametrize("n_frames", [1, 63, 64, 65, 4096, 4097])
 def test_framing_kernel_buffer_edges(sample_rate, n_frames):
-    # frame counts at and around the kernel's 64-row batch and 4096-row block
+    # frame counts at and around the kernel's 64-row batch, and many batches
     cfg = FrameConfig()
     frame_len = cfg.frame_samples(sample_rate)
     step = cfg.step_ms * sample_rate / 1000.0
@@ -119,8 +119,8 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
     # of framing the decoded float64 channels (pcm32 squares are inexact)
     rng = np.random.default_rng(n_channels)
     path = tmp_path / "x.wav"
-    # 4-ms frames keep the test short; the 64-row batch and 4096-row block
-    # boundaries are the same for every frame length
+    # 4-ms frames keep the test short; the 64-row batch boundaries are the
+    # same for every frame length
     cfg = FrameConfig(frame_length_ms=4.0, step_ms=1.0)
     for sample_rate in (48000, 44100):  # 44.1 kHz: a fractional hop
         frame_len = cfg.frame_samples(sample_rate)
@@ -137,23 +137,75 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
         for window in ("hann", "rectangular"):
             w = window_weights(window, frame_len)
             for c in range(n_channels):
-                for n_frames in (1, 64, 4097, 8193):  # around the 4096-row block
+                for n_frames in (1, 64, 4097, 8193):  # many 64-row batches
                     got = _frames_db(frames[:, c], starts[:n_frames], frame_len, w, scale)
                     want = _frames_db(decoded[c], starts[:n_frames], frame_len, w)
                     np.testing.assert_array_equal(got, want)
                 assert want[0] == DB_CLAMP_FLOOR and want[-1] > -10.0
 
 
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
+@pytest.mark.parametrize("sample_rate, frame_ms, n_frames", [
+    (48000, 32.0, 3000),  # 1536-sample frames
+    (44100, 32.0, 3000),  # 1411-sample frames on a 352.8-sample hop
+    (48000, 250.0, 600),  # 12000-sample frames, where OpenBLAS may thread ddot
+])
+def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_ms,
+                                              n_frames):
+    # any subset of the frames, in any order, gives bitwise the same dB as
+    # the same rows of framing them all: a frame's value must not depend on
+    # where its row sits in a batch (a blocked matrix product moves the last
+    # bit of about 1 row in 1000)
+    cfg = FrameConfig(frame_length_ms=frame_ms)
+    frame_len = cfg.frame_samples(sample_rate)
+    step = cfg.step_ms * sample_rate / 1000.0
+    starts = np.rint(np.arange(n_frames) * step).astype(np.int64)
+    rng = np.random.default_rng(n_frames)
+    path = tmp_path / "x.wav"
+    write_wav(path, [rng.uniform(-0.9, 0.9, starts[-1] + frame_len)], sample_rate, fmt)
+    samples, scale, _ = _read_samples(path, 1)
+    w = window_weights(cfg.window, frame_len)
+    full = _frames_db(samples[:, 0], starts, frame_len, w, scale)
+    for size in (1, 7, n_frames // 3, n_frames - 1):
+        for _ in range(2):
+            picked = rng.permutation(n_frames)[:size]
+            got = _frames_db(samples[:, 0], starts[picked], frame_len, w, scale)
+            np.testing.assert_array_equal(got, full[picked])
+
+
+def test_sparse_track_frames_the_frames_around_each_time():
+    rng = np.random.default_rng(4)
+    for sample_rate in (48000, 44100):
+        x = rng.uniform(-0.5, 0.5, (2, sample_rate))
+        rec = StereoRecording(x[0], x[1], sample_rate)
+        full = intensity_track(rec)
+        times = full.times
+        # before the first centre, on a centre, between two, after the last,
+        # twice the same time, and NaN (clipped to the last frame)
+        at = [0.0, times[10], (times[20] + times[21]) / 2, times[-1] + 0.001,
+              times[10], math.nan]
+        sparse = intensity_track(rec, at=at)
+        framed = [0, 10, 20, 21, len(times) - 1]
+        others = np.setdiff1d(np.arange(len(times)), framed)
+        np.testing.assert_array_equal(sparse.times, times)
+        for got, want in ((sparse.nasal_db, full.nasal_db),
+                          (sparse.oral_db, full.oral_db)):
+            np.testing.assert_array_equal(got[framed], want[framed])
+            assert np.all(got[others] == DB_CLAMP_FLOOR)
+        assert np.all(intensity_track(rec, at=[]).nasal_db == DB_CLAMP_FLOOR)
+
+
 def test_load_and_track_allocate_the_file_and_one_block(tmp_path):
     # a loaded pcm16 take is framed from the file's buffer: no whole-channel
-    # float64 copy on top of the file and the one 4096-row framing block
+    # float64 copy, and no frame block beyond the one 64-row buffer; the
+    # rest is a few per-frame arrays (frame starts, times, dB)
     sample_rate = 48000
     path = tmp_path / "take.wav"
     rng = np.random.default_rng(8)
     write_wav(path, list(rng.uniform(-0.5, 0.5, (2, 60 * sample_rate))), sample_rate,
               "pcm16")
     cfg = FrameConfig()
-    block_bytes = 4096 * cfg.frame_samples(sample_rate) * 8
+    rows_bytes = 64 * cfg.frame_samples(sample_rate) * 8
     tracemalloc.start()
     try:
         track = intensity_track(load_stereo(path), cfg)
@@ -161,7 +213,8 @@ def test_load_and_track_allocate_the_file_and_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(track) > 4096
-    assert peak < 1.1 * (path.stat().st_size + block_bytes), peak
+    per_frame_bytes = 16 * 8 * len(track)  # 0.96 MB at 7497 frames
+    assert peak < path.stat().st_size + rows_bytes + per_frame_bytes, peak
 
 
 def test_frame_count_one_second_48k():

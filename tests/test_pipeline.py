@@ -1,9 +1,14 @@
 """Token extraction over synthetic recordings with known per-word nasalance."""
 
+import numpy as np
 import pytest
 
+import nasalance.pipeline
 from conftest import make_alignment_tiers, segment_envelopes
+from nasalance.audio_io import StereoRecording
+from nasalance.calibration import CalibrationProfile
 from nasalance.errors import TokenSchemaError, WordlistError
+from nasalance.intensity import BandpassSpec, intensity_track
 from nasalance.pipeline import (
     WordInfo,
     extract_token_records,
@@ -99,6 +104,77 @@ def test_bandpass_and_calibration_paths_run():
         calibration_profile=CalibrationProfile(0.0),
     )
     assert {r.word for r in records} == {"bin", "bed"}
+
+
+def edge_case_fixture(sample_rate):
+    """A 3-s take and tiers whose vowel midpoints sit where lookups are
+    delicate: before the first frame centre, on a frame centre, on a
+    nearest-frame tie, at the edge of and inside silence, in unmapped and
+    empty words, and after the last frame centre."""
+    n = 3 * sample_rate
+    rng = np.random.default_rng(sample_rate)
+    # a new level every 8 ms, so neighbouring frames differ
+    env = np.repeat(rng.uniform(0.02, 0.5, (2, n // 384 + 1)), 384, axis=1)[:, :n]
+    x = rng.uniform(-1.0, 1.0, (2, n)) * env
+    x[:, int(1.5 * sample_rate) : 2 * sample_rate] = 0.0
+    rec = StereoRecording(x[0], x[1], sample_rate, source_id="edges")
+    times = intensity_track(rec).times.tolist()
+    on_frame = next(k for k in range(30, 90)
+                    if (times[k - 1] + times[k + 1]) / 2 == times[k])
+    tie = next(k for k in range(100, 160)
+               if (m := (times[k] + times[k + 1]) / 2) - times[k] == times[k + 1] - m)
+    vowels = [
+        (0.0, 0.01),  # midpoint before the first frame centre
+        (times[on_frame - 1], times[on_frame + 1]),
+        (times[tie], times[tie + 1]),
+        (1.3, 1.3123), (1.41, 1.4371),
+        (1.5, 1.527),  # nearer a valid frame than the silent one after it
+        (1.7, 1.8),  # silent
+        (2.3, 2.31), (2.5, 2.51), (2.7, 2.7457),  # unmapped, empty, mapped
+        (2.99, 3.0),  # midpoint after the last frame centre
+    ]
+    phones, t = [], 0.0
+    for t0, t1 in vowels:
+        if t0 > t:
+            phones.append(Interval(t, t0, "sil"))
+        phones.append(Interval(t0, t1, "AE1"))
+        t = t1
+    words = [Interval(0.0, 2.2, "bin"), Interval(2.2, 2.4, "zzz"),
+             Interval(2.4, 2.6, ""), Interval(2.6, 3.0, "bed")]
+    tiers = [IntervalTier("phone", 0.0, 3.0, phones), IntervalTier("word", 0.0, 3.0, words)]
+    mids = [iv.midpoint for iv in phones if iv.label == "AE1"]
+    assert mids[0] < times[0] and mids[-1] > times[-1]
+    assert mids[1] == times[on_frame]
+    assert mids[2] - times[tie] == times[tie + 1] - mids[2]
+    return rec, tiers
+
+
+@pytest.mark.parametrize("sample_rate", [48000, 44100])
+@pytest.mark.parametrize("method", ["nearest", "linear"])
+@pytest.mark.parametrize("extra", [
+    {},
+    {"calibration_profile": CalibrationProfile(-2.5)},  # lifts the unframed floor
+    {"bandpass_spec": BandpassSpec(100.0, 3000.0)},
+])
+def test_sparse_framing_matches_the_full_track(monkeypatch, sample_rate, method, extra):
+    # analyze frames only the frames around each midpoint; its records and
+    # rejects must be bitwise those of value_at over the fully framed track
+    rec, tiers = edge_case_fixture(sample_rate)
+
+    def run():
+        return extract_token_records(rec, tiers, WORDLIST, speaker="s", system="x",
+                                     method=method, **extra)
+
+    sparse = run()
+    monkeypatch.setattr(nasalance.pipeline, "intensity_track",
+                        lambda rec, cfg, at: intensity_track(rec, cfg))
+    full = run()
+    for got, want in zip(sparse, full):
+        assert [repr(r) for r in got] == [repr(r) for r in want]
+    assert len(sparse[0]) >= 5
+    assert {r.reason for r in sparse[1]} == {
+        "midpoint outside track", "unmeasurable at midpoint", "unmapped word",
+        "empty word interval"}
 
 
 def test_token_csv_round_trip():
