@@ -3,14 +3,17 @@
 Supports RIFF/WAVE with PCM 16/24/32-bit integer or 32-bit float samples,
 as plain fmt chunks or as WAVE_FORMAT_EXTENSIBLE. No resampling is performed
 anywhere: mismatched rates are an error so the intensity frame timing
-downstream stays exact.
+downstream stays exact. A loaded file's samples stay in the file: loading
+checks the header, and samples are read span by span when they are needed.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,25 +42,28 @@ class ChannelMap:
 class StereoRecording:
     """Paired nasal/oral channels at a common sample rate.
 
-    Each channel is kept in the dtype it is stored in, with one `scale` for
-    both: a sample's value on [-1, 1] is stored / scale. A loaded WAV keeps
-    its int16, int32 (24- and 32-bit) or float32 samples, usually as a
-    strided column of the file's buffer; any other input is stored as
-    float64. `scale` must be a power of two, so decoding is exact.
+    Each channel keeps the dtype it is stored in, with one `scale` for both:
+    a sample's value on [-1, 1] is stored / scale, and `scale` must be a
+    power of two, so decoding is exact. A loaded WAV holds no samples: it
+    reads its int16, int32 (24- and 32-bit) or float32 samples from the file
+    whenever they are asked for. Channels passed in are held in memory, as
+    float64 unless already in one of those dtypes.
 
-    `nasal` and `oral` decode on demand to read-only, C-contiguous float64;
-    for float64 storage at scale 1 they return the stored array itself.
-    Stored arrays are read-only. A read-only input that is already in a
-    stored dtype is kept without a copy; a writeable one is copied, so the
-    caller's array stays writeable and later writes to it do not reach the
-    recording. Instances are immutable and safe to share between threads.
+    `stored()` is the one way to the stored samples; `nasal` and `oral`
+    decode them to read-only, C-contiguous float64 (for float64 held at
+    scale 1, the held array itself). Held arrays are read-only. A read-only
+    input that is already in a stored dtype is kept without a copy; a
+    writeable one is copied, so the caller's array stays writeable and later
+    writes to it do not reach the recording. Instances are immutable and
+    safe to share between threads.
     """
 
-    nasal_stored: np.ndarray
-    oral_stored: np.ndarray
     sample_rate: float
     source_id: str
     scale: float
+    n_samples: int
+    _channels: object = field(repr=False)  # _Held or _FileChannels
+    _start: int = field(repr=False)  # of the recording in _channels
 
     def __init__(self, nasal, oral, sample_rate, source_id="", scale=1.0):
         nasal, oral = (_owned(x) for x in (nasal, oral))
@@ -81,22 +87,66 @@ class StereoRecording:
                 raise ValueError(f"{name} channel contains non-finite samples")
             if peak > 1.0:
                 raise ValueError(f"{name} channel exceeds full scale (peak {peak:g})")
-        for name, value in (("nasal_stored", nasal), ("oral_stored", oral),
-                            ("sample_rate", sample_rate), ("source_id", source_id),
-                            ("scale", float(scale))):
+        self._set(_Held(nasal, oral), 0, len(nasal), sample_rate, source_id, scale)
+
+    def _set(self, channels, start, n_samples, sample_rate, source_id, scale):
+        for name, value in (("_channels", channels), ("_start", start),
+                            ("n_samples", n_samples), ("sample_rate", sample_rate),
+                            ("source_id", source_id), ("scale", float(scale))):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _over(cls, channels, start, n_samples, sample_rate, source_id, scale):
+        """A recording of samples [start, start + n_samples) of checked channels."""
+        if n_samples < 1:
+            raise ValueError("recording is empty")
+        rec = cls.__new__(cls)
+        rec._set(channels, start, n_samples, sample_rate, source_id, scale)
+        return rec
+
+    @contextmanager
+    def stored(self):
+        """Yield read(a, b): the (nasal, oral) stored samples of [a, b).
+
+        For held channels these are slices; for a loaded WAV they are read
+        from the file into buffers that the next read reuses, so each pair
+        holds only until then. A read of a file that no longer holds the
+        samples raises AudioFormatError. 0 <= a <= b <= n_samples.
+        """
+        start = self._start
+        with self._channels.reader() as read:
+            yield read if not start else lambda a, b: read(start + a, start + b)
+
+    def crop(self, i0: int, i1: int) -> StereoRecording:
+        """Samples [i0, i1) as a recording; nothing is read or copied."""
+        if not 0 <= i0 <= i1 <= self.n_samples:
+            raise ValueError(f"samples [{i0}, {i1}) are not within the recording's "
+                             f"{self.n_samples}")
+        return StereoRecording._over(self._channels, self._start + i0, i1 - i0,
+                                     self.sample_rate, self.source_id, self.scale)
+
+    def _decoded(self, role: int) -> np.ndarray:
+        held = self._channels
+        if isinstance(held, _Held) and self.scale == 1.0:
+            x = (held.nasal, held.oral)[role]
+            if x.dtype == np.float64:
+                if self._start == 0 and self.n_samples == len(x):
+                    return x
+                return x[self._start : self._start + self.n_samples]
+        out = np.empty(self.n_samples)
+        with self.stored() as read:
+            for a, b in _blocks(self.n_samples):
+                np.divide(read(a, b)[role], self.scale, out=out[a:b], dtype=np.float64)
+        out.flags.writeable = False
+        return out
 
     @property
     def nasal(self) -> np.ndarray:
-        return _decoded(self.nasal_stored, self.scale)
+        return self._decoded(0)
 
     @property
     def oral(self) -> np.ndarray:
-        return _decoded(self.oral_stored, self.scale)
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.nasal_stored)
+        return self._decoded(1)
 
     @property
     def duration_s(self) -> float:
@@ -125,96 +175,30 @@ _CODEC_DTYPES = {np.dtype(dtype) for dtype, _ in _CODECS.values()}
 _EXTENSIBLE = 0xFFFE
 _SUBTYPE_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
 
+# Whole channels are decoded, and float files checked, this many frames at a
+# time (256 kB of stereo pcm16)
+_BLOCK_FRAMES = 2**16
 
-def _owned(x) -> np.ndarray:
-    """x, read-only, in its stored dtype (C-contiguous when float64); a
-    writeable input is copied, so the caller keeps its own array writeable
-    and separate."""
+
+def _owned(x, dtype=None) -> np.ndarray:
+    """x as a read-only array: C-contiguous in `dtype` when one is given;
+    otherwise x keeps a stored dtype (_CODECS) and anything else becomes
+    C-contiguous float64. A writeable input is copied, so the caller keeps
+    its own array writeable and separate; a read-only one is kept without a
+    copy."""
     arr = np.asarray(x)
-    if arr.dtype not in _CODEC_DTYPES:
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if dtype is not None or arr.dtype not in _CODEC_DTYPES:
+        arr = np.ascontiguousarray(arr, dtype=dtype or np.float64)
     if arr is x and arr.flags.writeable:
         arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
 
-def _decoded(x: np.ndarray, scale: float) -> np.ndarray:
-    """Stored samples as read-only, C-contiguous float64 on [-1, 1]."""
-    if x.dtype == np.float64 and scale == 1.0:
-        return x
-    out = np.divide(x, scale, dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
-def _read_chunks(data: bytes, path: str):
-    """Yield (chunk_id, body_offset, body_size) for every RIFF chunk."""
-    if len(data) < 12:
-        raise AudioFormatError(f"{path}: too short to be a RIFF file", byte_offset=0)
-    if data[0:4] != b"RIFF":
-        raise AudioFormatError(f"{path}: missing RIFF magic", byte_offset=0)
-    if data[8:12] != b"WAVE":
-        raise AudioFormatError(f"{path}: not a WAVE container", byte_offset=8)
-    pos = 12
-    while pos < len(data):
-        if pos + 8 > len(data):
-            raise AudioFormatError(
-                f"{path}: truncated chunk header", byte_offset=pos
-            )
-        chunk_id = data[pos : pos + 4]
-        (size,) = struct.unpack_from("<I", data, pos + 4)
-        body = pos + 8
-        yield chunk_id, body, size
-        pos = body + size + (size & 1)  # chunks are word-aligned
-
-
-def _extensible_format(data: bytes, fmt_offset: int, fmt_size: int, bits: int, name: str) -> int:
-    """The plain format tag named by a WAVE_FORMAT_EXTENSIBLE fmt chunk.
-
-    The extension after the 16-byte fmt body holds cbSize, the valid bits
-    per sample, the channel mask and the 16-byte sub-format GUID.
-    """
-    ext = fmt_offset + 16
-    if fmt_size < 40 or ext + 24 > len(data) or struct.unpack_from("<H", data, ext)[0] < 22:
-        raise AudioFormatError(
-            f"{name}: WAVE_FORMAT_EXTENSIBLE extension shorter than 22 bytes",
-            byte_offset=ext,
-        )
-    (valid_bits,) = struct.unpack_from("<H", data, ext + 2)
-    if valid_bits != bits:
-        raise AudioFormatError(
-            f"{name}: {valid_bits} valid bits in {bits}-bit samples are unsupported",
-            byte_offset=ext + 2,
-        )
-    guid = data[ext + 8 : ext + 24]
-    tag = int.from_bytes(guid[:4], "little")
-    if guid[4:] != _SUBTYPE_TAIL or tag not in (1, 3):
-        import uuid  # only to name the GUID in the message
-
-        raise AudioFormatError(
-            f"{name}: unsupported sub-format {uuid.UUID(bytes_le=guid)}",
-            byte_offset=ext + 8,
-        )
-    return tag
-
-
-def _stored_frames(data: bytes, body: int, size: int, n_channels: int, bits: int,
-                   dtype: str) -> np.ndarray:
-    """The data chunk body as a read-only (frames, channels) array.
-
-    Samples stay in `data`, except 24-bit ones, which are widened once into
-    the top three bytes of a new int32 array.
-    """
-    if bits == 24:
-        packed = np.frombuffer(data, np.uint8, size, body).reshape(-1, 3)
-        widened = np.zeros((len(packed), 4), dtype=np.uint8)
-        widened[:, 1:] = packed
-        samples = widened.view(dtype)
-        samples.flags.writeable = False
-    else:
-        samples = np.frombuffer(data, dtype, size // np.dtype(dtype).itemsize, body)
-    return samples.reshape(-1, n_channels)
+def _blocks(n: int):
+    """[a, b) ranges of at most _BLOCK_FRAMES that tile range(n)."""
+    for a in range(0, n, _BLOCK_FRAMES):
+        yield a, min(a + _BLOCK_FRAMES, n)
 
 
 def _peak(ch: np.ndarray) -> float:
@@ -228,84 +212,231 @@ def _peak(ch: np.ndarray) -> float:
     return max(-float(ch.min()), float(ch.max()))
 
 
-def _read_samples(path, n_channels: int) -> tuple[np.ndarray, float, float]:
-    """Read and check a WAV file of n_channels channels, without decoding it.
+class _Held:
+    """Nasal and oral channels held in memory, read as slices."""
 
-    Returns (frames, scale, sample rate): frames is a read-only
-    (n, n_channels) array in the stored dtype (see _CODECS), and a sample's
-    value on [-1, 1] is frames / scale. Any other channel count is refused
-    before the data chunk is checked or read.
+    def __init__(self, nasal: np.ndarray, oral: np.ndarray):
+        self.nasal, self.oral = nasal, oral
+
+    @contextmanager
+    def reader(self):
+        nasal, oral = self.nasal, self.oral
+        yield lambda a, b: (nasal[a:b], oral[a:b])
+
+
+@dataclass(frozen=True)
+class _WavData:
+    """The checked data chunk of a WAV file; its samples stay in the file."""
+
+    path: Path
+    offset: int  # of the data chunk's body
+    n_frames: int
+    n_channels: int
+    bits: int
+    dtype: np.dtype  # stored; see _CODECS
+    scale: float
+    sample_rate: float
+
+    @contextmanager
+    def reader(self):
+        """Yield read(a, b): the stored samples of frames [a, b) as a
+        read-only (b - a, n_channels) array, zero past the last frame.
+
+        Each read seeks and `readinto`s one reused buffer, grown to the
+        largest read so far, so the array holds only until the next read.
+        24-bit samples are widened per read into a second reused int32
+        buffer, each into its top three bytes.
+        A short read (the file has changed since it was checked) raises
+        AudioFormatError at the byte offset where the samples ran out.
+        """
+        width = self.n_channels * self.bits // 8
+        lead = int(self.bits == 24)  # a spare byte before packed 24-bit samples
+        raw = np.empty(0, np.uint8)
+        wide = np.empty(0, self.dtype)
+        with open(self.path, "rb") as f:
+            def read(a, b):
+                nonlocal raw, wide
+                size = (b - a) * width
+                if lead + size > len(raw):
+                    raw = np.empty(lead + size, np.uint8)
+                    wide = np.empty(lead * size // 3, self.dtype)
+                have = max(0, min(b, self.n_frames) - a) * width
+                pos = self.offset + a * width
+                f.seek(pos)
+                got = f.readinto(raw[lead : lead + have])
+                if got != have:
+                    raise AudioFormatError(
+                        f"{self.path.name}: data chunk ends {have - got} bytes early "
+                        f"(the file changed after it was loaded)",
+                        byte_offset=pos + got,
+                    )
+                raw[lead + have : lead + size] = 0
+                if lead:
+                    # the int32 at each sample's byte before holds that byte
+                    # and the sample's three; clearing the low byte leaves the
+                    # sample in the top three
+                    n = size // 3
+                    packed = np.ndarray((n,), self.dtype, raw, 0, (3,))
+                    samples = np.bitwise_and(packed, -256, out=wide[:n])
+                else:
+                    samples = raw[:size].view(self.dtype)
+                samples = samples.reshape(b - a, self.n_channels)
+                samples.flags.writeable = False
+                return samples
+
+            yield read
+
+
+class _FileChannels:
+    """Nasal and oral channels read from WAV files when asked for.
+
+    Each role is a (data chunk, channel) pair. Two files whose stored
+    formats differ are decoded to float64 as they are read.
+    """
+
+    def __init__(self, nasal: tuple[_WavData, int], oral: tuple[_WavData, int]):
+        self.nasal, self.oral = nasal, oral
+        self.decode = (nasal[0].dtype, nasal[0].scale) != (oral[0].dtype, oral[0].scale)
+
+    @contextmanager
+    def reader(self):
+        (nasal, n_col), (oral, o_col) = self.nasal, self.oral
+        if nasal is oral:  # both roles are channels of one file: read it once
+            with nasal.reader() as read:
+                def read_both(a, b):
+                    block = read(a, b)
+                    return block[:, n_col], block[:, o_col]
+
+                yield read_both
+            return
+        with nasal.reader() as read_nasal, oral.reader() as read_oral:
+            if not self.decode:
+                yield lambda a, b: (read_nasal(a, b)[:, n_col], read_oral(a, b)[:, o_col])
+                return
+            yield lambda a, b: (
+                np.divide(read_nasal(a, b)[:, n_col], nasal.scale, dtype=np.float64),
+                np.divide(read_oral(a, b)[:, o_col], oral.scale, dtype=np.float64),
+            )
+
+
+def _extensible_format(fmt: bytes, fmt_offset: int, fmt_size: int, bits: int,
+                       name: str) -> int:
+    """The plain format tag named by a WAVE_FORMAT_EXTENSIBLE fmt chunk.
+
+    `fmt` holds the first 40 bytes of the fmt body, or all of them when the
+    file ends sooner. The extension after the 16-byte fmt body holds cbSize,
+    the valid bits per sample, the channel mask and the 16-byte sub-format
+    GUID.
+    """
+    ext = fmt_offset + 16
+    if fmt_size < 40 or len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+        raise AudioFormatError(
+            f"{name}: WAVE_FORMAT_EXTENSIBLE extension shorter than 22 bytes",
+            byte_offset=ext,
+        )
+    (valid_bits,) = struct.unpack_from("<H", fmt, 18)
+    if valid_bits != bits:
+        raise AudioFormatError(
+            f"{name}: {valid_bits} valid bits in {bits}-bit samples are unsupported",
+            byte_offset=ext + 2,
+        )
+    guid = fmt[24:40]
+    tag = int.from_bytes(guid[:4], "little")
+    if guid[4:] != _SUBTYPE_TAIL or tag not in (1, 3):
+        import uuid  # only to name the GUID in the message
+
+        raise AudioFormatError(
+            f"{name}: unsupported sub-format {uuid.UUID(bytes_le=guid)}",
+            byte_offset=ext + 8,
+        )
+    return tag
+
+
+def _wav_data(path, n_channels: int) -> _WavData:
+    """Check a WAV file of n_channels channels and locate its samples.
+
+    The RIFF chunks are walked by seeking from header to header; only the
+    chunk headers and the fmt body are read, and the samples stay in the
+    file, except that float samples are read once, block by block, to check
+    that they are finite and within full scale (integer PCM is within full
+    scale by construction). Any other channel count is refused before the
+    data chunk is checked or read.
     """
     path = Path(path)
-    data = path.read_bytes()
-    fmt = None
-    fmt_offset = fmt_size = None
-    for chunk_id, body, size in _read_chunks(data, path.name):
-        if chunk_id == b"fmt ":
-            if body + 16 > len(data) or size < 16:
-                raise AudioFormatError(
-                    f"{path.name}: truncated fmt chunk", byte_offset=body
-                )
-            fmt = struct.unpack_from("<HHIIHH", data, body)
-            fmt_offset, fmt_size = body, size
-        elif chunk_id == b"data":
+    name = path.name
+    with open(path, "rb") as f:
+        file_size = os.fstat(f.fileno()).st_size
+        head = f.read(12)
+        if len(head) < 12:
+            raise AudioFormatError(f"{name}: too short to be a RIFF file", byte_offset=0)
+        if head[0:4] != b"RIFF":
+            raise AudioFormatError(f"{name}: missing RIFF magic", byte_offset=0)
+        if head[8:12] != b"WAVE":
+            raise AudioFormatError(f"{name}: not a WAVE container", byte_offset=8)
+        fmt = None
+        pos = 12
+        while pos < file_size:
+            if pos + 8 > file_size:
+                raise AudioFormatError(f"{name}: truncated chunk header", byte_offset=pos)
+            f.seek(pos)
+            chunk_id, size = struct.unpack("<4sI", f.read(8))
+            body = pos + 8
+            pos = body + size + (size & 1)  # chunks are word-aligned
+            if chunk_id == b"fmt ":
+                fmt = f.read(min(size, 40))
+                if len(fmt) < 16 or size < 16:
+                    raise AudioFormatError(f"{name}: truncated fmt chunk", byte_offset=body)
+                fmt_offset, fmt_size = body, size
+            elif chunk_id == b"data":
+                break
+        else:
             if fmt is None:
-                raise AudioFormatError(
-                    f"{path.name}: data chunk before fmt chunk", byte_offset=body
-                )
-            audio_format, got_channels, sample_rate, _, block_align, bits = fmt
-            if got_channels < 1:
-                raise AudioFormatError(
-                    f"{path.name}: zero channels", byte_offset=fmt_offset + 2
-                )
-            if got_channels != n_channels:
-                raise AudioFormatError(
-                    f"{path.name}: channel count != {n_channels} (got {got_channels})",
-                    byte_offset=fmt_offset + 2,  # the fmt chunk's channel field
-                )
-            if sample_rate == 0:
-                raise AudioFormatError(
-                    f"{path.name}: zero sample rate", byte_offset=fmt_offset + 4
-                )
-            if body + size > len(data):
-                raise AudioFormatError(
-                    f"{path.name}: truncated data chunk "
-                    f"(declared {size} bytes, {len(data) - body} available)",
-                    byte_offset=len(data),
-                )
-            if audio_format == _EXTENSIBLE:
-                audio_format = _extensible_format(data, fmt_offset, fmt_size, bits,
-                                                  path.name)
-            # before the frame-size check: a 0-bit fmt makes block_align 0
-            codec = _CODECS.get((audio_format, bits))
-            if codec is None:
-                raise AudioFormatError(
-                    f"{path.name}: unsupported codec (format {audio_format}, {bits}-bit)",
-                    byte_offset=fmt_offset,
-                )
-            if block_align != n_channels * bits // 8 or size % block_align:
-                raise AudioFormatError(
-                    f"{path.name}: data size {size} not a whole number of frames",
-                    byte_offset=body,
-                )
-            dtype, scale = codec
-            frames = _stored_frames(data, body, size, n_channels, bits, dtype)
-            # integer PCM lands in [-1, 1) by construction; only floats can fail
-            if audio_format == 3:
-                peak = _peak(frames)
-                if not math.isfinite(peak):
-                    raise AudioFormatError(
-                        f"{path.name}: non-finite float samples", byte_offset=body
-                    )
-                if peak > 1.0:
-                    raise AudioFormatError(
-                        f"{path.name}: float samples exceed full scale",
-                        byte_offset=body,
-                    )
-            return frames, scale, float(sample_rate)
+                raise AudioFormatError(f"{name}: no fmt chunk found", byte_offset=file_size)
+            raise AudioFormatError(f"{name}: no data chunk found", byte_offset=file_size)
     if fmt is None:
-        raise AudioFormatError(f"{path.name}: no fmt chunk found", byte_offset=len(data))
-    raise AudioFormatError(f"{path.name}: no data chunk found", byte_offset=len(data))
+        raise AudioFormatError(f"{name}: data chunk before fmt chunk", byte_offset=body)
+    audio_format, got_channels, sample_rate, _, block_align, bits = struct.unpack_from(
+        "<HHIIHH", fmt)
+    if got_channels < 1:
+        raise AudioFormatError(f"{name}: zero channels", byte_offset=fmt_offset + 2)
+    if got_channels != n_channels:
+        raise AudioFormatError(
+            f"{name}: channel count != {n_channels} (got {got_channels})",
+            byte_offset=fmt_offset + 2,  # the fmt chunk's channel field
+        )
+    if sample_rate == 0:
+        raise AudioFormatError(f"{name}: zero sample rate", byte_offset=fmt_offset + 4)
+    if body + size > file_size:
+        raise AudioFormatError(
+            f"{name}: truncated data chunk "
+            f"(declared {size} bytes, {file_size - body} available)",
+            byte_offset=file_size,
+        )
+    if audio_format == _EXTENSIBLE:
+        audio_format = _extensible_format(fmt, fmt_offset, fmt_size, bits, name)
+    # before the frame-size check: a 0-bit fmt makes block_align 0
+    codec = _CODECS.get((audio_format, bits))
+    if codec is None:
+        raise AudioFormatError(
+            f"{name}: unsupported codec (format {audio_format}, {bits}-bit)",
+            byte_offset=fmt_offset,
+        )
+    if block_align != n_channels * bits // 8 or size % block_align:
+        raise AudioFormatError(
+            f"{name}: data size {size} not a whole number of frames", byte_offset=body
+        )
+    dtype, scale = codec
+    data = _WavData(path, body, size // block_align, n_channels, bits, np.dtype(dtype),
+                    scale, float(sample_rate))
+    if audio_format == 3:
+        with data.reader() as read:
+            peak = _peak(np.array([_peak(read(a, b)) for a, b in _blocks(data.n_frames)]))
+        if not math.isfinite(peak):
+            raise AudioFormatError(f"{name}: non-finite float samples", byte_offset=body)
+        if peak > 1.0:
+            raise AudioFormatError(f"{name}: float samples exceed full scale",
+                                   byte_offset=body)
+    return data
 
 
 def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
@@ -315,64 +446,53 @@ def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
     rate). Any other channel count is refused before the data chunk is
     checked or decoded.
     """
-    frames, scale, sample_rate = _read_samples(path, n_channels)
-    return [np.divide(frames[:, c], scale, dtype=np.float64)
-            for c in range(n_channels)], sample_rate
+    data = _wav_data(path, n_channels)
+    out = np.empty((n_channels, data.n_frames))
+    with data.reader() as read:
+        for a, b in _blocks(data.n_frames):
+            np.divide(read(a, b).T, data.scale, out=out[:, a:b], dtype=np.float64)
+    return list(out), data.sample_rate
 
 
 def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
     """Load one stereo WAV file, assigning channels per the map.
 
-    The recording keeps the file's samples undecoded: each channel is a
-    read-only column of the file's buffer.
+    The file's header is checked now; its samples are read, in their stored
+    dtype, as they are framed or decoded.
     """
     channel_map = channel_map or ChannelMap()
     path = Path(path)
-    frames, scale, sample_rate = _read_samples(path, 2)
-    by_source = {"left": frames[:, 0], "right": frames[:, 1]}
-    return StereoRecording(
-        nasal=by_source[channel_map.nasal_source],
-        oral=by_source[channel_map.oral_source],
-        sample_rate=sample_rate,
-        source_id=path.name,
-        scale=scale,
-    )
+    data = _wav_data(path, 2)
+    column = {"left": 0, "right": 1}
+    channels = _FileChannels((data, column[channel_map.nasal_source]),
+                             (data, column[channel_map.oral_source]))
+    return StereoRecording._over(channels, 0, data.n_frames, data.sample_rate,
+                                 path.name, data.scale)
 
 
 def load_pair(nasal_path, oral_path) -> StereoRecording:
     """Load nasal and oral channels recorded to separate mono files.
 
-    The shorter channel is zero-padded at the end (never truncated) so
-    annotation time axes that reference the longer file stay valid; the
+    The shorter channel reads as zeros past its end (it is never truncated)
+    so annotation time axes that reference the longer file stay valid; the
     padding is recorded in source_id. Files in different sample formats are
-    both decoded to float64.
+    both decoded to float64 as they are read.
     """
     nasal_path, oral_path = Path(nasal_path), Path(oral_path)
-    (nasal, nasal_scale, nasal_rate), (oral, oral_scale, oral_rate) = (
-        _read_samples(path, 1) for path in (nasal_path, oral_path)
-    )
-    if nasal_rate != oral_rate:
+    nasal, oral = (_wav_data(path, 1) for path in (nasal_path, oral_path))
+    if nasal.sample_rate != oral.sample_rate:
         raise AudioFormatError(
-            f"sample-rate mismatch: {nasal_path.name} is {nasal_rate:g} Hz, "
-            f"{oral_path.name} is {oral_rate:g} Hz"
+            f"sample-rate mismatch: {nasal_path.name} is {nasal.sample_rate:g} Hz, "
+            f"{oral_path.name} is {oral.sample_rate:g} Hz"
         )
-    nasal, oral = nasal[:, 0], oral[:, 0]
-    scale = nasal_scale
-    if (nasal.dtype, nasal_scale) != (oral.dtype, oral_scale):
-        nasal, oral = _decoded(nasal, nasal_scale), _decoded(oral, oral_scale)
-        scale = 1.0
+    channels = _FileChannels((nasal, 0), (oral, 0))
     source_id = f"{nasal_path.name}+{oral_path.name}"
-    if len(nasal) != len(oral):
-        pad = abs(len(nasal) - len(oral))
-        if len(nasal) < len(oral):
-            nasal = np.concatenate([nasal, np.zeros(pad, nasal.dtype)])
-            source_id += f"#pad_nasal={pad}"
-        else:
-            oral = np.concatenate([oral, np.zeros(pad, oral.dtype)])
-            source_id += f"#pad_oral={pad}"
-        nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
-    return StereoRecording(
-        nasal=nasal, oral=oral, sample_rate=nasal_rate, source_id=source_id, scale=scale
+    pad = oral.n_frames - nasal.n_frames
+    if pad:
+        source_id += f"#pad_nasal={pad}" if pad > 0 else f"#pad_oral={-pad}"
+    return StereoRecording._over(
+        channels, 0, max(nasal.n_frames, oral.n_frames), nasal.sample_rate, source_id,
+        1.0 if channels.decode else nasal.scale,
     )
 
 

@@ -56,13 +56,7 @@ def estimate_gain_offset(
         i0, i1 = max(0, int(round(t0 * sr))), min(rec.n_samples, int(round(t1 * sr)))
         if i1 - i0 < 1:
             raise CalibrationError(f"stimulus window [{t0}, {t1}] selects no samples")
-        rec = StereoRecording(  # the stored samples' slices, undecoded
-            nasal=rec.nasal_stored[i0:i1],
-            oral=rec.oral_stored[i0:i1],
-            sample_rate=sr,
-            source_id=rec.source_id,
-            scale=rec.scale,
-        )
+        rec = rec.crop(i0, i1)  # reads only the window's samples
     else:
         window = (0.0, rec.duration_s)
     it = intensity_track(rec, cfg)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import _owned
 from .errors import UndefinedFrameError, UnmeasurableError
 from .intensity import DB_CLAMP_FLOOR, IntensityTrack
 
@@ -31,16 +32,16 @@ class NasalanceTrack:
     valid: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        pct = np.asarray(self.nasalance_pct, dtype=np.float64)
-        valid = np.asarray(self.valid, dtype=bool)
+        # a writeable input is copied, so the caller's arrays stay writeable
+        # and later writes to them do not reach the track
+        times = _owned(self.times, np.float64)
+        pct = _owned(self.nasalance_pct, np.float64)
+        valid = _owned(self.valid, bool)
         if not len(times) == len(pct) == len(valid):
             raise ValueError("times, nasalance_pct, valid must have equal length")
         ok = pct[valid]
         if len(ok) and (np.min(ok) < 0.0 or np.max(ok) > 100.0):
             raise ValueError("valid nasalance values outside [0, 100]")
-        for arr in (times, pct, valid):
-            arr.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "nasalance_pct", pct)
         object.__setattr__(self, "valid", valid)
@@ -92,6 +93,7 @@ def nasalance_track(it: IntensityTrack, mode: str = "amplitude") -> NasalanceTra
     pct = np.where(nasal <= DB_CLAMP_FLOOR, 0.0, pct)
     pct = np.where(oral <= DB_CLAMP_FLOOR, 100.0, pct)
     pct = np.where(valid, pct, np.nan)
+    pct.flags.writeable = valid.flags.writeable = False  # kept without a copy
     return NasalanceTrack(times=it.times, nasalance_pct=pct, valid=valid)
 
 

@@ -13,11 +13,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import StereoRecording, _peak
+from .audio_io import StereoRecording, _owned, _peak
 
 # Silence clamp keeps arithmetic finite; amplitudes at/below this are
 # treated as exactly zero when converted back to linear scale.
 DB_CLAMP_FLOOR = -300.0
+
+# Frames are read and squared a span at a time: at most this many sorted
+# frames, each overlapping the one before (25728 samples, 201 kB of float64
+# squares, at 48 kHz and 32/8 ms)
+_SPAN_FRAMES = 64
 
 _WINDOWS = ("rectangular", "hann")
 
@@ -87,9 +92,10 @@ class IntensityTrack:
     config: FrameConfig
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        nasal = np.asarray(self.nasal_db, dtype=np.float64)
-        oral = np.asarray(self.oral_db, dtype=np.float64)
+        # a writeable input is copied, so the caller's arrays stay writeable
+        # and later writes to them do not reach the track
+        times, nasal, oral = (_owned(x, np.float64)
+                              for x in (self.times, self.nasal_db, self.oral_db))
         if not len(times) == len(nasal) == len(oral):
             raise ValueError("times, nasal_db, oral_db must have equal length")
         step_s = self.config.step_ms / 1000.0
@@ -98,8 +104,6 @@ class IntensityTrack:
         for name, db in (("nasal_db", nasal), ("oral_db", oral)):
             if len(db) and (np.max(db) > 3.02 or np.min(db) < DB_CLAMP_FLOOR):
                 raise ValueError(f"{name} outside [{DB_CLAMP_FLOOR}, 3.02] dBFS")
-        for arr in (times, nasal, oral):
-            arr.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "nasal_db", nasal)
         object.__setattr__(self, "oral_db", oral)
@@ -135,35 +139,61 @@ def frame_intensity_db(frame, window="rectangular") -> float:
     return max(20.0 * np.log10(rms), DB_CLAMP_FLOOR)
 
 
-def _frames_db(x: np.ndarray, starts: np.ndarray, frame_len: int, w: np.ndarray,
-               scale: float = 1.0):
-    """dB full scale of the frames of x that start at `starts`.
+def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
+               scale: float = 1.0) -> list[np.ndarray]:
+    """dB full scale of the frames that start at `starts`, for each channel.
 
-    A frame's dB depends only on its own samples: each frame is reduced by
-    its own dot product with w (one ddot), never by a matrix product whose
-    summation order moves with the frame's row in a block. So framing any
-    subset of `starts` gives, bitwise, the same rows as framing all of them.
+    read(a, b) returns the stored samples [a, b) of each channel, a sequence
+    of 1-D arrays whose values are stored / scale, and scale is a power of
+    two. The result holds one dB array per channel, in the order of
+    `starts`, which may be any order.
 
-    x holds stored samples whose values are x / scale, and scale is a power
-    of two. Each sample is squared as stored and the window-weighted sum is
-    scaled by scale**-2: scaling by a power of two commutes with rounding in
-    the normal range, so the dB values are bitwise those of squaring x /
-    scale. (Squares of 16- and 24-bit integers are exact in float64.)
+    The sorted starts are cut into spans of at most _SPAN_FRAMES frames, and
+    a span ends where the next frame does not overlap it, so a sparse set of
+    frames reads only the samples around each. Each span is read once and
+    each of its samples squared once, into one reused float64 buffer; every
+    frame is then reduced by its own dot product with w (one ddot), over a
+    strided view of the squares when the span's frames are evenly spaced and
+    over rows gathered from them otherwise. So a frame's dB depends only on
+    its own samples, never on the span it falls in: framing any subset of
+    `starts` gives, bitwise, the same values as framing all of them.
+
+    The weighted sum of stored squares is scaled by scale**-2: scaling by a
+    power of two commutes with rounding in the normal range, so the dB
+    values are bitwise those of squaring stored / scale. (Squares of 16- and
+    24-bit integers are exact in float64.)
     """
-    frames = sliding_window_view(x, frame_len)
-    n = len(starts)
-    power = np.empty(n)
-    # Frames are gathered and squared 64 rows at a time into one reused
-    # buffer (0.75 MB at 48 kHz), so x is never written, the frame matrix
-    # never exists, and each batch is still in cache when it is reduced.
-    rows = np.empty((min(64, n), frame_len))
-    for i in range(0, n, 64):
-        batch = rows[: min(64, n - i)]
-        np.square(frames[starts[i : i + 64]], out=batch, dtype=np.float64)
-        power[i : i + len(batch)] = np.vecdot(batch, w)
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.sqrt(power * scale**-2 / w.sum()))
-    return np.maximum(db, DB_CLAMP_FLOOR)
+    order = np.argsort(starts, kind="stable")
+    s = starts[order]
+    gaps = np.diff(s)
+    power = []
+    squares = np.empty(0)
+    first = 0
+    for end in np.append(np.flatnonzero(gaps >= frame_len) + 1, len(s)).tolist():
+        for i in range(first, end, _SPAN_FRAMES):
+            j = min(i + _SPAN_FRAMES, end)
+            a, b = int(s[i]), int(s[j - 1]) + frame_len
+            if b - a > len(squares):
+                squares = np.empty(b - a)
+                windows = sliding_window_view(squares, frame_len)
+            hop = int(gaps[i]) if j - i > 1 else 1
+            even = hop > 0 and bool((gaps[i : j - 1] == hop).all())
+            for c, x in enumerate(read(a, b)):
+                if c == len(power):
+                    power.append(np.empty(len(s)))
+                np.square(x, out=squares[: b - a], dtype=np.float64)
+                # evenly spaced frames are a strided view of the squares
+                frames = windows[::hop][: j - i] if even else windows[s[i:j] - a]
+                power[c][i:j] = np.vecdot(frames, w)
+        first = end
+    out = []
+    for p in power:
+        with np.errstate(divide="ignore"):
+            db = 20.0 * np.log10(np.sqrt(p * scale**-2 / w.sum()))
+        scattered = np.empty_like(db)
+        scattered[order] = np.maximum(db, DB_CLAMP_FLOOR)
+        out.append(scattered)
+    return out
 
 
 def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
@@ -173,6 +203,9 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
     Frames are tiled from t=0 with hop step_ms; the last partial frame is
     dropped. Frame centers sit at k*step + frame_length/2; start sample
     indices are rounded to the nearest sample when the hop is fractional.
+    A loaded WAV's samples are read from its file span by span as they are
+    framed (see _frames_db), so memory grows with the number of frames, not
+    with the file.
 
     With `at` (times in seconds), only the frames that `value_at` can read
     at those times are framed: for each time, the last frame centred at or
@@ -209,10 +242,13 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
             np.searchsorted(times, at, side="left"),
         ]).clip(0, len(times) - 1))
     w = window_weights(cfg.window, frame_len)
-    nasal_db, oral_db = np.full((2, len(times)), DB_CLAMP_FLOOR)
-    nasal_db[framed] = _frames_db(rec.nasal_stored, starts[framed], frame_len, w, rec.scale)
-    oral_db[framed] = _frames_db(rec.oral_stored, starts[framed], frame_len, w, rec.scale)
-    return IntensityTrack(times=times, nasal_db=nasal_db, oral_db=oral_db, config=cfg)
+    db = np.full((2, len(times)), DB_CLAMP_FLOOR)
+    with rec.stored() as read:
+        for row, framed_db in zip(db, _frames_db(read, starts[framed], frame_len, w,
+                                                 rec.scale)):
+            row[framed] = framed_db
+    times.flags.writeable = db.flags.writeable = False  # kept without a copy
+    return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg)
 
 
 # The band-pass kernel ends where its slowest pole has decayed by this factor
@@ -361,5 +397,6 @@ def intensity_to_csv(track: IntensityTrack) -> str:
 
 def shift_nasal_db(track: IntensityTrack, delta_db: float) -> IntensityTrack:
     """Return a copy with every nasal frame shifted by delta_db."""
-    shifted = track.nasal_db + delta_db
-    return replace(track, nasal_db=np.maximum(shifted, DB_CLAMP_FLOOR))
+    shifted = np.maximum(track.nasal_db + delta_db, DB_CLAMP_FLOOR)
+    shifted.flags.writeable = False  # kept without a copy
+    return replace(track, nasal_db=shifted)

@@ -10,8 +10,8 @@ import pytest
 from nasalance.audio_io import (
     ChannelMap,
     StereoRecording,
+    _wav_data,
     load_pair,
-    _read_samples,
     load_stereo,
     read_wav,
     write_wav,
@@ -41,6 +41,12 @@ def extensible_bytes(n_channels, bits, payload, sub_format, valid_bits=None, cb_
     body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
     body += b"data" + struct.pack("<I", len(payload)) + payload
     return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def stored(rec):
+    """The recording's (nasal, oral) stored samples, whole."""
+    with rec.stored() as read:
+        return read(0, rec.n_samples)
 
 
 PCM_GUID = "00000001-0000-0010-8000-00aa00389b71"
@@ -336,12 +342,20 @@ def test_load_stereo_keeps_stored_samples(tmp_path, fmt):
     rec = load_stereo(tmp_path / "s.wav")
     dtype, scale = {"pcm16": (np.int16, 2**15), "pcm24": (np.int32, 2**31),
                     "pcm32": (np.int32, 2**31), "float32": (np.float32, 1.0)}[fmt]
-    assert rec.nasal_stored.dtype == dtype and rec.oral_stored.dtype == dtype
     assert rec.scale == scale
-    assert not rec.nasal_stored.flags.writeable and not rec.oral_stored.flags.writeable
-    for ch in (rec.nasal_stored, rec.oral_stored):  # columns of the interleaved buffer
-        assert ch.strides == (2 * ch.itemsize,) and not ch.flags.owndata
     decoded, _ = read_wav(tmp_path / "s.wav", 2)
+    # the samples stay in the file: each read gives [a, b) of both channels
+    # in the stored dtype, read-only, and any span is the same slice of the
+    # whole
+    with rec.stored() as read:
+        whole = [ch.copy() for ch in read(0, 4)]
+        for ch, want in zip(whole, decoded):
+            assert ch.dtype == dtype and ch.shape == (4,)
+            np.testing.assert_array_equal(ch / scale, want)
+        for a, b in ((0, 1), (1, 3), (3, 4), (2, 2)):
+            for ch, want in zip(read(a, b), whole):
+                assert ch.dtype == dtype and not ch.flags.writeable
+                np.testing.assert_array_equal(ch, want[a:b])
     for got, want in ((rec.nasal, decoded[0]), (rec.oral, decoded[1])):
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert not got.flags.writeable
@@ -352,9 +366,12 @@ def test_load_pair_pads_in_the_stored_dtype(tmp_path):
     write_wav(tmp_path / "n.wav", [np.full(100, 0.5)], 48000, "pcm16")
     write_wav(tmp_path / "o.wav", [np.full(90, -0.25)], 48000, "pcm16")
     rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
-    assert rec.oral_stored.dtype == np.int16 and rec.scale == 2**15
-    assert rec.oral_stored[-11:].tolist() == [-8192] + [0] * 10
-    assert not rec.oral_stored.flags.writeable
+    _, oral = stored(rec)
+    assert oral.dtype == np.int16 and rec.scale == 2**15
+    assert oral[-11:].tolist() == [-8192] + [0] * 10
+    assert not oral.flags.writeable
+    with rec.stored() as read:  # a read wholly past the end is all zeros
+        assert read(95, 100)[1].tolist() == [0] * 5
     assert rec.source_id == "n.wav+o.wav#pad_oral=10"
 
 
@@ -362,7 +379,8 @@ def test_load_pair_of_mixed_formats_decodes_both(tmp_path):
     write_wav(tmp_path / "n.wav", [np.full(10, 0.5)], 48000, "pcm16")
     write_wav(tmp_path / "o.wav", [np.full(12, -0.25)], 48000, "float32")
     rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
-    assert rec.nasal_stored.dtype == rec.oral_stored.dtype == np.float64
+    nasal, oral = stored(rec)
+    assert nasal.dtype == oral.dtype == np.float64
     assert rec.scale == 1.0
     assert rec.nasal.tolist() == [0.5] * 10 + [0.0] * 2
     assert rec.oral.tolist() == [-0.25] * 12
@@ -399,8 +417,45 @@ def test_extensible_reads_like_plain(tmp_path, fmt, sub_format, bits):
     path.write_bytes(extensible_bytes(2, bits, plain[44:], sub_format, sr=44100))
     got, want = load_stereo(path), load_stereo(tmp_path / "plain.wav")
     assert got.sample_rate == 44100 and got.scale == want.scale
-    np.testing.assert_array_equal(got.nasal_stored, want.nasal_stored)
-    np.testing.assert_array_equal(got.oral_stored, want.oral_stored)
+    np.testing.assert_array_equal(stored(got), stored(want))
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+def test_odd_chunk_before_data_and_list_after_it(tmp_path, fmt):
+    # an odd-sized chunk is followed by its pad byte, which the chunk walk
+    # must skip; a LIST chunk after the data chunk must not be read as
+    # samples
+    rng = np.random.default_rng(5)
+    write_wav(tmp_path / "plain.wav", list(rng.uniform(-1, 1, (2, 37))), 48000, fmt)
+    plain = (tmp_path / "plain.wav").read_bytes()
+    odd = b"junk" + struct.pack("<I", 5) + b"\xff" * 5 + b"\x00"  # body + pad byte
+    info = b"INFOISFT" + struct.pack("<I", 8) + b"nasal\x00\x00\x00"
+    list_chunk = b"LIST" + struct.pack("<I", len(info)) + info
+    body = plain[12:36] + odd + plain[36:] + list_chunk
+    path = tmp_path / "chunky.wav"
+    path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+    got, want = load_stereo(path), load_stereo(tmp_path / "plain.wav")
+    assert got.n_samples == want.n_samples == 37
+    np.testing.assert_array_equal(stored(got), stored(want))
+    np.testing.assert_array_equal(read_wav(path, 2)[0], read_wav(tmp_path / "plain.wav", 2)[0])
+
+
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
+def test_file_truncated_after_load_is_located(tmp_path, fmt):
+    path = tmp_path / "t.wav"
+    write_wav(path, [np.full(1000, 0.5), np.full(1000, -0.5)], 48000, fmt)
+    rec = load_stereo(path)
+    size = path.stat().st_size
+    with open(path, "r+b") as f:
+        f.truncate(size - 100)
+    with rec.stored() as read:
+        read(0, 10)  # samples still in the file read as before
+        with pytest.raises(AudioFormatError, match=r"t\.wav: data chunk ends 100 bytes "
+                                                   r"early") as err:
+            read(0, 1000)
+    assert err.value.byte_offset == size - 100
+    with pytest.raises(AudioFormatError, match="t.wav"):
+        rec.nasal
 
 
 @pytest.mark.parametrize("kwargs, message, offset", [

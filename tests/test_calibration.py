@@ -1,6 +1,7 @@
 """Gain-offset estimation and correction."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -68,9 +69,25 @@ def test_stimulus_window_slices_stored_samples(tmp_path, monkeypatch):
     def no_decode(*args):
         raise AssertionError("the stimulus window decoded the recording")
 
-    monkeypatch.setattr(audio_io, "_decoded", no_decode)
+    reads = []
+    file_reader = audio_io._WavData.reader
+
+    @contextmanager
+    def logged_reader(data):
+        with file_reader(data) as read:
+            def logged(a, b):
+                reads.append((a, b))
+                return read(a, b)
+
+            yield logged
+
+    monkeypatch.setattr(StereoRecording, "_decoded", no_decode)
+    monkeypatch.setattr(audio_io._WavData, "reader", logged_reader)
     got = estimate_gain_offset(rec, window=(0.5, 1.0))
     assert got == want
+    # the window's stored samples are read from the file, and nothing else
+    assert reads and min(a for a, _ in reads) >= 24000
+    assert max(b for _, b in reads) <= 48000
 
 
 def test_estimate_invariant_to_common_gain():

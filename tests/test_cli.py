@@ -131,6 +131,29 @@ def test_analyze_non_finite_wav_exits_2(session, tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["track", "analyze"])
+def test_wav_truncated_after_load_exits_2(session, tmp_path, capsys, monkeypatch,
+                                           command):
+    # the file is cut between loading its header and framing its samples
+    wav, tg, wordlist = session
+    load = nasalance.cli.load_stereo
+
+    def load_then_truncate(path, channel_map=None):
+        rec = load(path, channel_map)
+        with open(path, "r+b") as f:
+            f.truncate(Path(path).stat().st_size // 2)
+        return rec
+
+    monkeypatch.setattr(nasalance.cli, "load_stereo", load_then_truncate)
+    out = tmp_path / "out.csv"
+    argv = {"track": ["track", str(wav)],
+            "analyze": ["analyze", str(wav), str(tg), "--wordlist", str(wordlist)]}
+    assert main(argv[command] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: take1.wav: data chunk ends" in err and "(byte offset " in err
+    assert not out.exists() and not (tmp_path / "out.rejects.csv").exists()
+
+
 def test_track_zero_bit_wav_exits_2(tmp_path, capsys):
     # fmt chunk declaring 0 bits per sample and a block align of 0
     wav = tmp_path / "zero.wav"

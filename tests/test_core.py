@@ -6,7 +6,13 @@ from hypothesis import given, strategies as st
 
 from conftest import tone_recording
 from nasalance.audio_io import StereoRecording
-from nasalance.core import nasalance_frame, nasalance_to_csv, nasalance_track, value_at
+from nasalance.core import (
+    NasalanceTrack,
+    nasalance_frame,
+    nasalance_to_csv,
+    nasalance_track,
+    value_at,
+)
 from nasalance.errors import UndefinedFrameError, UnmeasurableError
 from nasalance.intensity import DB_CLAMP_FLOOR, FrameConfig, IntensityTrack, intensity_track
 
@@ -201,3 +207,19 @@ def test_full_pipeline_tone_recording():
     rec = tone_recording(nasal_amp=0.2, oral_amp=0.6)
     nt = nasalance_track(intensity_track(rec))
     assert np.all(np.abs(nt.nasalance_pct[nt.valid] - 25.0) < 1e-9)
+
+
+def test_nasalance_track_leaves_caller_arrays_writeable():
+    times = 0.016 + 0.008 * np.arange(3)
+    pct, valid = np.array([10.0, np.nan, 90.0]), np.array([True, False, True])
+    nt = NasalanceTrack(times, pct, valid)
+    assert times.flags.writeable and pct.flags.writeable and valid.flags.writeable
+    times[0], pct[0], valid[0] = 9.0, 50.0, False  # later writes do not reach it
+    assert nt.times[0] == 0.016 and nt.nasalance_pct[0] == 10.0 and nt.valid[0]
+    assert not nt.valid.flags.writeable
+    for arr in (times, pct, valid):
+        arr.flags.writeable = False
+    kept = NasalanceTrack(times, pct, valid)  # read-only: no copy
+    assert kept.times is times and kept.nasalance_pct is pct and kept.valid is valid
+    it = intensity_track(tone_recording(), FrameConfig())
+    assert nasalance_track(it).times is it.times

@@ -2,18 +2,27 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.signal import butter, sosfiltfilt
 
 from conftest import tone_recording
-from nasalance.audio_io import StereoRecording, _read_samples, load_stereo, read_wav, write_wav
+from nasalance.audio_io import (
+    StereoRecording,
+    _wav_data,
+    load_pair,
+    load_stereo,
+    read_wav,
+    write_wav,
+)
 from nasalance.intensity import (
     _FFT_BLOCK,
     DB_CLAMP_FLOOR,
     BandpassSpec,
     FrameConfig,
+    IntensityTrack,
     _frames_db,
     _zero_phase_taps,
     bandpass,
@@ -119,7 +128,7 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
     # of framing the decoded float64 channels (pcm32 squares are inexact)
     rng = np.random.default_rng(n_channels)
     path = tmp_path / "x.wav"
-    # 4-ms frames keep the test short; the 64-row batch boundaries are the
+    # 4-ms frames keep the test short; the 64-frame span boundaries are the
     # same for every frame length
     cfg = FrameConfig(frame_length_ms=4.0, step_ms=1.0)
     for sample_rate in (48000, 44100):  # 44.1 kHz: a fractional hop
@@ -131,17 +140,26 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
         x[:, 3000:3100] = 1.0  # full scale (pcm clips to its largest code)
         x[:, 3100:3200] = -1.0
         write_wav(path, list(x), sample_rate, fmt)
-        frames, scale, _ = _read_samples(path, n_channels)
+        data = _wav_data(path, n_channels)
         decoded, _ = read_wav(path, n_channels)
-        assert frames.dtype != np.float64 and not frames.flags.writeable
-        for window in ("hann", "rectangular"):
-            w = window_weights(window, frame_len)
-            for c in range(n_channels):
-                for n_frames in (1, 64, 4097, 8193):  # many 64-row batches
-                    got = _frames_db(frames[:, c], starts[:n_frames], frame_len, w, scale)
-                    want = _frames_db(decoded[c], starts[:n_frames], frame_len, w)
+
+        def read_decoded(a, b):
+            return [ch[a:b] for ch in decoded]
+
+        with data.reader() as read:
+            def read_file(a, b):  # the file's stored samples, one row per channel
+                return read(a, b).T
+
+            assert read(0, 1).dtype != np.float64 and not read(0, 1).flags.writeable
+            for window in ("hann", "rectangular"):
+                w = window_weights(window, frame_len)
+                for n_frames in (1, 64, 4097, 8193):  # many 64-frame spans
+                    got = _frames_db(read_file, starts[:n_frames], frame_len, w, data.scale)
+                    want = _frames_db(read_decoded, starts[:n_frames], frame_len, w)
+                    assert len(got) == len(want) == n_channels
                     np.testing.assert_array_equal(got, want)
-                assert want[0] == DB_CLAMP_FLOOR and want[-1] > -10.0
+                for db in want:
+                    assert db[0] == DB_CLAMP_FLOOR and db[-1] > -10.0
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "float32"])
@@ -154,8 +172,9 @@ def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_
                                               n_frames):
     # any subset of the frames, in any order, gives bitwise the same dB as
     # the same rows of framing them all: a frame's value must not depend on
-    # where its row sits in a batch (a blocked matrix product moves the last
-    # bit of about 1 row in 1000)
+    # where it sits in a span, nor on whether its span is reduced over a
+    # strided view or over gathered rows (a blocked matrix product moves the
+    # last bit of about 1 row in 1000)
     cfg = FrameConfig(frame_length_ms=frame_ms)
     frame_len = cfg.frame_samples(sample_rate)
     step = cfg.step_ms * sample_rate / 1000.0
@@ -163,14 +182,18 @@ def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_
     rng = np.random.default_rng(n_frames)
     path = tmp_path / "x.wav"
     write_wav(path, [rng.uniform(-0.9, 0.9, starts[-1] + frame_len)], sample_rate, fmt)
-    samples, scale, _ = _read_samples(path, 1)
+    data = _wav_data(path, 1)
     w = window_weights(cfg.window, frame_len)
-    full = _frames_db(samples[:, 0], starts, frame_len, w, scale)
-    for size in (1, 7, n_frames // 3, n_frames - 1):
-        for _ in range(2):
-            picked = rng.permutation(n_frames)[:size]
-            got = _frames_db(samples[:, 0], starts[picked], frame_len, w, scale)
-            np.testing.assert_array_equal(got, full[picked])
+    with data.reader() as read:
+        def read_file(a, b):
+            return read(a, b).T
+
+        (full,) = _frames_db(read_file, starts, frame_len, w, data.scale)
+        for size in (1, 7, n_frames // 3, n_frames - 1):
+            for _ in range(2):
+                picked = rng.permutation(n_frames)[:size]
+                (got,) = _frames_db(read_file, starts[picked], frame_len, w, data.scale)
+                np.testing.assert_array_equal(got, full[picked])
 
 
 def test_sparse_track_frames_the_frames_around_each_time():
@@ -195,26 +218,83 @@ def test_sparse_track_frames_the_frames_around_each_time():
         assert np.all(intensity_track(rec, at=[]).nasal_db == DB_CLAMP_FLOOR)
 
 
-def test_load_and_track_allocate_the_file_and_one_block(tmp_path):
-    # a loaded pcm16 take is framed from the file's buffer: no whole-channel
-    # float64 copy, and no frame block beyond the one 64-row buffer; the
-    # rest is a few per-frame arrays (frame starts, times, dB)
-    sample_rate = 48000
-    path = tmp_path / "take.wav"
-    rng = np.random.default_rng(8)
-    write_wav(path, list(rng.uniform(-0.5, 0.5, (2, 60 * sample_rate))), sample_rate,
-              "pcm16")
-    cfg = FrameConfig()
-    rows_bytes = 64 * cfg.frame_samples(sample_rate) * 8
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+@pytest.mark.parametrize("sample_rate", [48000, 44100])  # 44.1 kHz: gathered rows
+def test_loaded_wav_frames_like_its_decoded_floats(tmp_path, fmt, sample_rate):
+    # a recording read from its file span by span gives bitwise the dB of a
+    # held recording of its decoded floats: full tracks, `at=` subsets,
+    # stimulus-window crops and a zero-padded pair of mono files
+    rng = np.random.default_rng(sample_rate)
+    x = rng.uniform(-0.9, 0.9, (2, 3 * sample_rate))
+    x[:, : sample_rate // 2] = 0.0  # silence clamps
+    write_wav(tmp_path / "s.wav", list(x), sample_rate, fmt)
+    write_wav(tmp_path / "n.wav", [x[0]], sample_rate, fmt)
+    write_wav(tmp_path / "o.wav", [x[1, : -sample_rate // 3]], sample_rate, fmt)
+    at = rng.uniform(-0.1, 3.1, 60)
+    crop = (sample_rate // 3, 2 * sample_rate + 7)
+    for rec in (load_stereo(tmp_path / "s.wav"),
+                load_pair(tmp_path / "n.wav", tmp_path / "o.wav")):
+        held = StereoRecording(rec.nasal, rec.oral, sample_rate)
+        for got_rec, want_rec in ((rec, held), (rec.crop(*crop), held.crop(*crop))):
+            for kwargs in ({}, {"at": at}, {"at": at[:3]}):
+                got = intensity_track(got_rec, **kwargs)
+                want = intensity_track(want_rec, **kwargs)
+                np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
+                np.testing.assert_array_equal(got.oral_db, want.oral_db)
+
+
+def test_intensity_track_leaves_caller_arrays_writeable():
+    times = 0.016 + 0.008 * np.arange(3)
+    nasal, oral = np.array([-10.0, -20.0, -30.0]), np.array([-1.0, -2.0, -3.0])
+    track = IntensityTrack(times, nasal, oral, FrameConfig())
+    assert times.flags.writeable and nasal.flags.writeable and oral.flags.writeable
+    times[0], nasal[0], oral[0] = 9.0, 0.0, 0.0  # later writes do not reach it
+    assert track.times[0] == 0.016 and track.nasal_db[0] == -10.0
+    assert track.oral_db[0] == -1.0
+    assert not track.nasal_db.flags.writeable
+    times[0] = 0.016
+    for arr in (times, nasal, oral):
+        arr.flags.writeable = False
+    kept = IntensityTrack(times, nasal, oral, FrameConfig())  # read-only: no copy
+    assert kept.times is times and kept.nasal_db is nasal and kept.oral_db is oral
+    made = intensity_track(tone_recording())
+    assert replace(made, config=made.config).nasal_db is made.nasal_db
+
+
+def _traced_load_and_track(path, cfg):
     tracemalloc.start()
     try:
         track = intensity_track(load_stereo(path), cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return track, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(track) > 4096
-    per_frame_bytes = 16 * 8 * len(track)  # 0.96 MB at 7497 frames
-    assert peak < path.stat().st_size + rows_bytes + per_frame_bytes, peak
+
+
+def test_load_and_track_allocate_spans_and_per_frame_arrays(tmp_path):
+    # a loaded pcm16 take is read from its file span by span: nothing of the
+    # file is held, and nothing beyond the reused span buffers (the stored
+    # samples and their float64 squares) grows with the samples; the rest is
+    # a few per-frame arrays (frame starts, times, order, power, dB) and a
+    # fixed 128 kB for the window, the file object and NumPy's casting buffers
+    sample_rate = 48000
+    cfg = FrameConfig()
+    frame_len = cfg.frame_samples(sample_rate)
+    span = 63 * 384 + frame_len  # samples in a span of 64 frames
+    span_bytes = span * (8 + 2 * 2) + 128 * 1024
+    rng = np.random.default_rng(8)
+    peaks, frames = [], []
+    for seconds in (6, 60):
+        path = tmp_path / f"take{seconds}.wav"
+        write_wav(path, list(rng.uniform(-0.5, 0.5, (2, seconds * sample_rate))),
+                  sample_rate, "pcm16")
+        track, peak = _traced_load_and_track(path, cfg)
+        per_frame_bytes = 16 * 8 * len(track)  # 0.96 MB at 7497 frames
+        assert peak < span_bytes + per_frame_bytes, (seconds, peak)
+        peaks.append(peak)
+        frames.append(len(track))
+    assert frames[1] > 4096
+    # ten times the samples add only the per-frame arrays of the extra frames
+    assert peaks[1] - peaks[0] <= 16 * 8 * (frames[1] - frames[0]), peaks
 
 
 def test_frame_count_one_second_48k():

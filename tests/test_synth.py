@@ -104,7 +104,10 @@ def test_synthesis_is_deterministic():
 
 def test_synthesized_channels_are_stored_without_a_copy():
     rec, _ = synthesize(const_spec(0.2, 0.4, noise=0.01))
-    assert rec.nasal is rec.nasal_stored and rec.oral is rec.oral_stored
+    with rec.stored() as read:
+        nasal, oral = read(0, rec.n_samples)
+    assert rec.nasal is rec.nasal and rec.oral is rec.oral  # the held arrays
+    assert np.shares_memory(rec.nasal, nasal) and np.shares_memory(rec.oral, oral)
     assert rec.scale == 1.0 and rec.nasal.dtype == np.float64
     assert not rec.nasal.flags.writeable
 
