@@ -34,7 +34,6 @@ from .intensity import (
     FrameConfig,
     IntensityTrack,
     bandpass,
-    frame_intensity_db,
     intensity_track,
 )
 from .pipeline import extract_token_records, load_wordlist, read_token_csv

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,11 +51,13 @@ class StereoRecording:
 
     `stored()` is the one way to the stored samples; `nasal` and `oral`
     decode them to read-only, C-contiguous float64 (for float64 held at
-    scale 1, the held array itself). Held arrays are read-only. A read-only
-    input that is already in a stored dtype is kept without a copy; a
-    writeable one is copied, so the caller's array stays writeable and later
-    writes to it do not reach the recording. Instances are immutable and
-    safe to share between threads.
+    scale 1, the held array itself). The channel source of a band-passed
+    recording has a `rescale` above 1 when its ringing overshoots full scale;
+    its values are then stored / scale / rescale (see intensity.bandpass).
+    Held arrays are read-only. A read-only input that is already in a stored
+    dtype is kept without a copy; a writeable one is copied, so the caller's
+    array stays writeable and later writes to it do not reach the recording.
+    Instances are immutable and safe to share between threads.
     """
 
     sample_rate: float
@@ -105,8 +107,10 @@ class StereoRecording:
         return rec
 
     @contextmanager
-    def stored(self):
-        """Yield read(a, b): the (nasal, oral) stored samples of [a, b).
+    def stored(self, roles=(0, 1)):
+        """Yield read(a, b): the stored samples of [a, b) of each of `roles`
+        (0 nasal, 1 oral), by default (nasal, oral). A file no role reads is
+        not opened.
 
         For held channels these are slices; for a loaded WAV they are read
         from the file into buffers that the next read reuses, so each pair
@@ -114,7 +118,7 @@ class StereoRecording:
         samples raises AudioFormatError. 0 <= a <= b <= n_samples.
         """
         start = self._start
-        with self._channels.reader() as read:
+        with self._channels.reader(roles) as read:
             yield read if not start else lambda a, b: read(start + a, start + b)
 
     def crop(self, i0: int, i1: int) -> StereoRecording:
@@ -126,17 +130,20 @@ class StereoRecording:
                                      self.sample_rate, self.source_id, self.scale)
 
     def _decoded(self, role: int) -> np.ndarray:
-        held = self._channels
-        if isinstance(held, _Held) and self.scale == 1.0:
-            x = (held.nasal, held.oral)[role]
+        channels = self._channels
+        if isinstance(channels, _Held) and self.scale == 1.0:
+            x = (channels.nasal, channels.oral)[role]
             if x.dtype == np.float64:
                 if self._start == 0 and self.n_samples == len(x):
                     return x
                 return x[self._start : self._start + self.n_samples]
         out = np.empty(self.n_samples)
-        with self.stored() as read:
+        with self.stored((role,)) as read:
             for a, b in _blocks(self.n_samples):
-                np.divide(read(a, b)[role], self.scale, out=out[a:b], dtype=np.float64)
+                np.divide(read(a, b)[0], self.scale, out=out[a:b], dtype=np.float64)
+        rescale = channels.rescale  # known once every sample has been read
+        if rescale != 1.0:
+            out /= rescale
         out.flags.writeable = False
         return out
 
@@ -215,13 +222,15 @@ def _peak(ch: np.ndarray) -> float:
 class _Held:
     """Nasal and oral channels held in memory, read as slices."""
 
+    rescale = 1.0
+
     def __init__(self, nasal: np.ndarray, oral: np.ndarray):
         self.nasal, self.oral = nasal, oral
 
     @contextmanager
-    def reader(self):
-        nasal, oral = self.nasal, self.oral
-        yield lambda a, b: (nasal[a:b], oral[a:b])
+    def reader(self, roles=(0, 1)):
+        channels = [(self.nasal, self.oral)[r] for r in roles]
+        yield lambda a, b: tuple(x[a:b] for x in channels)
 
 
 @dataclass(frozen=True)
@@ -294,29 +303,30 @@ class _FileChannels:
     formats differ are decoded to float64 as they are read.
     """
 
+    rescale = 1.0
+
     def __init__(self, nasal: tuple[_WavData, int], oral: tuple[_WavData, int]):
-        self.nasal, self.oral = nasal, oral
+        self.roles = (nasal, oral)
         self.decode = (nasal[0].dtype, nasal[0].scale) != (oral[0].dtype, oral[0].scale)
 
     @contextmanager
-    def reader(self):
-        (nasal, n_col), (oral, o_col) = self.nasal, self.oral
-        if nasal is oral:  # both roles are channels of one file: read it once
-            with nasal.reader() as read:
-                def read_both(a, b):
-                    block = read(a, b)
-                    return block[:, n_col], block[:, o_col]
+    def reader(self, roles=(0, 1)):
+        """Each read reads each file that `roles` name once, and no other."""
+        picked = [self.roles[r] for r in roles]
+        with ExitStack() as stack:
+            reads = {}
+            for data, _ in picked:
+                if data not in reads:  # both roles may be channels of one file
+                    reads[data] = stack.enter_context(data.reader())
 
-                yield read_both
-            return
-        with nasal.reader() as read_nasal, oral.reader() as read_oral:
-            if not self.decode:
-                yield lambda a, b: (read_nasal(a, b)[:, n_col], read_oral(a, b)[:, o_col])
-                return
-            yield lambda a, b: (
-                np.divide(read_nasal(a, b)[:, n_col], nasal.scale, dtype=np.float64),
-                np.divide(read_oral(a, b)[:, o_col], oral.scale, dtype=np.float64),
-            )
+            def read(a, b):
+                frames = {data: read_data(a, b) for data, read_data in reads.items()}
+                if not self.decode:
+                    return tuple(frames[data][:, col] for data, col in picked)
+                return tuple(np.divide(frames[data][:, col], data.scale, dtype=np.float64)
+                             for data, col in picked)
+
+            yield read
 
 
 def _extensible_format(fmt: bytes, fmt_offset: int, fmt_size: int, bits: int,

@@ -11,6 +11,7 @@ interchangeable.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,18 +19,27 @@ import numpy as np
 
 from .audio_io import StereoRecording
 from .errors import CalibrationError, InputFormatError
-from .intensity import FrameConfig, IntensityTrack, intensity_track, shift_nasal_db
+from .intensity import (
+    BandpassSpec,
+    FrameConfig,
+    IntensityTrack,
+    bandpass,
+    intensity_track,
+    shift_nasal_db,
+)
 
 MIN_CALIBRATION_FRAMES = 10
 
 
 @dataclass(frozen=True)
 class CalibrationProfile:
-    """Flat gain offset: nasal minus oral channel response to one stimulus."""
+    """Flat gain offset: nasal minus oral channel response to one stimulus,
+    measured over the full band or after a band-pass."""
 
     gain_offset_db: float
     created_from: str = ""
     stimulus_window: tuple[float, float] = (0.0, 0.0)
+    bandpass: BandpassSpec | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.gain_offset_db):
@@ -41,13 +51,18 @@ def estimate_gain_offset(
     rec: StereoRecording,
     cfg: FrameConfig | None = None,
     window: tuple[float, float] | None = None,
+    bandpass_spec: BandpassSpec | None = None,
 ) -> CalibrationProfile:
     """Median per-frame dB difference (nasal - oral) over a same-stimulus take.
 
     The median is robust to transient frames at stimulus onset/offset.
+    With bandpass_spec, the whole take is band-passed before the window is
+    cut from it, so the window's edges are not the filter's edges.
     Raises CalibrationError with fewer than 10 valid frames.
     """
     cfg = cfg or FrameConfig()
+    if bandpass_spec is not None:
+        rec = bandpass(rec, bandpass_spec)
     if window is not None:
         t0, t1 = window
         if not (np.isfinite(t0) and np.isfinite(t1)):
@@ -72,6 +87,7 @@ def estimate_gain_offset(
         gain_offset_db=offset,
         created_from=rec.source_id,
         stimulus_window=(float(window[0]), float(window[1])),
+        bandpass=bandpass_spec,
     )
 
 
@@ -81,25 +97,34 @@ def apply_calibration(it: IntensityTrack, profile: CalibrationProfile) -> Intens
 
 
 def save_profile(profile: CalibrationProfile, path) -> None:
-    """Persist a profile as a small JSON document."""
+    """Persist a profile as a small JSON document; a band-passed profile
+    also records its band as "bandpass": [low_hz, high_hz, order]."""
     doc = {
         "gain_offset_db": profile.gain_offset_db,
         "created_from": profile.created_from,
         "stimulus_window": list(profile.stimulus_window),
     }
+    if profile.bandpass is not None:
+        band = profile.bandpass
+        doc["bandpass"] = [band.low_hz, band.high_hz, band.order]
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_profile(path) -> CalibrationProfile:
-    """Load a profile written by save_profile."""
+    """Load a profile written by save_profile; one without a band is full band."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8-sig"))
         window = doc.get("stimulus_window", [0.0, 0.0])
+        band = doc.get("bandpass")
+        if band is not None:
+            low_hz, high_hz, order = band
+            band = BandpassSpec(float(low_hz), float(high_hz), operator.index(order))
         return CalibrationProfile(
             gain_offset_db=float(doc["gain_offset_db"]),
             created_from=str(doc.get("created_from", "")),
             stimulus_window=(float(window[0]), float(window[1])),
+            bandpass=band,
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
         raise InputFormatError(f"{path.name}: bad calibration profile: {exc}") from exc

@@ -8,6 +8,8 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -21,7 +23,13 @@ from .calibration import (
 )
 from .core import nasalance_to_csv, nasalance_track
 from .errors import InputFormatError, NumericError
-from .intensity import BandpassSpec, FrameConfig, intensity_to_csv, intensity_track
+from .intensity import (
+    BandpassSpec,
+    FrameConfig,
+    bandpass,
+    intensity_to_csv,
+    intensity_track,
+)
 from .pipeline import (
     extract_token_records,
     load_wordlist,
@@ -106,6 +114,8 @@ def _add_audio_flags(sub):
                      help="which stereo channel is the nasal mic (nasal=left)")
     sub.add_argument("--oral", metavar="WAV", default=None,
                      help="oral-channel mono WAV; the positional WAV is then the nasal channel")
+    sub.add_argument("--bandpass", type=_bandpass_arg, default=None, metavar="LOW:HIGH",
+                     help="band-pass both channels first (Hz, order-4 Butterworth)")
 
 
 def _frame_config(args) -> FrameConfig:
@@ -121,6 +131,48 @@ def _load_recording(args):
     if args.oral:
         return load_pair(args.wav, args.oral)
     return load_stereo(args.wav, args.channel_map)
+
+
+def _band_name(spec) -> str:
+    if spec is None:
+        return "the full band"
+    return f"{spec.low_hz:g}:{spec.high_hz:g} Hz (order {spec.order})"
+
+
+def _load_calibration(args):
+    """The --calibration profile, or None; warns when its band is not --bandpass."""
+    if not args.calibration:
+        return None
+    profile = load_profile(args.calibration)
+    if profile.bandpass != args.bandpass:
+        print(f"warning: {Path(args.calibration).name} was measured over "
+              f"{_band_name(profile.bandpass)}, this run uses {_band_name(args.bandpass)}",
+              file=sys.stderr)
+    return profile
+
+
+def _commit(outputs) -> None:
+    """Write every (path, text) of `outputs`, or none of them.
+
+    Each text is written to a temporary sibling first, and the temporaries
+    are moved into place only once all are written; on a failure they are
+    removed, so no output is left half written or beside another run's.
+    """
+    moves = []
+    try:
+        for path, text in outputs:
+            path = Path(path)
+            if path.is_dir():  # os.replace would fail only after earlier moves
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(tmp, "x", encoding="utf-8") as fh:
+                moves.append(tmp)
+                fh.write(text)
+        for tmp, (path, _) in zip(moves, outputs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in moves:
+            tmp.unlink(missing_ok=True)
 
 
 def _read_textgrid_reporting(path):
@@ -142,7 +194,7 @@ def cmd_analyze(args) -> int:
     rec = _load_recording(args)
     wordlist = load_wordlist(args.wordlist)
     tiers = _read_textgrid_reporting(args.textgrid)
-    profile = load_profile(args.calibration) if args.calibration else None
+    profile = _load_calibration(args)
     records, rejects = extract_token_records(
         rec,
         tiers,
@@ -156,8 +208,7 @@ def cmd_analyze(args) -> int:
         method=args.method,
     )
     out = Path(args.out)
-    out.write_text(tokens_to_csv(records), encoding="utf-8")
-    _rejects_path(out).write_text(rejects_to_csv(rejects), encoding="utf-8")
+    _commit([(out, tokens_to_csv(records)), (_rejects_path(out), rejects_to_csv(rejects))])
     if not records and not rejects:
         print("warning: no vowel tokens selected", file=sys.stderr)
     print(f"{len(records)} tokens written, {len(rejects)} rejected", file=sys.stderr)
@@ -166,21 +217,24 @@ def cmd_analyze(args) -> int:
 
 def cmd_track(args) -> int:
     rec = _load_recording(args)
+    profile = _load_calibration(args)
+    if args.bandpass is not None:
+        rec = bandpass(rec, args.bandpass)
     it = intensity_track(rec, _frame_config(args))
-    if args.calibration:
-        it = apply_calibration(it, load_profile(args.calibration))
+    if profile is not None:
+        it = apply_calibration(it, profile)
     if args.intensity:
         text = intensity_to_csv(it)
     else:
         text = nasalance_to_csv(nasalance_track(it))
-    Path(args.out).write_text(text, encoding="utf-8")
+    _commit([(args.out, text)])
     return 0
 
 
 def cmd_calibrate(args) -> int:
     rec = _load_recording(args)
     profile = estimate_gain_offset(
-        rec, _frame_config(args), window=args.stimulus_window
+        rec, _frame_config(args), window=args.stimulus_window, bandpass_spec=args.bandpass
     )
     save_profile(profile, args.out)
     print(f"gain offset {profile.gain_offset_db:+.4f} dB (nasal - oral) "
@@ -233,9 +287,10 @@ def cmd_stats(args) -> int:
     print(_csv_text(("coefficient", "estimate", "se"), coefficients))
     print(emm_to_csv(emms), end="")
 
-    Path(args.out).write_text(contrasts_to_csv(*tables), encoding="utf-8")
+    outputs = [(args.out, contrasts_to_csv(*tables))]
     if args.emm_out:
-        Path(args.emm_out).write_text(emm_to_csv(emms), encoding="utf-8")
+        outputs.append((args.emm_out, emm_to_csv(emms)))
+    _commit(outputs)
     return 0
 
 
@@ -257,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", default="unspecified")
     p.add_argument("--vowels", type=_vowels_arg, default=DEFAULT_VOWEL_LABELS,
                    help="comma-separated ARPAbet vowel labels (stress-free)")
-    p.add_argument("--bandpass", type=_bandpass_arg, default=None, metavar="LOW:HIGH")
     p.add_argument("--calibration", default=None, help="calibration profile JSON")
     p.add_argument("--method", choices=("nearest", "linear"), default="nearest",
                    help="midpoint sampling method")

@@ -7,7 +7,9 @@ ratio downstream, so no absolute SPL calibration is pretended.
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,21 +126,6 @@ def window_weights(window, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {window!r}")
 
 
-def frame_intensity_db(frame, window="rectangular") -> float:
-    """dB full scale of one frame: 20*log10 of the window-weighted RMS.
-
-    Silence clamps to DB_CLAMP_FLOOR instead of -inf.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.size == 0:
-        raise ValueError("empty frame")
-    w = window_weights(window, len(frame))
-    rms = np.sqrt((w * frame * frame).sum() / w.sum())
-    if rms <= 0:
-        return DB_CLAMP_FLOOR
-    return max(20.0 * np.log10(rms), DB_CLAMP_FLOOR)
-
-
 def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
                scale: float = 1.0) -> list[np.ndarray]:
     """dB full scale of the frames that start at `starts`, for each channel.
@@ -244,9 +231,12 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
     w = window_weights(cfg.window, frame_len)
     db = np.full((2, len(times)), DB_CLAMP_FLOOR)
     with rec.stored() as read:
-        for row, framed_db in zip(db, _frames_db(read, starts[framed], frame_len, w,
-                                                 rec.scale)):
-            row[framed] = framed_db
+        db[:, framed] = _frames_db(read, starts[framed], frame_len, w, rec.scale)
+    rescale = rec._channels.rescale  # a band-passed peak is known only now
+    if rescale != 1.0:
+        with rec.stored() as read:
+            db[:, framed] = _frames_db(lambda a, b: [x / rescale for x in read(a, b)],
+                                       starts[framed], frame_len, w, rec.scale)
     times.flags.writeable = db.flags.writeable = False  # kept without a copy
     return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg)
 
@@ -256,20 +246,8 @@ _KERNEL_TOL = 1e-13
 # Overlap-save blocks are at least this many samples and 8 kernel half-widths
 # long; a recording that fits in less is filtered as one smaller block
 _FFT_BLOCK = 2**16
-# Longest kernel half-width (22 s at 48 kHz, a lower edge near 0.3 Hz): the
-# blocks, and so the memory, grow with it
+# Longest kernel half-width (22 s at 48 kHz, a lower edge near 0.3 Hz): blocks grow with it
 _MAX_HALF_WIDTH = 2**20
-
-
-def _squared_magnitude(spec: BandpassSpec, sample_rate: float, n_fft: int) -> np.ndarray:
-    """|H|^2 of the bilinear-transform Butterworth band-pass on an rfft grid."""
-    # the 2*fs factor of W = 2 fs tan(w/2) cancels in q
-    w_low, w_high = (math.tan(math.pi * f / sample_rate)
-                     for f in (spec.low_hz, spec.high_hz))
-    w = np.tan(np.pi * np.arange(n_fft // 2 + 1) / n_fft)
-    with np.errstate(divide="ignore", over="ignore"):
-        q = (w * w - w_low * w_high) / ((w_high - w_low) * w)
-        return 1.0 / (1.0 + q**spec.order)
 
 
 def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
@@ -298,36 +276,85 @@ def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
         )
     half = math.ceil(math.log(_KERNEL_TOL) / math.log(radius))
     fine = 1 << (4 * half).bit_length()
-    return np.fft.irfft(_squared_magnitude(spec, sample_rate, fine), fine)[: half + 1]
+    # |H|^2 on the fine grid; the 2*fs factor of W = 2 fs tan(w/2) cancels in q
+    w_low, w_high = w_low / 2.0, w_high / 2.0
+    w = np.tan(np.pi * np.arange(fine // 2 + 1) / fine)
+    with np.errstate(divide="ignore", over="ignore"):
+        q = (w * w - w_low * w_high) / ((w_high - w_low) * w)
+        return np.fft.irfft(1.0 / (1.0 + q**spec.order), fine)[: half + 1]
 
 
-def _zero_phase(x: np.ndarray, kernel_fft: np.ndarray, half: int, n_fft: int) -> np.ndarray:
-    """Overlap-save convolution of the odd-extended x with a symmetric kernel.
+class _Bandpassed:
+    """Both channels of a recording, band-passed block by block as read (see
+    bandpass). `rescale` is the filtered peak if above 1, else 1."""
 
-    kernel_fft is the real rfft of the 2*half+1 kernel taps, wrapped around
-    index 0 of an n_fft buffer.
-    """
-    n = len(x)
-    k = np.arange(1, half + 1)
-    # odd extension about each end sample, held at its last value once the
-    # recording is shorter than the extension
-    head = 2.0 * x[0] - x[np.minimum(k, n - 1)][::-1]
-    tail = 2.0 * x[-1] - x[np.maximum(n - 1 - k, 0)]
-    pieces = ((head, 0), (x, half), (tail, half + n))
-    out = np.empty(n)
-    buf = np.empty(n_fft)
-    hop = n_fft - 2 * half
-    for s in range(0, n, hop):
-        # buf holds samples s .. s + n_fft of head + x + tail, then zeros
-        for piece, start in pieces:
-            a, b = max(s, start), min(s + n_fft, start + len(piece))
-            if a < b:
-                buf[a - s : b - s] = piece[a - start : b - start]
-        buf[max(0, 2 * half + n - s) :] = 0.0
-        y = np.fft.irfft(np.fft.rfft(buf) * kernel_fft, n_fft)
-        m = min(hop, n - s)
-        out[s : s + m] = y[half : half + m]
-    return out
+    def __init__(self, rec: StereoRecording, spec: BandpassSpec):
+        taps = _zero_phase_taps(spec, rec.sample_rate)
+        half, n = len(taps) - 1, rec.n_samples
+        self.rec, self.half = rec, half
+        self.n_fft = n_fft = min(max(_FFT_BLOCK, 1 << (8 * half).bit_length()),
+                                 1 << (n + 2 * half - 1).bit_length())
+        self.hop = n_fft - 2 * half
+        # the even kernel wrapped around index 0, so its spectrum is real
+        self.kernel_fft = np.fft.rfft(np.concatenate(
+            [taps, np.zeros(self.hop - 1), taps[:0:-1]])).real
+        self.scale = rec.scale * rec._channels.rescale
+        # each block's peak once filtered; reads only fill these in, so sharing is safe
+        self.peaks = np.full(-(-n // self.hop), np.nan)
+
+    @property
+    def rescale(self) -> float:
+        with self.reader() as read:
+            for k in np.flatnonzero(np.isnan(self.peaks)).tolist():
+                read(k * self.hop, k * self.hop + 1)
+        return max(1.0, float(self.peaks.max()))
+
+    @contextmanager
+    def reader(self, roles=(0, 1)):
+        # imported here: only band-passed runs need a thread
+        from concurrent.futures import ThreadPoolExecutor
+
+        half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.hop
+        buf, k = np.empty((2, n_fft)), np.arange(1, half + 1)
+
+        def filtered(row, x, s):  # one channel's block at s, and its peak
+            # row holds samples s .. s + n_fft of the recording extended by
+            # R = half samples each side, then zeros: sample i is at i + o
+            o = half - s
+            a = max(o, 0)  # x is the stored input from sample max(s - half, 0)
+            np.divide(x, self.scale, out=row[a : a + len(x)], dtype=np.float64)
+            # odd extension about each end sample, held at its last value once
+            # the recording is shorter than the extension
+            if s == 0:
+                row[:half] = (2.0 * row[o] - row[o + np.minimum(k, n - 1)])[::-1]
+            if o + n < n_fft:
+                tail = 2.0 * row[o + n - 1] - row[o + np.maximum(n - 1 - k, 0)]
+                row[o + n : o + n + half] = tail[: n_fft - o - n]
+            row[max(0, o + n + half) :] = 0.0
+            y = np.fft.irfft(np.fft.rfft(row) * self.kernel_fft, n_fft)
+            y = y[half : half + min(hop, n - s)]
+            y.flags.writeable = False
+            return y, _peak(y)
+
+        @functools.lru_cache(maxsize=2)  # the two blocks filtered last
+        def block(j):  # output samples [j*hop, (j+1)*hop) of both channels
+            s = j * hop
+            nasal, oral = read_input(max(s - half, 0), min(s - half + n_fft, n))
+            # NumPy's FFTs release the GIL: the nasal channel runs in the worker
+            nasal = pool.submit(filtered, buf[0], nasal, s)
+            oral, oral_peak = filtered(buf[1], oral, s)
+            nasal, nasal_peak = nasal.result()
+            self.peaks[j] = max(nasal_peak, oral_peak)
+            return nasal, oral
+
+        def read(a, b):  # views of one block, or its blocks' pieces joined
+            first = min(a // hop, len(self.peaks) - 1)
+            parts = [[block(j)[r][max(a - j * hop, 0) : b - j * hop] for r in roles]
+                     for j in range(first, max(first, (b - 1) // hop) + 1)]
+            return tuple(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+
+        with self.rec.stored() as read_input, ThreadPoolExecutor(1) as pool:
+            yield read
 
 
 def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
@@ -338,54 +365,27 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     |H|^2 = 1 / (1 + q**order) with q = (W^2 - Wl*Wh) / ((Wh - Wl) * W) and
     W = 2 fs tan(w/2): the steady-state response of forward-backward
     filtering, so frame timing stays aligned with annotations. The kernel is
-    truncated to the R samples each side over which its slowest pole decays
-    by 1e-13 (R is about 0.11 s for 60:4000 Hz), and the channel is
-    convolved with it in power-of-two FFT blocks (overlap-save), so memory
-    stays O(block) beyond the output.
+    cut to the R samples each side over which its slowest pole decays by
+    1e-13 (about 0.11 s for 60:4000 Hz), and applied by overlap-save on a
+    fixed grid of power-of-two FFT blocks. Nothing is filtered here: the
+    result filters a block of both channels (in two threads) when a read
+    needs it and keeps the last two, so memory is O(block), not O(output).
 
     Edges: each channel is odd-extended by R samples about its end samples
-    (held constant past the far end of a recording shorter than R). More than
-    R samples from either end, the result matches scipy's sosfiltfilt
-    within about 1e-13; nearer the ends the two edge treatments differ, and
-    neither is ground truth (Gustafsson 1996).
+    (held constant past the far end of a recording shorter than R). Further
+    in, the result matches scipy's sosfiltfilt within about 1e-13; near the
+    ends the edge treatments differ, and neither is ground truth (Gustafsson 1996).
 
-    If ringing overshoots full scale, both channels are rescaled by the same
-    factor, which leaves nasalance untouched.
+    If ringing overshoots full scale, both channels are divided by the
+    filtered peak, which leaves nasalance untouched. The peak is known once
+    every block is filtered; intensity_track then frames again with the
+    samples divided by it, and `nasal` and `oral` divide by it.
     """
-    sr = rec.sample_rate
-    nyquist = sr / 2.0
-    if spec.high_hz >= nyquist:
-        raise ValueError(
-            f"high_hz {spec.high_hz:g} must be below the Nyquist rate {nyquist:g}"
-        )
-    taps = _zero_phase_taps(spec, sr)
-    half = len(taps) - 1
-    n_fft = min(
-        max(_FFT_BLOCK, 1 << (8 * half).bit_length()),
-        1 << (rec.n_samples + 2 * half - 1).bit_length(),
-    )
-    wrapped = np.zeros(n_fft)
-    wrapped[: half + 1] = taps
-    wrapped[n_fft - half :] = taps[:0:-1]
-    kernel_fft = np.fft.rfft(wrapped).real  # the kernel is even, so this is real
-    # imported here: only band-passed runs need threads. NumPy's FFTs release
-    # the GIL, so the two channels run side by side, each decoded to float64
-    # in its own thread
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        nasal, oral = pool.map(
-            lambda role: _zero_phase(getattr(rec, role), kernel_fft, half, n_fft),
-            ("nasal", "oral"),
-        )
-    peak = max(_peak(nasal), _peak(oral))
-    if peak > 1.0:
-        nasal /= peak
-        oral /= peak
-    nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
-    return StereoRecording(
-        nasal=nasal, oral=oral, sample_rate=sr, source_id=rec.source_id
-    )
+    if spec.high_hz >= rec.sample_rate / 2.0:
+        raise ValueError(f"high_hz {spec.high_hz:g} must be below the Nyquist rate "
+                         f"{rec.sample_rate / 2.0:g}")
+    return StereoRecording._over(_Bandpassed(rec, spec), 0, rec.n_samples,
+                                 rec.sample_rate, rec.source_id, 1.0)
 
 
 def intensity_to_csv(track: IntensityTrack) -> str:

@@ -7,6 +7,7 @@ import uuid
 import numpy as np
 import pytest
 
+from nasalance import audio_io
 from nasalance.audio_io import (
     ChannelMap,
     StereoRecording,
@@ -195,6 +196,32 @@ def test_load_pair_pads_shorter_channel(tmp_path):
     np.testing.assert_array_equal(rec.oral[-10:], np.zeros(10))
     assert rec.oral[-11] == 0.25
     assert "pad_oral=10" in rec.source_id
+
+
+def test_decoding_one_role_reads_only_its_file(tmp_path):
+    write_wav(tmp_path / "n.wav", [np.full(1000, 0.5)], 48000, "pcm16")
+    write_wav(tmp_path / "o.wav", [np.full(1000, -0.25)], 48000, "float32")
+    rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
+    (tmp_path / "o.wav").unlink()  # the oral file is gone after loading
+    np.testing.assert_array_equal(rec.nasal, np.full(1000, 0.5))
+    with rec.stored((0,)) as read:
+        (nasal,) = read(10, 20)
+    np.testing.assert_array_equal(nasal, np.full(10, 0.5))
+    with pytest.raises(FileNotFoundError):
+        rec.oral
+
+
+def test_two_roles_of_one_file_read_it_once(tmp_path, monkeypatch):
+    write_wav(tmp_path / "s.wav", [np.full(100, 0.5), np.full(100, -0.5)], 48000, "pcm16")
+    rec = load_stereo(tmp_path / "s.wav")
+    opened = []
+    reader = audio_io._WavData.reader
+    monkeypatch.setattr(audio_io._WavData, "reader",
+                        lambda self: opened.append(self.path.name) or reader(self))
+    nasal, oral = stored(rec)
+    assert opened == ["s.wav"]
+    np.testing.assert_array_equal(nasal, np.full(100, 2**14))
+    np.testing.assert_array_equal(oral, np.full(100, -(2**14)))
 
 
 def test_load_pair_rate_mismatch(tmp_path):

@@ -1,7 +1,9 @@
 """Gain-offset estimation and correction."""
 
+import json
 import math
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from nasalance.calibration import (
 )
 from nasalance.core import nasalance_track
 from nasalance.errors import CalibrationError, InputFormatError
-from nasalance.intensity import FrameConfig, intensity_track
+from nasalance.intensity import BandpassSpec, FrameConfig, bandpass, intensity_track
 
 
 def test_identical_channels_zero_offset():
@@ -175,3 +177,37 @@ def test_profile_validation(tmp_path):
     bad.write_text('{"created_from": "x"}')
     with pytest.raises(InputFormatError):
         load_profile(bad)
+
+def test_profile_band_round_trip(tmp_path):
+    # a full-band profile writes no "bandpass" key, and one without the key
+    # reads as full band; a band-passed profile records [low, high, order]
+    path = tmp_path / "cal.json"
+    plain = CalibrationProfile(1.25, created_from="cal.wav", stimulus_window=(0.5, 2.0))
+    save_profile(plain, path)
+    assert path.read_text() == (
+        '{\n  "gain_offset_db": 1.25,\n  "created_from": "cal.wav",\n'
+        '  "stimulus_window": [\n    0.5,\n    2.0\n  ]\n}\n'
+    )
+    assert load_profile(path) == plain and load_profile(path).bandpass is None
+    banded = replace(plain, bandpass=BandpassSpec(60.0, 4000.0))
+    save_profile(banded, path)
+    assert json.loads(path.read_text())["bandpass"] == [60.0, 4000.0, 4]
+    assert load_profile(path) == banded
+    for bad in ([60, 4000], [4000, 60, 4], [60, 4000, 4.0], [60, 4000, 3], "60:4000", 7):
+        path.write_text(json.dumps({"gain_offset_db": 0.0, "bandpass": bad}))
+        with pytest.raises(InputFormatError, match="bad calibration profile"):
+            load_profile(path)
+
+
+def test_banded_calibration_crops_the_band_passed_take():
+    # the whole take is band-passed and then cut to the window, so the
+    # window's edges are not the filter's edges
+    rng = np.random.default_rng(14)
+    x = rng.uniform(-0.4, 0.4, 48000)
+    rec = StereoRecording(x, 0.5 * x, 48000)
+    spec = BandpassSpec(60.0, 4000.0)
+    got = estimate_gain_offset(rec, window=(0.25, 0.75), bandpass_spec=spec)
+    assert got.bandpass == spec and got.stimulus_window == (0.25, 0.75)
+    it = intensity_track(bandpass(rec, spec).crop(12000, 36000))
+    assert got.gain_offset_db == float(np.median(it.nasal_db - it.oral_db))
+    assert estimate_gain_offset(rec, window=(0.25, 0.75)).bandpass is None

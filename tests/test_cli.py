@@ -531,3 +531,77 @@ def test_pair_input_via_oral_flag(session, tmp_path):
     pair_vals = [l.split(",")[-1] for l in out_pair.read_text().splitlines()[1:]]
     stereo_vals = [l.split(",")[-1] for l in out_stereo.read_text().splitlines()[1:]]
     assert pair_vals == stereo_vals
+
+def test_calibrate_and_track_take_bandpass(session, tmp_path, capsys):
+    wav, _, _ = session
+    profile = tmp_path / "cal.json"
+    assert main(["calibrate", str(wav), "--bandpass", "60:4000", "--out", str(profile)]) == 0
+    assert json.loads(profile.read_text())["bandpass"] == [60.0, 4000.0, 4]
+    assert main(["calibrate", str(wav), "--out", str(profile)]) == 0
+    assert "bandpass" not in json.loads(profile.read_text())
+
+    from nasalance.audio_io import load_stereo
+    from nasalance.intensity import BandpassSpec, bandpass, intensity_to_csv, intensity_track
+
+    out = tmp_path / "track.csv"
+    assert main(["track", str(wav), "--intensity", "--bandpass", "60:4000",
+                 "--out", str(out)]) == 0
+    want = intensity_track(bandpass(load_stereo(wav), BandpassSpec(60.0, 4000.0)))
+    assert out.read_text() == intensity_to_csv(want)
+
+
+@pytest.mark.parametrize("calibrated, analyzed, warned", [
+    (None, "60:4000", True),
+    ("60:4000", "60:4000", False),
+    ("60:4000", None, True),
+    ("60:4000", "100:4000", True),
+    (None, None, False),
+])
+def test_calibration_band_mismatch_warns(session, tmp_path, capsys, calibrated, analyzed,
+                                         warned):
+    wav, tg, wordlist = session
+    profile = tmp_path / "cal.json"
+    band = ["--bandpass", calibrated] if calibrated else []
+    assert main(["calibrate", str(wav), *band, "--out", str(profile)]) == 0
+    capsys.readouterr()
+    band = ["--bandpass", analyzed] if analyzed else []
+    out = tmp_path / "tokens.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--calibration", str(profile), *band, "--out", str(out)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == int(warned), warnings
+    if warned:
+        assert "cal.json" in warnings[0]
+
+
+def _leftovers(directory):
+    return sorted(p.name for p in directory.iterdir() if p.name.endswith(".tmp"))
+
+
+def test_analyze_failing_rejects_output_writes_nothing(session, tmp_path, capsys):
+    wav, tg, wordlist = session
+    work = tmp_path / "w"
+    work.mkdir()
+    (work / "tok.rejects.csv").mkdir()  # the rejects output cannot be written
+    argv = ["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+            "--out", str(work / "tok.csv")]
+    assert main(argv) == 2
+    assert "tok.rejects.csv" in capsys.readouterr().err
+    assert not (work / "tok.csv").exists() and _leftovers(work) == []
+    (work / "tok.csv").write_text("earlier run\n")
+    assert main(argv) == 2
+    assert (work / "tok.csv").read_text() == "earlier run\n" and _leftovers(work) == []
+
+
+def test_stats_failing_emm_output_writes_nothing(tmp_path, capsys):
+    tokens = tmp_path / "tokens.csv"
+    write_token_rows(tokens, ["a", "b"], ["e1", "e2"])
+    results = tmp_path / "results.csv"
+    (tmp_path / "emm.csv").mkdir()
+    for emm in (tmp_path / "emm.csv", tmp_path / "missing" / "emm.csv"):
+        assert main(["stats", str(tokens), "--out", str(results),
+                     "--emm-out", str(emm)]) == 2
+        assert not results.exists() and _leftovers(tmp_path) == []
+    assert main(["stats", str(tokens), "--out", str(results)]) == 0
+    assert results.exists() and _leftovers(tmp_path) == []

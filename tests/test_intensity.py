@@ -9,6 +9,7 @@ import pytest
 from scipy.signal import butter, sosfiltfilt
 
 from conftest import tone_recording
+from oracles import frame_intensity_db, held_bandpass
 from nasalance.audio_io import (
     StereoRecording,
     _wav_data,
@@ -26,7 +27,6 @@ from nasalance.intensity import (
     _frames_db,
     _zero_phase_taps,
     bandpass,
-    frame_intensity_db,
     intensity_to_csv,
     intensity_track,
     window_weights,
@@ -489,6 +489,160 @@ def test_bandpass_overshoot_rescales_both_channels_alike():
     assert gain > 1.0
     np.testing.assert_allclose(gain * got, want, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(out.oral, 0.5 * out.nasal)
+
+
+def _bandpassed_and_held(nasal, oral, sr, spec):
+    rec = StereoRecording(nasal, oral, sr)
+    return bandpass(rec, spec), held_bandpass(rec, spec)
+
+
+@pytest.mark.parametrize("sr", [48000.0, 44100.0])
+@pytest.mark.parametrize("length", ["under R", "one block", "3 blocks + 17"])
+def test_streamed_bandpass_equals_held_oracle(sr, length):
+    # decoding the streamed recording, and reading it span by span, give the
+    # whole-array overlap-save's samples bit for bit
+    spec = BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sr)
+    n_fft = max(_FFT_BLOCK, 1 << (8 * half).bit_length())
+    n = {"under R": half // 3, "one block": n_fft - 2 * half,
+         "3 blocks + 17": 3 * n_fft + 17}[length]
+    x = np.random.default_rng(n).uniform(-0.4, 0.4, (2, n))
+    out, (nasal, oral) = _bandpassed_and_held(x[0], x[1], sr, spec)
+    np.testing.assert_array_equal(out.nasal, nasal)
+    np.testing.assert_array_equal(out.oral, oral)
+    assert not out.nasal.flags.writeable and not out.oral.flags.writeable
+    frame_len = FrameConfig().frame_samples(sr)
+    if n >= frame_len:
+        want = intensity_track(StereoRecording(nasal, oral, sr))
+        got = intensity_track(out)
+        np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
+        np.testing.assert_array_equal(got.oral_db, want.oral_db)
+
+
+def test_streamed_bandpass_reads_in_any_order():
+    sr, spec = 48000.0, BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sr)
+    hop = max(_FFT_BLOCK, 1 << (8 * half).bit_length()) - 2 * half
+    n = 4 * hop + 1000
+    x = np.random.default_rng(3).uniform(-0.4, 0.4, (2, n))
+    out, held = _bandpassed_and_held(x[0], x[1], sr, spec)
+    spans = [(hop - 100, hop + 100), (2 * hop - 1, 2 * hop + 1), (0, 1), (n - 1, n),
+             (hop // 2, 3 * hop + 7), (0, n), (hop, hop), (n, n), (2 * hop, 3 * hop)]
+    starts = range(0, n - 25728, 25728)
+    # 64-frame spans from the end back, then straddling and long spans
+    spans = [(a, a + 25728) for a in reversed(starts)] + spans + spans[::-1]
+    with out.stored() as read:
+        for a, b in spans:
+            for got, want in zip(read(a, b), held):
+                np.testing.assert_array_equal(got, want[a:b])
+    with out.stored((1,)) as read:  # one role
+        (got,) = read(hop - 5, hop + 5)
+        np.testing.assert_array_equal(got, held[1][hop - 5 : hop + 5])
+
+
+def test_crop_of_bandpassed_recording():
+    # band-passing first and cropping after keeps the whole take's edges:
+    # the crop's samples, and its frames, are those of the whole
+    sr, spec = 44100.0, BandpassSpec(60.0, 4000.0)
+    n = 3 * _FFT_BLOCK
+    x = np.random.default_rng(4).uniform(-0.4, 0.4, (2, n))
+    out, (nasal, oral) = _bandpassed_and_held(x[0], x[1], sr, spec)
+    i0, i1 = _FFT_BLOCK + 123, 2 * _FFT_BLOCK + 4567
+    crop = out.crop(i0, i1)
+    np.testing.assert_array_equal(crop.nasal, nasal[i0:i1])
+    np.testing.assert_array_equal(crop.oral, oral[i0:i1])
+    want = intensity_track(StereoRecording(nasal[i0:i1], oral[i0:i1], sr))
+    got = intensity_track(crop)
+    np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
+    np.testing.assert_array_equal(got.oral_db, want.oral_db)
+
+
+def test_bandpass_of_mixed_format_pair(tmp_path):
+    # a pcm16 nasal file and a float32 oral file decode to float64 per read
+    sr, spec = 44100, BandpassSpec(60.0, 4000.0)
+    x = np.random.default_rng(6).uniform(-0.4, 0.4, (2, 2 * _FFT_BLOCK + 99))
+    write_wav(tmp_path / "n.wav", [x[0]], sr, "pcm16")
+    write_wav(tmp_path / "o.wav", [x[1]], sr, "float32")
+    rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
+    out = bandpass(rec, spec)
+    nasal, oral = held_bandpass(rec, spec)
+    np.testing.assert_array_equal(out.nasal, nasal)
+    np.testing.assert_array_equal(out.oral, oral)
+    want = intensity_track(StereoRecording(nasal, oral, sr))
+    got = intensity_track(out)
+    np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
+    np.testing.assert_array_equal(got.oral_db, want.oral_db)
+
+
+def test_overshooting_bandpass_frames_rescaled_samples():
+    # the peak is known only once every block is filtered; framing, sparse or
+    # whole, then gives the dB of the rescaled samples bit for bit
+    sr = 8000.0
+    square = np.where(np.arange(3 * _FFT_BLOCK) % 80 < 40, 1.0, -1.0)
+    out, (nasal, oral) = _bandpassed_and_held(square, 0.5 * square, sr,
+                                              BandpassSpec(100.0, 3000.0))
+    assert np.max(np.abs(nasal)) == 1.0
+    held = StereoRecording(nasal, oral, sr)
+    at = [0.5, 10.0, 20.0]
+    for kwargs in ({}, {"at": at}):
+        got = intensity_track(bandpass(StereoRecording(square, 0.5 * square, sr),
+                                       BandpassSpec(100.0, 3000.0)), **kwargs)
+        want = intensity_track(held, **kwargs)
+        np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
+        np.testing.assert_array_equal(got.oral_db, want.oral_db)
+    np.testing.assert_array_equal(out.nasal, nasal)
+    # band-passing again reads the rescaled samples
+    twice = bandpass(out, BandpassSpec(100.0, 3000.0))
+    for got, want in zip((twice.nasal, twice.oral),
+                         held_bandpass(held, BandpassSpec(100.0, 3000.0))):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_bandpassed_recording_shared_between_threads():
+    # threads that frame one band-passed recording at once all see the same
+    # filtered samples and peak
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    sr = 8000.0
+    square = np.where(np.arange(2 * _FFT_BLOCK) % 80 < 40, 1.0, -1.0)
+    spec = BandpassSpec(100.0, 3000.0)
+    want = intensity_track(StereoRecording(*held_bandpass(
+        StereoRecording(square, -square, sr), spec), sr))
+    out = bandpass(StereoRecording(square, -square, sr), spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            tracks = [f.result(timeout=60)
+                      for f in [pool.submit(intensity_track, out) for _ in range(6)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for got in tracks:
+        np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
+        np.testing.assert_array_equal(got.oral_db, want.oral_db)
+
+
+def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):
+    # filtered blocks are made as framing reads them and only two are kept,
+    # so a take four times as long adds only its per-frame arrays
+    sample_rate = 48000
+    rng = np.random.default_rng(12)
+    peaks = []
+    for seconds in (20, 80):
+        path = tmp_path / f"take{seconds}.wav"
+        write_wav(path, list(rng.uniform(-0.5, 0.5, (2, seconds * sample_rate))),
+                  sample_rate, "pcm16")
+        at = np.arange(0.125, seconds, 0.25)  # a vowel midpoint every 250 ms
+        spec = BandpassSpec(60.0, 4000.0)
+        intensity_track(bandpass(load_stereo(path), spec), at=at)  # lazy imports, FFT plans
+        tracemalloc.start()
+        try:
+            intensity_track(bandpass(load_stereo(path), spec), at=at)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
 
 
 def test_bandpass_spec_validation():
