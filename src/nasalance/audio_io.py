@@ -5,10 +5,13 @@ as plain fmt chunks or as WAVE_FORMAT_EXTENSIBLE. No resampling is performed
 anywhere: mismatched rates are an error so the intensity frame timing
 downstream stays exact. A loaded file's samples stay in the file: loading
 checks the header, and samples are read span by span when they are needed.
+`write_wav`, like every output of the command line, is written through
+`_commit`: to a temporary sibling, moved into place once it is whole.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -506,15 +509,40 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
     )
 
 
-def write_wav(path, channels, sample_rate, sample_format="float32"):
-    """Write a WAV file from per-channel float arrays in [-1, 1].
+def _commit(outputs) -> None:
+    """Write every (path, content) of `outputs`, or none of them.
 
-    sample_format is one of pcm16, pcm24, pcm32, float32. Non-finite samples
-    are refused in every format, and float32 samples beyond full scale
-    (which read_wav would refuse); integer formats clip out-of-range values.
-    sample_rate must be a whole number of Hz that the header can hold.
-    Nothing is written when a check fails.
+    A content is a str, written as UTF-8 text, or a function that writes
+    the output to the binary file it is given. Each output is written to a
+    temporary sibling first, and the temporaries are moved into place only
+    once all are written; on a failure they are removed, so no output is
+    left half written or beside another run's.
     """
+    outputs = [(Path(path), content) for path, content in outputs]
+    for path, _ in outputs:
+        if path.is_dir():  # os.replace would fail only after earlier moves
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    moves = []
+    try:
+        for path, content in outputs:
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            text = isinstance(content, str)
+            with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
+                moves.append(tmp)
+                if text:
+                    fh.write(content)
+                else:
+                    content(fh)
+        for tmp, (path, _) in zip(moves, outputs):
+            os.replace(tmp, path)
+    finally:
+        for tmp in moves:
+            tmp.unlink(missing_ok=True)
+
+
+def _wav_writer(channels, sample_rate, sample_format):
+    """Check what write_wav is given and return write(fh), which writes the
+    WAV file to the binary file fh; see write_wav."""
     key = _SAMPLE_FORMATS.get(sample_format)
     if key is None:
         raise ValueError(f"unknown sample format {sample_format!r}")
@@ -542,31 +570,57 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     n = len(channels[0])
     if any(len(ch) != n for ch in channels):
         raise ValueError("all channels must have equal length")
-    interleaved = np.empty(n * n_channels)
-    for i, ch in enumerate(channels):
-        interleaved[i::n_channels] = ch
-    if not math.isfinite(_peak(interleaved)):
-        raise ValueError("samples must be finite")
-    if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
-        full = 2.0 ** (bits - 1)
-        interleaved *= full
-        np.clip(np.rint(interleaved, out=interleaved), -full, full - 1, out=interleaved)
-    with np.errstate(over="ignore"):  # a float32 overflow is refused just below
-        stored = interleaved.astype(dtype)
-    if fmt_code == 3:
-        peak = _peak(stored)
-        if peak > 1.0:
-            raise ValueError(f"float32 samples exceed full scale (peak {peak:g})")
-    # 24-bit samples are stored in an int32; keep each one's low three bytes
-    samples = stored.view(np.uint8).reshape(-1, dtype.itemsize)
-    payload = samples[:, : bits // 8].tobytes()
+    size = n * block_align
+    if 36 + size >= 2**32:
+        raise ValueError(f"{size} bytes of samples do not fit the WAV header")
+    header = b"RIFF" + struct.pack("<I", 36 + size) + b"WAVEfmt "
+    header += struct.pack("<IHHIIHH", 16, fmt_code, n_channels, int(sample_rate),
+                          byte_rate, block_align, bits)
+    header += b"data" + struct.pack("<I", size)
 
-    header = b"RIFF"
-    header += struct.pack("<I", 4 + 8 + 16 + 8 + len(payload))
-    header += b"WAVEfmt "
-    header += struct.pack(
-        "<IHHIIHH", 16, fmt_code, n_channels, int(sample_rate), byte_rate,
-        block_align, bits,
-    )
-    header += b"data" + struct.pack("<I", len(payload))
-    Path(path).write_bytes(header + payload)
+    def write(fh):
+        fh.write(header)
+        frames = np.empty((min(n, _BLOCK_FRAMES), n_channels))
+        stored = np.empty(frames.shape, dtype)
+        # 24-bit samples are stored in an int32; each one's low three bytes are kept
+        packed = np.empty(frames.shape + (3,), np.uint8) if bits == 24 else None
+        full = 2.0 ** (bits - 1)  # integer PCM's full scale
+        for a, b in _blocks(n):
+            block, out = frames[: b - a], stored[: b - a]
+            for i, ch in enumerate(channels):
+                block[:, i] = ch[a:b]
+            if not math.isfinite(_peak(block)):
+                raise ValueError("samples must be finite")
+            if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
+                block *= full
+                np.clip(np.rint(block, out=block), -full, full - 1, out=block)
+            with np.errstate(over="ignore"):  # a float32 overflow is refused just below
+                np.copyto(out, block, casting="unsafe")
+            if fmt_code == 3:
+                peak = _peak(out)
+                if peak > 1.0:
+                    raise ValueError(f"float32 samples exceed full scale (peak {peak:g})")
+            if packed is not None:
+                packed[: b - a] = out.view(np.uint8).reshape(b - a, n_channels, 4)[..., :3]
+                out = packed[: b - a]
+            fh.write(out)
+
+    return write
+
+
+def write_wav(path, channels, sample_rate, sample_format="float32"):
+    """Write a WAV file from per-channel float arrays in [-1, 1].
+
+    sample_format is one of pcm16, pcm24, pcm32, float32. Non-finite samples
+    are refused in every format, and float32 samples beyond full scale
+    (which read_wav would refuse); integer formats clip out-of-range values.
+    sample_rate must be a whole number of Hz that the header can hold.
+
+    The samples are interleaved, converted and written _BLOCK_FRAMES frames
+    at a time through reused buffers, so beyond float64 copies of channels
+    given in another type, memory does not grow with the take. They go to a
+    temporary sibling that replaces `path` once every block is written and
+    is removed on any failure: nothing is written when a check fails, and a
+    failed write leaves no truncated file.
+    """
+    _commit([(path, _wav_writer(channels, sample_rate, sample_format))])

@@ -8,13 +8,11 @@ produce byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
-import errno
-import os
 import sys
 import warnings
 from pathlib import Path
 
-from .audio_io import ChannelMap, load_pair, load_stereo, write_wav
+from .audio_io import ChannelMap, _commit, _wav_writer, load_pair, load_stereo
 from .calibration import (
     apply_calibration,
     estimate_gain_offset,
@@ -151,30 +149,6 @@ def _load_calibration(args):
     return profile
 
 
-def _commit(outputs) -> None:
-    """Write every (path, text) of `outputs`, or none of them.
-
-    Each text is written to a temporary sibling first, and the temporaries
-    are moved into place only once all are written; on a failure they are
-    removed, so no output is left half written or beside another run's.
-    """
-    moves = []
-    try:
-        for path, text in outputs:
-            path = Path(path)
-            if path.is_dir():  # os.replace would fail only after earlier moves
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(tmp, "x", encoding="utf-8") as fh:
-                moves.append(tmp)
-                fh.write(text)
-        for tmp, (path, _) in zip(moves, outputs):
-            os.replace(tmp, path)
-    finally:
-        for tmp in moves:
-            tmp.unlink(missing_ok=True)
-
-
 def _read_textgrid_reporting(path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -248,8 +222,8 @@ def cmd_synth(args) -> int:
     base = Path(args.out)
     wav_path = base.with_suffix(".wav") if base.suffix != ".wav" else base
     truth_path = wav_path.with_suffix(".truth.csv")
-    write_wav(wav_path, [rec.nasal, rec.oral], spec.sample_rate, "float32")
-    truth_path.write_text(truth_to_csv(truth), encoding="utf-8")
+    _commit([(wav_path, _wav_writer([rec.nasal, rec.oral], spec.sample_rate, "float32")),
+             (truth_path, truth_to_csv(truth))])
     print(f"wrote {wav_path} and {truth_path}", file=sys.stderr)
     return 0
 

@@ -15,12 +15,13 @@ Everything is deterministic given the spec (the noise seed is part of it).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .audio_io import StereoRecording
+from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _Held, _peak
 from .errors import SynthSpecError
 
 
@@ -59,6 +60,8 @@ def _validate_envelope(env, name):
     env = tuple((float(t), float(a)) for t, a in env)
     if not env:
         raise SynthSpecError(f"{name} has no breakpoints")
+    if not all(math.isfinite(t) and math.isfinite(a) for t, a in env):
+        raise SynthSpecError(f"{name} breakpoints must be finite")
     times = [t for t, _ in env]
     if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
         raise SynthSpecError(f"{name} breakpoints must be strictly increasing")
@@ -79,6 +82,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("duration_s", "sample_rate", "noise_rms"):
+            if not math.isfinite(getattr(self, name)):
+                raise SynthSpecError(f"{name} must be finite, got {getattr(self, name)}")
         if self.duration_s <= 0:
             raise SynthSpecError(f"duration_s must be > 0, got {self.duration_s}")
         if self.sample_rate <= 0:
@@ -106,34 +112,35 @@ class SynthSpec:
                            _validate_envelope(self.oral_env, "oral_env"))
 
 
-def _envelope_at(env, times):
-    bp_t = np.array([t for t, _ in env])
-    bp_a = np.array([a for _, a in env])
-    return np.interp(times, bp_t, bp_a)
+def _breakpoints(env) -> tuple[np.ndarray, np.ndarray]:
+    """An envelope's breakpoint times and amplitudes, for np.interp."""
+    return np.array([t for t, _ in env]), np.array([a for _, a in env])
 
 
-def _carrier_samples(carrier, t, sample_rate):
+def _carrier_into(raw, carrier, t, sample_rate, scratch) -> None:
+    """Write the carrier at times t, before it is scaled to unit RMS, into raw.
+
+    Partials at or above the Nyquist rate are left out. `scratch` is a
+    buffer of t's length.
+    """
     if isinstance(carrier, SineCarrier):
-        raw = np.sin(2.0 * np.pi * carrier.f_hz * t)
-    else:
-        raw = np.zeros_like(t)
-        for k in range(1, carrier.n_partials + 1):
-            f = k * carrier.f0_hz
-            if f >= sample_rate / 2.0:
-                break
-            raw += np.sin(2.0 * np.pi * f * t) / k
-    rms = np.sqrt(np.mean(raw * raw))
-    if rms <= 0:
-        raise SynthSpecError("carrier is silent")
-    return raw / rms  # unit RMS over the actual duration
+        np.sin(np.multiply(2.0 * np.pi * carrier.f_hz, t, out=raw), out=raw)
+        return
+    raw[:] = 0.0
+    for k in range(1, carrier.n_partials + 1):
+        f = k * carrier.f0_hz
+        if f >= sample_rate / 2.0:
+            break
+        part = np.sin(np.multiply(2.0 * np.pi * f, t, out=scratch), out=scratch)
+        raw += np.divide(part, k, out=part)
 
 
 def expected_nasalance(spec: SynthSpec, times) -> np.ndarray:
     """Analytic nasalance of the bleed model at given times; NaN where both
     emitted envelopes are zero."""
     times = np.asarray(times, dtype=np.float64)
-    a_n = _envelope_at(spec.nasal_env, times)
-    a_o = _envelope_at(spec.oral_env, times)
+    a_n = np.interp(times, *_breakpoints(spec.nasal_env))
+    a_o = np.interp(times, *_breakpoints(spec.oral_env))
     mix_n = a_n + spec.bleed * a_o
     mix_o = a_o + spec.bleed * a_n
     total = mix_n + mix_o
@@ -150,33 +157,81 @@ def ground_truth(spec: SynthSpec, times) -> GroundTruth:
     return GroundTruth(times=times[keep], expected_nasalance_pct=pct[keep])
 
 
+def _in_two_threads(work, n: int) -> None:
+    """Run work(blocks) over the blocks of range(n): the first half of them in
+    a worker thread, the rest in this one. NumPy's sin, interp and
+    arithmetic release the GIL, so the halves run side by side."""
+    blocks = list(_blocks(n))
+    if len(blocks) < 2:
+        work(blocks)
+        return
+    # imported here: a child process that never synthesizes keeps it unloaded
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        first = pool.submit(work, blocks[: len(blocks) // 2])
+        try:
+            work(blocks[len(blocks) // 2 :])
+        finally:
+            first.result()
+
+
 def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, GroundTruth]:
     """Render the spec to a recording plus its ground truth.
 
     truth_times defaults to a millisecond grid. The nasal noise stream is
     drawn before the oral one; that order is part of the reproducibility
     contract.
+
+    The two channels are the only whole-signal arrays (8 bytes a sample
+    each). Everything else is rendered into them 2**16 samples at a time,
+    in two threads: first the raw carrier into the oral channel and its
+    square into the nasal one, whose mean gives the carrier's RMS, then the
+    envelopes and the unit-RMS carrier over both, then the noise streams.
+    Each sample comes from the same operations as a whole-signal render, so
+    the samples do not depend on the block size.
     """
     n = int(round(spec.duration_s * spec.sample_rate))
     if n < 1:
         raise SynthSpecError("spec is shorter than one sample")
-    t = np.arange(n) / spec.sample_rate
-    c = _carrier_samples(spec.carrier, t, spec.sample_rate)
-    a_n = _envelope_at(spec.nasal_env, t)
-    a_o = _envelope_at(spec.oral_env, t)
-    nasal = (a_n + spec.bleed * a_o) * c
-    oral = (a_o + spec.bleed * a_n) * c
+    sr, bleed = spec.sample_rate, spec.bleed
+    nasal, oral = np.empty(n), np.empty(n)
+
+    def carrier(blocks):  # the raw carrier into oral, its square into nasal
+        scratch = np.empty(min(n, _BLOCK_FRAMES))
+        for a, b in blocks:
+            _carrier_into(oral[a:b], spec.carrier, np.arange(a, b) / sr, sr,
+                          scratch[: b - a])
+            np.multiply(oral[a:b], oral[a:b], out=nasal[a:b])
+
+    _in_two_threads(carrier, n)
+    # the mean of the whole square, as NumPy's pairwise sum gives it
+    rms = np.sqrt(np.mean(nasal))
+    if rms <= 0:
+        raise SynthSpecError("carrier is silent")
+    nasal_bp, oral_bp = _breakpoints(spec.nasal_env), _breakpoints(spec.oral_env)
+
+    def envelopes(blocks):
+        for a, b in blocks:
+            t = np.arange(a, b) / sr
+            c = oral[a:b] / rms  # unit RMS over the whole take
+            a_n, a_o = np.interp(t, *nasal_bp), np.interp(t, *oral_bp)
+            np.multiply(a_n + bleed * a_o, c, out=nasal[a:b])
+            np.multiply(a_o + bleed * a_n, c, out=oral[a:b])
+
+    _in_two_threads(envelopes, n)
     if spec.noise_rms > 0:
         rng = np.random.default_rng(spec.seed)
-        nasal = nasal + spec.noise_rms * rng.standard_normal(n)
-        oral = oral + spec.noise_rms * rng.standard_normal(n)
-    peak = max(np.max(np.abs(nasal)), np.max(np.abs(oral)))
-    if peak > 1.0:
+        z = np.empty(min(n, _BLOCK_FRAMES))
+        for x in (nasal, oral):  # every nasal draw, then every oral one
+            for a, b in _blocks(n):
+                noise = rng.standard_normal(out=z[: b - a])
+                x[a:b] += np.multiply(spec.noise_rms, noise, out=noise)
+    peak = np.max([_peak(nasal), _peak(oral)])  # NaN if either is
+    if not peak <= 1.0:  # NaN and inf come only from amplitudes that overflow
         raise SynthSpecError(f"spec clips: peak amplitude {peak:.4f} > 1")
     nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
-    rec = StereoRecording(
-        nasal=nasal, oral=oral, sample_rate=spec.sample_rate, source_id="synth"
-    )
+    rec = StereoRecording._over(_Held(nasal, oral), 0, n, sr, "synth", 1.0)
     if truth_times is None:
         truth_times = np.arange(0.0, spec.duration_s, 0.001)
     return rec, ground_truth(spec, truth_times)
@@ -184,10 +239,9 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
 
 def truth_to_csv(gt: GroundTruth) -> str:
     """CSV dump with columns t_s,expected_nasalance_pct at 6 decimal places."""
-    lines = ["t_s,expected_nasalance_pct"]
-    for t, v in zip(gt.times, gt.expected_nasalance_pct):
-        lines.append(f"{t:.6f},{v:.6f}")
-    return "\n".join(lines) + "\n"
+    rows = map("%.6f,%.6f".__mod__, zip(gt.times.tolist(),
+                                        gt.expected_nasalance_pct.tolist()))
+    return "\n".join(["t_s,expected_nasalance_pct", *rows]) + "\n"
 
 
 def _carrier_from_dict(doc):

@@ -3,10 +3,14 @@ span-by-span code is checked against."""
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 
-from nasalance.audio_io import _peak
+from nasalance.audio_io import _CODECS, _SAMPLE_FORMATS, _peak
 from nasalance.intensity import DB_CLAMP_FLOOR, _FFT_BLOCK, _zero_phase_taps, window_weights
+from nasalance.synth import HarmonicCarrier, SineCarrier, _breakpoints
 
 
 def frame_intensity_db(frame, window="rectangular") -> float:
@@ -72,3 +76,66 @@ def held_bandpass(rec, spec) -> tuple[np.ndarray, np.ndarray]:
         nasal /= peak
         oral /= peak
     return nasal, oral
+
+
+def carrier_samples(carrier: SineCarrier | HarmonicCarrier, t: np.ndarray,
+                    sample_rate: float) -> np.ndarray:
+    """The carrier at times t, scaled to unit RMS over t."""
+    if isinstance(carrier, SineCarrier):
+        raw = np.sin(2.0 * np.pi * carrier.f_hz * t)
+    else:
+        raw = np.zeros_like(t)
+        for k in range(1, carrier.n_partials + 1):
+            f = k * carrier.f0_hz
+            if f >= sample_rate / 2.0:
+                break
+            raw += np.sin(2.0 * np.pi * f * t) / k
+    rms = np.sqrt(np.mean(raw * raw))
+    return raw / rms
+
+
+def held_synthesize(spec) -> tuple[np.ndarray, np.ndarray]:
+    """(nasal, oral) of synth.synthesize, each rendered whole: the carrier,
+    both envelopes and each noise stream over every sample at once."""
+    n = int(round(spec.duration_s * spec.sample_rate))
+    t = np.arange(n) / spec.sample_rate
+    c = carrier_samples(spec.carrier, t, spec.sample_rate)
+    a_n = np.interp(t, *_breakpoints(spec.nasal_env))
+    a_o = np.interp(t, *_breakpoints(spec.oral_env))
+    nasal = (a_n + spec.bleed * a_o) * c
+    oral = (a_o + spec.bleed * a_n) * c
+    if spec.noise_rms > 0:
+        rng = np.random.default_rng(spec.seed)
+        nasal = nasal + spec.noise_rms * rng.standard_normal(n)
+        oral = oral + spec.noise_rms * rng.standard_normal(n)
+    return nasal, oral
+
+
+def held_wav_bytes(channels, sample_rate, sample_format="float32") -> bytes:
+    """The bytes audio_io.write_wav writes, built whole: every channel
+    interleaved into one float64 array, converted and packed at once."""
+    fmt_code, bits = _SAMPLE_FORMATS[sample_format]
+    dtype = np.dtype(_CODECS[fmt_code, bits][0])
+    channels = [np.asarray(ch, dtype=np.float64) for ch in channels]
+    n_channels = len(channels)
+    block_align = n_channels * bits // 8
+    interleaved = np.empty(len(channels[0]) * n_channels)
+    for i, ch in enumerate(channels):
+        interleaved[i::n_channels] = ch
+    if not math.isfinite(_peak(interleaved)):
+        raise ValueError("samples must be finite")
+    if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
+        full = 2.0 ** (bits - 1)
+        interleaved *= full
+        np.clip(np.rint(interleaved, out=interleaved), -full, full - 1, out=interleaved)
+    with np.errstate(over="ignore"):
+        stored = interleaved.astype(dtype)
+    if fmt_code == 3 and _peak(stored) > 1.0:
+        raise ValueError(f"float32 samples exceed full scale (peak {_peak(stored):g})")
+    # 24-bit samples are stored in an int32; keep each one's low three bytes
+    samples = stored.view(np.uint8).reshape(-1, dtype.itemsize)
+    payload = samples[:, : bits // 8].tobytes()
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVEfmt "
+    header += struct.pack("<IHHIIHH", 16, fmt_code, n_channels, int(sample_rate),
+                          int(sample_rate) * block_align, block_align, bits)
+    return header + b"data" + struct.pack("<I", len(payload)) + payload

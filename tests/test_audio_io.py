@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 import uuid
 
 import numpy as np
@@ -18,6 +19,7 @@ from nasalance.audio_io import (
     write_wav,
 )
 from nasalance.errors import AudioFormatError
+from oracles import held_wav_bytes
 
 
 def wav_bytes(fmt_code, n_channels, bits, payload, sr=48000):
@@ -522,3 +524,71 @@ def test_write_wav_rate_and_channel_limits(tmp_path):
     assert not path.exists()
     write_wav(path, [[0.0, 0.5]], 8000.0, "pcm16")  # a whole float is a whole rate
     assert read_wav(path, 1)[1] == 8000.0
+
+
+def test_write_wav_refuses_data_the_header_cannot_hold(tmp_path):
+    path = tmp_path / "x.wav"
+    frames = np.broadcast_to(0.0, 2**29)  # 4 GiB as stereo float32, held in 8 bytes
+    with pytest.raises(ValueError, match="4294967296 bytes of samples do not fit"):
+        write_wav(path, [frames, frames], 48000, "float32")
+    assert list(tmp_path.iterdir()) == []
+
+
+_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
+_B = audio_io._BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+@pytest.mark.parametrize("n_channels", [1, 2])
+def test_write_wav_equals_held_oracle(tmp_path, fmt, n_channels):
+    # lengths inside, at and just past one block, and over three blocks
+    rng = np.random.default_rng(8)
+    limit = 0.99 if fmt == "float32" else 1.2  # integer formats clip
+    for n in (1, _B - 1, _B, _B + 1, 2 * _B + 3):
+        x = rng.uniform(-limit, limit, (n_channels, n))
+        x[:, 1::5] = (np.floor(x[:, 1::5] * 2**15) + 0.5) / 2**15  # pcm16 ties
+        x[:, ::11] = -0.0
+        write_wav(tmp_path / "x.wav", list(x), 44100, fmt)
+        assert (tmp_path / "x.wav").read_bytes() == held_wav_bytes(list(x), 44100, fmt)
+
+
+@pytest.mark.parametrize("fmt, bad, message", [
+    ("pcm16", np.nan, "samples must be finite"),
+    ("pcm24", np.inf, "samples must be finite"),
+    ("float32", -np.inf, "samples must be finite"),
+    ("float32", 1.5, r"exceed full scale \(peak 1.5\)"),
+])
+def test_failed_write_wav_leaves_the_earlier_file(tmp_path, fmt, bad, message):
+    # the bad sample is in the third block, after two blocks were written
+    path = tmp_path / "x.wav"
+    write_wav(path, [[0.25]], 48000, fmt)
+    earlier = path.read_bytes()
+    x = np.zeros(2 * _B + 5)
+    x[2 * _B + 1] = bad
+    with pytest.raises(ValueError, match=message):
+        write_wav(path, [x, x], 48000, fmt)
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["x.wav"]
+    (tmp_path / "d.wav").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_wav(tmp_path / "d.wav", [x[:10]], 48000, fmt)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.wav", "x.wav"]
+
+
+@pytest.mark.parametrize("fmt", _FORMATS)
+def test_write_wav_memory_does_not_grow_with_the_take(tmp_path, fmt):
+    # samples are converted through reused one-block buffers; a take four
+    # times as long allocates nothing more (whole-take interleaved, stored
+    # and packed copies would add about 20 MB from 5 s to 20 s)
+    rng = np.random.default_rng(9)
+    peaks = []
+    for seconds in (5, 20):
+        x = list(rng.uniform(-0.9, 0.9, (2, seconds * 48000)))
+        write_wav(tmp_path / "w.wav", x, 48000, fmt)  # lazy imports
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "w.wav", x, 48000, fmt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**18 and peaks[1] < 3 * 2**20, peaks

@@ -358,6 +358,36 @@ def test_synth_command(tmp_path):
     assert main(["synth", str(spec), "--out", str(tmp_path / "fix2")]) == 2
 
 
+def test_synth_writes_both_outputs_or_neither(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(synth_spec_doc([25.0])))
+    work = tmp_path / "w"
+    work.mkdir()
+    (work / "fix.truth.csv").mkdir()  # the truth output cannot be written
+    assert main(["synth", str(spec), "--out", str(work / "fix")]) == 2
+    assert "fix.truth.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in work.iterdir()) == ["fix.truth.csv"]
+    (work / "fix.wav").write_bytes(b"earlier run")
+    assert main(["synth", str(spec), "--out", str(work / "fix")]) == 2
+    assert (work / "fix.wav").read_bytes() == b"earlier run" and _leftovers(work) == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration_s", "Infinity"),
+    ("sample_rate", "NaN"),
+    ("noise_rms", "Infinity"),
+    ("nasal_env", "[[0.0, 0.1], [NaN, 0.2]]"),
+    ("oral_env", "[[0.0, NaN]]"),
+], ids=["duration_inf", "rate_nan", "noise_inf", "nan_time", "nan_amplitude"])
+def test_synth_non_finite_spec_exits_2(tmp_path, capsys, key, value):
+    doc = json.dumps({**synth_spec_doc([25.0]), key: "@"}).replace('"@"', value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(doc)
+    assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
 def test_synth_fractional_rate_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**synth_spec_doc([25.0]), "sample_rate": 8000.7}))

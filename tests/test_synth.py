@@ -1,10 +1,15 @@
 """Synthetic oracle: bleed model algebra, determinism, pipeline recovery."""
 
 import json
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from oracles import held_synthesize
+from nasalance.audio_io import _BLOCK_FRAMES
 from nasalance.core import nasalance_track
 from nasalance.errors import SynthSpecError
 from nasalance.intensity import FrameConfig, intensity_track
@@ -16,6 +21,7 @@ from nasalance.synth import (
     load_synth_spec,
     spec_from_dict,
     synthesize,
+    GroundTruth,
     truth_to_csv,
 )
 
@@ -80,12 +86,11 @@ def test_truth_undefined_where_both_envelopes_zero():
 
 
 def test_carrier_unit_rms():
-    from nasalance.synth import _carrier_samples
-
-    t = np.arange(24000) / 48000.0
+    # a constant envelope of 0.25 with no bleed or noise leaves 0.25 x the carrier
     for carrier in (SineCarrier(440.0), HarmonicCarrier(120.0, 8),
                     HarmonicCarrier(9000.0, 10)):
-        c = _carrier_samples(carrier, t, 48000.0)
+        rec, _ = synthesize(const_spec(0.25, 0.25, carrier=carrier), truth_times=())
+        c = rec.nasal / 0.25
         assert np.sqrt(np.mean(c * c)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -115,6 +120,10 @@ def test_synthesized_channels_are_stored_without_a_copy():
 def test_clipping_spec_rejected():
     with pytest.raises(SynthSpecError, match="clips"):
         synthesize(const_spec(0.9, 0.4))
+    # envelopes that overflow: inf times the carrier's first sample, 0, is NaN
+    with (pytest.raises(SynthSpecError, match="clips: peak amplitude nan"),
+          pytest.warns(RuntimeWarning)):
+        synthesize(const_spec(1e308, 1e308, bleed=0.9))
 
 
 def test_spec_validation():
@@ -207,3 +216,112 @@ def test_truth_csv_format():
     lines = truth_to_csv(truth).strip().split("\n")
     assert lines[0] == "t_s,expected_nasalance_pct"
     assert lines[1] == "0.000000,25.000000"
+
+def test_truth_csv_bytes_match_formatted_rows():
+    rng = np.random.default_rng(4)
+    times = np.concatenate([[0.0, 5e-7, 1.5e-6, 599.9999995], rng.uniform(0, 600, 500)])
+    pct = np.concatenate([[0.0, 100.0, 2.5e-7, 99.9999995], rng.uniform(0, 100, 500)])
+    truth = GroundTruth(times=times, expected_nasalance_pct=pct)
+    rows = [f"{t:.6f},{v:.6f}" for t, v in zip(truth.times, truth.expected_nasalance_pct)]
+    assert truth_to_csv(truth) == "\n".join(["t_s,expected_nasalance_pct", *rows]) + "\n"
+    empty = GroundTruth(times=[], expected_nasalance_pct=[])
+    assert truth_to_csv(empty) == "t_s,expected_nasalance_pct\n"
+
+
+def ramp_spec(n, sample_rate, carrier, noise=0.0, bleed=0.0, seed=3):
+    d = n / sample_rate
+    return SynthSpec(
+        duration_s=d, sample_rate=sample_rate, carrier=carrier,
+        nasal_env=[(0.0, 0.1), (d / 3, 0.3), (d, 0.05)],
+        oral_env=[(-1.0, 0.2), (0.7 * d, 0.01), (d + 1.0, 0.2)],
+        bleed=bleed, noise_rms=noise, seed=seed,
+    )
+
+
+_B = _BLOCK_FRAMES
+
+
+@pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 3 * _B + 17])
+@pytest.mark.parametrize("carrier", [
+    SineCarrier(440.0),
+    HarmonicCarrier(120.0, 2),
+    HarmonicCarrier(3000.0, 20),  # partials 8 to 20 are past the Nyquist rate
+], ids=["sine", "harmonic", "past_nyquist"])
+def test_synthesize_equals_held_oracle(n, carrier):
+    # every sample bitwise, whatever the block a sample falls in, with and
+    # without noise (nasal draws before oral) and bleed, at 48 and 44.1 kHz
+    for sample_rate, noise, bleed in ((48000.0, 0.0, 0.0), (48000.0, 1e-3, 0.1),
+                                      (44100.0, 1e-3, 0.0), (44100.0, 0.0, 0.3)):
+        spec = ramp_spec(n, sample_rate, carrier, noise, bleed)
+        rec, _ = synthesize(spec, truth_times=())
+        nasal, oral = held_synthesize(spec)
+        assert rec.n_samples == n
+        assert rec.nasal.tobytes() == nasal.tobytes()
+        assert rec.oral.tobytes() == oral.tobytes()
+
+
+def test_synthesize_from_many_threads_with_short_switch_interval():
+    # each call splits its blocks over two threads writing one pair of
+    # channels; six calls at once in four threads, switching every 10 us
+    spec = ramp_spec(3 * _B + 17, 48000.0, HarmonicCarrier(120.0, 2), noise=1e-3, bleed=0.1)
+    want = held_synthesize(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            recs = [f.result(timeout=60)[0] for f in
+                    [pool.submit(synthesize, spec, ()) for _ in range(6)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for rec in recs:
+        assert rec.nasal.tobytes() == want[0].tobytes()
+        assert rec.oral.tobytes() == want[1].tobytes()
+
+
+def test_one_sample_spec_is_silent():
+    # the carrier starts at sin(0) = 0, so one sample has no RMS to scale by
+    with pytest.raises(SynthSpecError, match="silent"):
+        synthesize(ramp_spec(1, 48000.0, SineCarrier(440.0)))
+
+
+def test_synthesize_holds_only_its_two_channels():
+    # beyond the two float64 channels, a take four times as long allocates
+    # nothing more: every other array is a block of one of the two threads
+    # (one whole-signal float64 temporary would add 5.5 MB from 5 s to 20 s)
+    extra = []
+    for seconds in (5, 20):
+        spec = ramp_spec(seconds * 48000, 48000.0, HarmonicCarrier(120.0, 2), noise=1e-4)
+        synthesize(spec, truth_times=())  # lazy imports
+        tracemalloc.start()
+        try:
+            rec, _ = synthesize(spec, truth_times=())
+            extra.append(tracemalloc.get_traced_memory()[1] - 16 * rec.n_samples)
+        finally:
+            tracemalloc.stop()
+    assert abs(extra[1] - extra[0]) < 3 * 2**20 and extra[1] < 8 * 2**20, extra
+
+
+@pytest.mark.parametrize("field, value", [
+    ("duration_s", float("inf")),
+    ("duration_s", float("nan")),
+    ("sample_rate", float("inf")),
+    ("sample_rate", float("nan")),
+    ("noise_rms", float("inf")),
+    ("noise_rms", float("nan")),
+])
+def test_non_finite_spec_numbers_refused(field, value):
+    fields = dict(duration_s=0.5, sample_rate=48000.0, carrier=SineCarrier(440.0),
+                  nasal_env=[(0.0, 0.2)], oral_env=[(0.0, 0.2)], noise_rms=0.01)
+    with pytest.raises(SynthSpecError, match=f"{field} must be finite"):
+        SynthSpec(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("env", ["nasal_env", "oral_env"])
+@pytest.mark.parametrize("breakpoint", [(float("nan"), 0.2), (0.1, float("nan")),
+                                        (float("inf"), 0.2), (0.1, float("inf"))],
+                         ids=["nan_time", "nan_amplitude", "inf_time", "inf_amplitude"])
+def test_non_finite_breakpoints_refused(env, breakpoint):
+    fields = dict(duration_s=0.5, sample_rate=48000.0, carrier=SineCarrier(440.0),
+                  nasal_env=[(0.0, 0.2)], oral_env=[(0.0, 0.2)])
+    with pytest.raises(SynthSpecError, match=f"{env} breakpoints must be finite"):
+        SynthSpec(**{**fields, env: [(0.0, 0.2), breakpoint]})
