@@ -46,20 +46,20 @@ class StereoRecording:
     """Paired nasal/oral channels at a common sample rate.
 
     Each channel keeps the dtype it is stored in, with one `scale` for both:
-    a sample's value on [-1, 1] is stored / scale, and `scale` must be a
-    power of two, so decoding is exact. A loaded WAV holds no samples: it
+    a sample's value is stored / scale, and `scale` must be a power of two,
+    so decoding is exact. Loaded and constructed recordings are checked to
+    lie on [-1, 1]; a band-passed one (intensity.bandpass) is not, and its
+    ringing may read past full scale. A loaded WAV holds no samples: it
     reads its int16, int32 (24- and 32-bit) or float32 samples from the file
     whenever they are asked for. Channels passed in are held in memory, as
     float64 unless already in one of those dtypes.
 
     `stored()` is the one way to the stored samples; `nasal` and `oral`
     decode them to read-only, C-contiguous float64 (for float64 held at
-    scale 1, the held array itself). The channel source of a band-passed
-    recording has a `rescale` above 1 when its ringing overshoots full scale;
-    its values are then stored / scale / rescale (see intensity.bandpass).
-    Held arrays are read-only. A read-only input that is already in a stored
-    dtype is kept without a copy; a writeable one is copied, so the caller's
-    array stays writeable and later writes to it do not reach the recording.
+    scale 1, the held array itself). Held arrays are read-only. A read-only
+    input that is already in a stored dtype is kept without a copy; a
+    writeable one is copied, so the caller's array stays writeable and later
+    writes to it do not reach the recording.
     Instances are immutable and safe to share between threads.
     """
 
@@ -144,9 +144,6 @@ class StereoRecording:
         with self.stored((role,)) as read:
             for a, b in _blocks(self.n_samples):
                 np.divide(read(a, b)[0], self.scale, out=out[a:b], dtype=np.float64)
-        rescale = channels.rescale  # known once every sample has been read
-        if rescale != 1.0:
-            out /= rescale
         out.flags.writeable = False
         return out
 
@@ -224,8 +221,6 @@ def _peak(ch: np.ndarray) -> float:
 
 class _Held:
     """Nasal and oral channels held in memory, read as slices."""
-
-    rescale = 1.0
 
     def __init__(self, nasal: np.ndarray, oral: np.ndarray):
         self.nasal, self.oral = nasal, oral
@@ -305,8 +300,6 @@ class _FileChannels:
     Each role is a (data chunk, channel) pair. Two files whose stored
     formats differ are decoded to float64 as they are read.
     """
-
-    rescale = 1.0
 
     def __init__(self, nasal: tuple[_WavData, int], oral: tuple[_WavData, int]):
         self.roles = (nasal, oral)
@@ -450,21 +443,6 @@ def _wav_data(path, n_channels: int) -> _WavData:
             raise AudioFormatError(f"{name}: float samples exceed full scale",
                                    byte_offset=body)
     return data
-
-
-def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
-    """Read a WAV file of n_channels channels.
-
-    Returns (per-channel samples as C-contiguous float64 on [-1, 1], sample
-    rate). Any other channel count is refused before the data chunk is
-    checked or decoded.
-    """
-    data = _wav_data(path, n_channels)
-    out = np.empty((n_channels, data.n_frames))
-    with data.reader() as read:
-        for a, b in _blocks(data.n_frames):
-            np.divide(read(a, b).T, data.scale, out=out[:, a:b], dtype=np.float64)
-    return list(out), data.sample_rate
 
 
 def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
@@ -613,7 +591,7 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
 
     sample_format is one of pcm16, pcm24, pcm32, float32. Non-finite samples
     are refused in every format, and float32 samples beyond full scale
-    (which read_wav would refuse); integer formats clip out-of-range values.
+    (which loading would refuse); integer formats clip out-of-range values.
     sample_rate must be a whole number of Hz that the header can hold.
 
     The samples are interleaved, converted and written _BLOCK_FRAMES frames

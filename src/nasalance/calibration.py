@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import StereoRecording
+from .audio_io import StereoRecording, _commit
 from .errors import CalibrationError, InputFormatError
 from .intensity import (
     BandpassSpec,
@@ -98,7 +98,9 @@ def apply_calibration(it: IntensityTrack, profile: CalibrationProfile) -> Intens
 
 def save_profile(profile: CalibrationProfile, path) -> None:
     """Persist a profile as a small JSON document; a band-passed profile
-    also records its band as "bandpass": [low_hz, high_hz, order]."""
+    also records its band as "bandpass": [low_hz, high_hz, order]. Like
+    every output, it is written to a temporary sibling and moved into place
+    once whole (audio_io._commit)."""
     doc = {
         "gain_offset_db": profile.gain_offset_db,
         "created_from": profile.created_from,
@@ -107,7 +109,7 @@ def save_profile(profile: CalibrationProfile, path) -> None:
     if profile.bandpass is not None:
         band = profile.bandpass
         doc["bandpass"] = [band.low_hz, band.high_hz, band.order]
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    _commit([(path, json.dumps(doc, indent=2) + "\n")])
 
 
 def load_profile(path) -> CalibrationProfile:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import StereoRecording, _owned, _peak
+from .audio_io import StereoRecording, _owned
 
 # Silence clamp keeps arithmetic finite; amplitudes at/below this are
 # treated as exactly zero when converted back to linear scale.
@@ -86,7 +86,11 @@ class BandpassSpec:
 
 @dataclass(frozen=True)
 class IntensityTrack:
-    """Per-frame dB intensity for both channels on a shared time axis."""
+    """Per-frame dB intensity for both channels on a shared time axis.
+
+    Values are finite and at or above DB_CLAMP_FLOOR. There is no ceiling:
+    band-pass ringing and calibration shifts can carry frames past 0 dB.
+    """
 
     times: np.ndarray
     nasal_db: np.ndarray
@@ -104,8 +108,9 @@ class IntensityTrack:
         if len(times) > 1 and np.max(np.abs(np.diff(times) - step_s)) > 1e-9:
             raise ValueError("frame centers are not uniformly spaced at step_ms")
         for name, db in (("nasal_db", nasal), ("oral_db", oral)):
-            if len(db) and (np.max(db) > 3.02 or np.min(db) < DB_CLAMP_FLOOR):
-                raise ValueError(f"{name} outside [{DB_CLAMP_FLOOR}, 3.02] dBFS")
+            # NaN fails the first comparison
+            if len(db) and not (np.min(db) >= DB_CLAMP_FLOOR and np.max(db) < math.inf):
+                raise ValueError(f"{name} must be finite and at least {DB_CLAMP_FLOOR} dB")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "nasal_db", nasal)
         object.__setattr__(self, "oral_db", oral)
@@ -232,11 +237,6 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
     db = np.full((2, len(times)), DB_CLAMP_FLOOR)
     with rec.stored() as read:
         db[:, framed] = _frames_db(read, starts[framed], frame_len, w, rec.scale)
-    rescale = rec._channels.rescale  # a band-passed peak is known only now
-    if rescale != 1.0:
-        with rec.stored() as read:
-            db[:, framed] = _frames_db(lambda a, b: [x / rescale for x in read(a, b)],
-                                       starts[framed], frame_len, w, rec.scale)
     times.flags.writeable = db.flags.writeable = False  # kept without a copy
     return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg)
 
@@ -286,7 +286,7 @@ def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
 
 class _Bandpassed:
     """Both channels of a recording, band-passed block by block as read (see
-    bandpass). `rescale` is the filtered peak if above 1, else 1."""
+    bandpass)."""
 
     def __init__(self, rec: StereoRecording, spec: BandpassSpec):
         taps = _zero_phase_taps(spec, rec.sample_rate)
@@ -298,16 +298,6 @@ class _Bandpassed:
         # the even kernel wrapped around index 0, so its spectrum is real
         self.kernel_fft = np.fft.rfft(np.concatenate(
             [taps, np.zeros(self.hop - 1), taps[:0:-1]])).real
-        self.scale = rec.scale * rec._channels.rescale
-        # each block's peak once filtered; reads only fill these in, so sharing is safe
-        self.peaks = np.full(-(-n // self.hop), np.nan)
-
-    @property
-    def rescale(self) -> float:
-        with self.reader() as read:
-            for k in np.flatnonzero(np.isnan(self.peaks)).tolist():
-                read(k * self.hop, k * self.hop + 1)
-        return max(1.0, float(self.peaks.max()))
 
     @contextmanager
     def reader(self, roles=(0, 1)):
@@ -317,12 +307,12 @@ class _Bandpassed:
         half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.hop
         buf, k = np.empty((2, n_fft)), np.arange(1, half + 1)
 
-        def filtered(row, x, s):  # one channel's block at s, and its peak
+        def filtered(row, x, s):  # one channel's block at s
             # row holds samples s .. s + n_fft of the recording extended by
             # R = half samples each side, then zeros: sample i is at i + o
             o = half - s
             a = max(o, 0)  # x is the stored input from sample max(s - half, 0)
-            np.divide(x, self.scale, out=row[a : a + len(x)], dtype=np.float64)
+            np.divide(x, self.rec.scale, out=row[a : a + len(x)], dtype=np.float64)
             # odd extension about each end sample, held at its last value once
             # the recording is shorter than the extension
             if s == 0:
@@ -334,7 +324,7 @@ class _Bandpassed:
             y = np.fft.irfft(np.fft.rfft(row) * self.kernel_fft, n_fft)
             y = y[half : half + min(hop, n - s)]
             y.flags.writeable = False
-            return y, _peak(y)
+            return y
 
         @functools.lru_cache(maxsize=2)  # the two blocks filtered last
         def block(j):  # output samples [j*hop, (j+1)*hop) of both channels
@@ -342,13 +332,11 @@ class _Bandpassed:
             nasal, oral = read_input(max(s - half, 0), min(s - half + n_fft, n))
             # NumPy's FFTs release the GIL: the nasal channel runs in the worker
             nasal = pool.submit(filtered, buf[0], nasal, s)
-            oral, oral_peak = filtered(buf[1], oral, s)
-            nasal, nasal_peak = nasal.result()
-            self.peaks[j] = max(nasal_peak, oral_peak)
-            return nasal, oral
+            oral = filtered(buf[1], oral, s)
+            return nasal.result(), oral
 
         def read(a, b):  # views of one block, or its blocks' pieces joined
-            first = min(a // hop, len(self.peaks) - 1)
+            first = min(a, n - 1) // hop
             parts = [[block(j)[r][max(a - j * hop, 0) : b - j * hop] for r in roles]
                      for j in range(first, max(first, (b - 1) // hop) + 1)]
             return tuple(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
@@ -369,17 +357,17 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     1e-13 (about 0.11 s for 60:4000 Hz), and applied by overlap-save on a
     fixed grid of power-of-two FFT blocks. Nothing is filtered here: the
     result filters a block of both channels (in two threads) when a read
-    needs it and keeps the last two, so memory is O(block), not O(output).
+    needs it and keeps the last two, so framing a few spans filters only the
+    blocks that hold them, and memory is O(block), not O(output).
 
     Edges: each channel is odd-extended by R samples about its end samples
     (held constant past the far end of a recording shorter than R). Further
     in, the result matches scipy's sosfiltfilt within about 1e-13; near the
     ends the edge treatments differ, and neither is ground truth (Gustafsson 1996).
 
-    If ringing overshoots full scale, both channels are divided by the
-    filtered peak, which leaves nasalance untouched. The peak is known once
-    every block is filtered; intensity_track then frames again with the
-    samples divided by it, and `nasal` and `oral` divide by it.
+    Filtered values are kept as they are: ringing may carry them past full
+    scale, and a frame's dB past 0. Nasalance, a ratio of the channels, does
+    not depend on their common level.
     """
     if spec.high_hz >= rec.sample_rate / 2.0:
         raise ValueError(f"high_hz {spec.high_hz:g} must be below the Nyquist rate "

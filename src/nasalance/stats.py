@@ -364,13 +364,11 @@ def system_difference_of_differences(fit: FitResult, env_pair) -> ContrastRow:
 
 
 def difference_of_differences_table(
-    fit: FitResult, env_pairs=None, family_size: int | None = None
+    fit: FitResult, family_size: int | None = None
 ) -> ContrastTable:
-    """Difference-of-differences rows for each environment pair."""
+    """Difference-of-differences rows for each pair of environment levels."""
     _require_codings(fit)
-    if env_pairs is None:
-        env_levels = fit.codings["environment"][0]
-        env_pairs = list(combinations(env_levels, 2))
+    env_pairs = combinations(fit.codings["environment"][0], 2)
     rows = [system_difference_of_differences(fit, pair) for pair in env_pairs]
     return _adjusted(rows, family_size)
 

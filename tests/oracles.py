@@ -8,7 +8,15 @@ import struct
 
 import numpy as np
 
-from nasalance.audio_io import _CODECS, _SAMPLE_FORMATS, _peak
+from nasalance.audio_io import (
+    _CODECS,
+    _SAMPLE_FORMATS,
+    StereoRecording,
+    _Held,
+    _owned,
+    _peak,
+    _wav_data,
+)
 from nasalance.intensity import DB_CLAMP_FLOOR, _FFT_BLOCK, _zero_phase_taps, window_weights
 from nasalance.synth import HarmonicCarrier, SineCarrier, _breakpoints
 
@@ -57,9 +65,16 @@ def zero_phase(x: np.ndarray, kernel_fft: np.ndarray, half: int, n_fft: int) -> 
     return out
 
 
+def held_recording(nasal, oral, sample_rate) -> StereoRecording:
+    """A recording holding nasal and oral as given, unchecked: values past
+    full scale read as they are, as a band-passed recording's do."""
+    return StereoRecording._over(_Held(_owned(nasal), _owned(oral)), 0, len(nasal),
+                                 sample_rate, "", 1.0)
+
+
 def held_bandpass(rec, spec) -> tuple[np.ndarray, np.ndarray]:
     """(nasal, oral) of intensity.bandpass, each channel decoded and filtered
-    whole, then both divided by their common peak when it exceeds 1."""
+    whole."""
     taps = _zero_phase_taps(spec, rec.sample_rate)
     half = len(taps) - 1
     n_fft = min(
@@ -70,12 +85,21 @@ def held_bandpass(rec, spec) -> tuple[np.ndarray, np.ndarray]:
     wrapped[: half + 1] = taps
     wrapped[n_fft - half :] = taps[:0:-1]
     kernel_fft = np.fft.rfft(wrapped).real
-    nasal, oral = (zero_phase(x, kernel_fft, half, n_fft) for x in (rec.nasal, rec.oral))
-    peak = max(_peak(nasal), _peak(oral))
-    if peak > 1.0:
-        nasal /= peak
-        oral /= peak
-    return nasal, oral
+    return tuple(zero_phase(x, kernel_fft, half, n_fft) for x in (rec.nasal, rec.oral))
+
+
+def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
+    """Decode a WAV file of n_channels channels whole, in one read.
+
+    Returns (per-channel samples as C-contiguous float64 on [-1, 1], sample
+    rate). The header is checked as load_stereo and load_pair check it, so
+    any other channel count is refused before the data chunk is read.
+    """
+    data = _wav_data(path, n_channels)
+    with data.reader() as read:
+        stored = read(0, data.n_frames)
+    decoded = np.divide(stored.T, data.scale, dtype=np.float64, order="C")
+    return list(decoded), data.sample_rate
 
 
 def carrier_samples(carrier: SineCarrier | HarmonicCarrier, t: np.ndarray,

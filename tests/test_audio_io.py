@@ -15,11 +15,10 @@ from nasalance.audio_io import (
     _wav_data,
     load_pair,
     load_stereo,
-    read_wav,
     write_wav,
 )
 from nasalance.errors import AudioFormatError
-from oracles import held_wav_bytes
+from oracles import held_wav_bytes, read_wav
 
 
 def wav_bytes(fmt_code, n_channels, bits, payload, sr=48000):

@@ -148,6 +148,18 @@ def test_compensation_loop_recovers_uncalibrated_track():
     assert np.max(err) < 0.5
 
 
+def test_calibration_lifts_loud_frames_past_full_scale(tmp_path):
+    # a -7 dB offset lifts a loud nasal channel about 3.9 dB past full scale:
+    # a calibrated track is no longer dB of samples, and has no ceiling
+    tone = 0.99 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
+    write_wav(tmp_path / "loud.wav", [tone, tone], 48000, "pcm16")
+    it = intensity_track(load_stereo(tmp_path / "loud.wav"))
+    out = apply_calibration(it, CalibrationProfile(gain_offset_db=-7.0))
+    assert np.max(out.nasal_db) > 3.02
+    np.testing.assert_array_equal(out.nasal_db, it.nasal_db + 7.0)
+    np.testing.assert_array_equal(out.oral_db, it.oral_db)
+
+
 def test_profile_json_round_trip(tmp_path):
     profile = CalibrationProfile(1.25, created_from="take3.wav",
                                  stimulus_window=(0.5, 2.0))

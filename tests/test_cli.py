@@ -14,6 +14,7 @@ import pytest
 
 import nasalance
 from conftest import make_alignment_tiers, segment_envelopes
+from oracles import read_wav
 from nasalance.audio_io import write_wav
 from nasalance.cli import main
 from nasalance.synth import SineCarrier, SynthSpec, synthesize
@@ -329,6 +330,38 @@ def test_calibration_flag_in_analyze(session, tmp_path):
                  "--calibration", str(profile), "--out", str(out)]) == 0
 
 
+def test_calibration_of_loud_take_exits_0(session, tmp_path):
+    # a -7 dB profile lifts a loud pcm16 nasal channel past full scale in
+    # track and analyze alike; both write their outputs
+    _, tg, wordlist = session
+    tone = 0.99 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
+    wav = tmp_path / "loud.wav"
+    write_wav(wav, [tone, tone], 48000, "pcm16")
+    profile = tmp_path / "cal.json"
+    profile.write_text(json.dumps({"gain_offset_db": -7.0}))
+    out = tmp_path / "out.csv"
+    assert main(["track", str(wav), "--calibration", str(profile), "--out", str(out)]) == 0
+    assert main(["track", str(wav), "--calibration", str(profile), "--intensity",
+                 "--out", str(out)]) == 0
+    nasal_db = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+    assert max(nasal_db) > 3.02
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--calibration", str(profile), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5  # header + 4 tokens
+
+
+def test_calibrate_into_a_directory_exits_2(tmp_path, capsys):
+    tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, [tone, tone], 48000, "float32")
+    taken = tmp_path / "cal.json"
+    taken.mkdir()
+    assert main(["calibrate", str(wav), "--out", str(taken)]) == 2
+    assert "cal.json" in capsys.readouterr().err
+    assert taken.is_dir() and not any(taken.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cal.json", "tone.wav"]
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("track", ["--frame-ms", "inf"], "must be finite"),
     ("track", ["--silence-floor-db", "nan"], "must not be NaN"),
@@ -546,8 +579,6 @@ def test_channel_map_flag(session, tmp_path):
 
 def test_pair_input_via_oral_flag(session, tmp_path):
     wav, tg, wordlist = session
-    from nasalance.audio_io import read_wav
-
     channels, sr = read_wav(wav, 2)
     write_wav(tmp_path / "nasal.wav", [channels[0]], sr, "float32")
     write_wav(tmp_path / "oral.wav", [channels[1]], sr, "float32")
@@ -635,3 +666,19 @@ def test_stats_failing_emm_output_writes_nothing(tmp_path, capsys):
         assert not results.exists() and _leftovers(tmp_path) == []
     assert main(["stats", str(tokens), "--out", str(results)]) == 0
     assert results.exists() and _leftovers(tmp_path) == []
+
+
+def test_bench_span_targets_resolve(monkeypatch):
+    # bench/spans.py wraps each (module, attribute) at the name its caller
+    # looks up; a renamed or moved name must fail here, not only in the bench
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.CLI_TARGETS
+    for module, attr, _ in spans.CLI_TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)

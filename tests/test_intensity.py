@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -9,13 +10,13 @@ import pytest
 from scipy.signal import butter, sosfiltfilt
 
 from conftest import tone_recording
-from oracles import frame_intensity_db, held_bandpass
+from oracles import frame_intensity_db, held_bandpass, held_recording, read_wav
+from nasalance import audio_io
 from nasalance.audio_io import (
     StereoRecording,
     _wav_data,
     load_pair,
     load_stereo,
-    read_wav,
     write_wav,
 )
 from nasalance.intensity import (
@@ -261,6 +262,18 @@ def test_intensity_track_leaves_caller_arrays_writeable():
     assert replace(made, config=made.config).nasal_db is made.nasal_db
 
 
+def test_intensity_track_holds_finite_db_above_the_floor():
+    # no ceiling: band-pass ringing and calibration shifts pass 0 dB
+    times = 0.016 + 0.008 * np.arange(2)
+    loud = IntensityTrack(times, [3.9, DB_CLAMP_FLOOR], [250.0, -3.0], FrameConfig())
+    assert loud.oral_db[0] == 250.0
+    for bad in (np.nan, np.inf, -np.inf, DB_CLAMP_FLOOR - 1e-9):
+        with pytest.raises(ValueError, match="nasal_db must be finite and at least"):
+            IntensityTrack(times, [bad, -3.0], [-3.0, -3.0], FrameConfig())
+        with pytest.raises(ValueError, match="oral_db must be finite and at least"):
+            IntensityTrack(times, [-3.0, -3.0], [-3.0, bad], FrameConfig())
+
+
 def _traced_load_and_track(path, cfg):
     tracemalloc.start()
     try:
@@ -473,21 +486,21 @@ def test_bandpass_recording_shorter_than_half_width():
     np.testing.assert_allclose(out.nasal, want, rtol=0, atol=1e-12)
 
 
-def test_bandpass_overshoot_rescales_both_channels_alike():
-    # a full-scale square wave rings past 1.0; both channels share one factor
+def test_bandpass_overshoot_keeps_filtered_values():
+    # a full-scale square wave rings past 1.0, and the ringing is kept
     sr = 8000.0
     square = np.where(np.arange(8000) % 80 < 40, 1.0, -1.0)
     rec = StereoRecording(square, 0.5 * square, sr)
     spec = BandpassSpec(100.0, 3000.0)
     out = bandpass(rec, spec)
     raw = _sosfiltfilt(square, spec, sr)
-    assert np.max(np.abs(out.nasal)) == 1.0
+    assert np.max(np.abs(out.nasal)) > 1.0
     half = half_width(spec, sr)
     interior = slice(half + 1, 8000 - half - 1)
-    got, want = out.nasal[interior], raw[interior]
-    gain = float(got @ want / (got @ got))  # the one factor that was divided out
-    assert gain > 1.0
-    np.testing.assert_allclose(gain * got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.nasal[interior], raw[interior], rtol=0, atol=1e-12)
+    nasal, oral = held_bandpass(rec, spec)
+    np.testing.assert_array_equal(out.nasal, nasal)
+    np.testing.assert_array_equal(out.oral, oral)
     np.testing.assert_array_equal(out.oral, 0.5 * out.nasal)
 
 
@@ -574,15 +587,15 @@ def test_bandpass_of_mixed_format_pair(tmp_path):
     np.testing.assert_array_equal(got.oral_db, want.oral_db)
 
 
-def test_overshooting_bandpass_frames_rescaled_samples():
-    # the peak is known only once every block is filtered; framing, sparse or
-    # whole, then gives the dB of the rescaled samples bit for bit
+def test_overshooting_bandpass_frames_unscaled_samples():
+    # framing, sparse or whole, gives bit for bit the dB of the filtered
+    # samples as they are, past full scale
     sr = 8000.0
     square = np.where(np.arange(3 * _FFT_BLOCK) % 80 < 40, 1.0, -1.0)
     out, (nasal, oral) = _bandpassed_and_held(square, 0.5 * square, sr,
                                               BandpassSpec(100.0, 3000.0))
-    assert np.max(np.abs(nasal)) == 1.0
-    held = StereoRecording(nasal, oral, sr)
+    assert np.max(np.abs(nasal)) > 1.0
+    held = held_recording(nasal, oral, sr)
     at = [0.5, 10.0, 20.0]
     for kwargs in ({}, {"at": at}):
         got = intensity_track(bandpass(StereoRecording(square, 0.5 * square, sr),
@@ -591,7 +604,7 @@ def test_overshooting_bandpass_frames_rescaled_samples():
         np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
         np.testing.assert_array_equal(got.oral_db, want.oral_db)
     np.testing.assert_array_equal(out.nasal, nasal)
-    # band-passing again reads the rescaled samples
+    # band-passing again reads the samples past full scale
     twice = bandpass(out, BandpassSpec(100.0, 3000.0))
     for got, want in zip((twice.nasal, twice.oral),
                          held_bandpass(held, BandpassSpec(100.0, 3000.0))):
@@ -600,14 +613,14 @@ def test_overshooting_bandpass_frames_rescaled_samples():
 
 def test_bandpassed_recording_shared_between_threads():
     # threads that frame one band-passed recording at once all see the same
-    # filtered samples and peak
+    # filtered samples
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     sr = 8000.0
     square = np.where(np.arange(2 * _FFT_BLOCK) % 80 < 40, 1.0, -1.0)
     spec = BandpassSpec(100.0, 3000.0)
-    want = intensity_track(StereoRecording(*held_bandpass(
+    want = intensity_track(held_recording(*held_bandpass(
         StereoRecording(square, -square, sr), spec), sr))
     out = bandpass(StereoRecording(square, -square, sr), spec)
     interval = sys.getswitchinterval()
@@ -621,6 +634,39 @@ def test_bandpassed_recording_shared_between_threads():
     for got in tracks:
         np.testing.assert_array_equal(got.nasal_db, want.nasal_db)
         np.testing.assert_array_equal(got.oral_db, want.oral_db)
+
+
+def test_sparse_framing_of_bandpassed_take_filters_only_its_block(tmp_path, monkeypatch):
+    # framing the frames around one time filters only the block that holds
+    # them, so only that block's source samples are read from the file
+    sr, spec = 48000, BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sr)
+    hop = max(_FFT_BLOCK, 1 << (8 * half).bit_length()) - 2 * half
+    x = np.random.default_rng(13).uniform(-0.4, 0.4, (2, 6 * hop))
+    write_wav(tmp_path / "take.wav", list(x), sr, "pcm16")
+    rec = load_stereo(tmp_path / "take.wav")
+    want = intensity_track(bandpass(rec, spec))
+
+    reads = []
+    file_reader = audio_io._WavData.reader
+
+    @contextmanager
+    def logged_reader(data):
+        with file_reader(data) as read:
+            def logged(a, b):
+                reads.append((a, b))
+                return read(a, b)
+
+            yield logged
+
+    monkeypatch.setattr(audio_io._WavData, "reader", logged_reader)
+    got = intensity_track(bandpass(rec, spec), at=[3.5 * hop / sr])  # mid block 3
+    assert reads and min(a for a, _ in reads) >= 3 * hop - half
+    assert max(b for _, b in reads) <= 4 * hop + half
+    framed = np.flatnonzero(got.nasal_db > DB_CLAMP_FLOOR)
+    assert len(framed) == 2
+    np.testing.assert_array_equal(got.nasal_db[framed], want.nasal_db[framed])
+    np.testing.assert_array_equal(got.oral_db[framed], want.oral_db[framed])
 
 
 def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):
