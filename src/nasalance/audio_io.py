@@ -6,12 +6,12 @@ anywhere: mismatched rates are an error so the intensity frame timing
 downstream stays exact. A loaded file's samples stay in the file: loading
 checks the header, and samples are read span by span when they are needed.
 `write_wav`, like every output of the command line, is written through
-`_commit`: to a temporary sibling, moved into place once it is whole.
+`output._commit`: block by block to a temporary sibling, moved into place
+once it is whole.
 """
 
 from __future__ import annotations
 
-import errno
 import math
 import os
 import struct
@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import AudioFormatError
+from .output import _commit
 
 _STEREO_SOURCES = ("left", "right")
 
@@ -487,40 +488,10 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
     )
 
 
-def _commit(outputs) -> None:
-    """Write every (path, content) of `outputs`, or none of them.
-
-    A content is a str, written as UTF-8 text, or a function that writes
-    the output to the binary file it is given. Each output is written to a
-    temporary sibling first, and the temporaries are moved into place only
-    once all are written; on a failure they are removed, so no output is
-    left half written or beside another run's.
-    """
-    outputs = [(Path(path), content) for path, content in outputs]
-    for path, _ in outputs:
-        if path.is_dir():  # os.replace would fail only after earlier moves
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    moves = []
-    try:
-        for path, content in outputs:
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            text = isinstance(content, str)
-            with open(tmp, "x" if text else "xb", encoding="utf-8" if text else None) as fh:
-                moves.append(tmp)
-                if text:
-                    fh.write(content)
-                else:
-                    content(fh)
-        for tmp, (path, _) in zip(moves, outputs):
-            os.replace(tmp, path)
-    finally:
-        for tmp in moves:
-            tmp.unlink(missing_ok=True)
-
-
-def _wav_writer(channels, sample_rate, sample_format):
-    """Check what write_wav is given and return write(fh), which writes the
-    WAV file to the binary file fh; see write_wav."""
+def _wav_blocks(channels, sample_rate, sample_format):
+    """Check what write_wav is given and return the WAV file's bytes, as
+    blocks made while they are iterated (see write_wav); a block's buffer is
+    reused for the next one."""
     key = _SAMPLE_FORMATS.get(sample_format)
     if key is None:
         raise ValueError(f"unknown sample format {sample_format!r}")
@@ -556,8 +527,8 @@ def _wav_writer(channels, sample_rate, sample_format):
                           byte_rate, block_align, bits)
     header += b"data" + struct.pack("<I", size)
 
-    def write(fh):
-        fh.write(header)
+    def blocks():
+        yield header
         frames = np.empty((min(n, _BLOCK_FRAMES), n_channels))
         stored = np.empty(frames.shape, dtype)
         # 24-bit samples are stored in an int32; each one's low three bytes are kept
@@ -581,9 +552,9 @@ def _wav_writer(channels, sample_rate, sample_format):
             if packed is not None:
                 packed[: b - a] = out.view(np.uint8).reshape(b - a, n_channels, 4)[..., :3]
                 out = packed[: b - a]
-            fh.write(out)
+            yield out
 
-    return write
+    return blocks()
 
 
 def write_wav(path, channels, sample_rate, sample_format="float32"):
@@ -601,4 +572,4 @@ def write_wav(path, channels, sample_rate, sample_format="float32"):
     is removed on any failure: nothing is written when a check fails, and a
     failed write leaves no truncated file.
     """
-    _commit([(path, _wav_writer(channels, sample_rate, sample_format))])
+    _commit([(path, _wav_blocks(channels, sample_rate, sample_format))])

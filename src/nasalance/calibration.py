@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import StereoRecording, _commit
+from .audio_io import StereoRecording
 from .errors import CalibrationError, InputFormatError
 from .intensity import (
     BandpassSpec,
@@ -27,6 +27,7 @@ from .intensity import (
     intensity_track,
     shift_nasal_db,
 )
+from .output import _commit
 
 MIN_CALIBRATION_FRAMES = 10
 
@@ -100,7 +101,7 @@ def save_profile(profile: CalibrationProfile, path) -> None:
     """Persist a profile as a small JSON document; a band-passed profile
     also records its band as "bandpass": [low_hz, high_hz, order]. Like
     every output, it is written to a temporary sibling and moved into place
-    once whole (audio_io._commit)."""
+    once whole (output._commit)."""
     doc = {
         "gain_offset_db": profile.gain_offset_db,
         "created_from": profile.created_from,
@@ -109,7 +110,7 @@ def save_profile(profile: CalibrationProfile, path) -> None:
     if profile.bandpass is not None:
         band = profile.bandpass
         doc["bandpass"] = [band.low_hz, band.high_hz, band.order]
-    _commit([(path, json.dumps(doc, indent=2) + "\n")])
+    _commit([(path, [json.dumps(doc, indent=2) + "\n"])])
 
 
 def load_profile(path) -> CalibrationProfile:

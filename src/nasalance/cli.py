@@ -12,7 +12,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .audio_io import ChannelMap, _commit, _wav_writer, load_pair, load_stereo
+from .audio_io import ChannelMap, _wav_blocks, load_pair, load_stereo
 from .calibration import (
     apply_calibration,
     estimate_gain_offset,
@@ -28,15 +28,16 @@ from .intensity import (
     intensity_to_csv,
     intensity_track,
 )
+from .output import _commit, _csv_blocks, _quoted
 from .pipeline import (
     extract_token_records,
     load_wordlist,
     read_token_csv,
     rejects_to_csv,
-    tokens_to_csv,
+    token_csv_blocks,
+    tokens_to_csv,  # not called here; bench/spans.py wraps it at this name
 )
 from .stats import (
-    _csv_text,
     contrasts_to_csv,
     difference_of_differences_table,
     emm_to_csv,
@@ -182,7 +183,8 @@ def cmd_analyze(args) -> int:
         method=args.method,
     )
     out = Path(args.out)
-    _commit([(out, tokens_to_csv(records)), (_rejects_path(out), rejects_to_csv(rejects))])
+    _commit([(out, token_csv_blocks(records)),
+             (_rejects_path(out), rejects_to_csv(rejects))])
     if not records and not rejects:
         print("warning: no vowel tokens selected", file=sys.stderr)
     print(f"{len(records)} tokens written, {len(rejects)} rejected", file=sys.stderr)
@@ -198,10 +200,10 @@ def cmd_track(args) -> int:
     if profile is not None:
         it = apply_calibration(it, profile)
     if args.intensity:
-        text = intensity_to_csv(it)
+        blocks = intensity_to_csv(it)
     else:
-        text = nasalance_to_csv(nasalance_track(it))
-    _commit([(args.out, text)])
+        blocks = nasalance_to_csv(nasalance_track(it))
+    _commit([(args.out, blocks)])
     return 0
 
 
@@ -222,7 +224,7 @@ def cmd_synth(args) -> int:
     base = Path(args.out)
     wav_path = base.with_suffix(".wav") if base.suffix != ".wav" else base
     truth_path = wav_path.with_suffix(".truth.csv")
-    _commit([(wav_path, _wav_writer([rec.nasal, rec.oral], spec.sample_rate, "float32")),
+    _commit([(wav_path, _wav_blocks([rec.nasal, rec.oral], spec.sample_rate, "float32")),
              (truth_path, truth_to_csv(truth))])
     print(f"wrote {wav_path} and {truth_path}", file=sys.stderr)
     return 0
@@ -258,8 +260,10 @@ def cmd_stats(args) -> int:
           f"residual_variance={fit.residual_variance:.9g}")
     coefficients = [(name, f"{est:.9g}", f"{s:.9g}")
                     for name, est, s in zip(fit.names, fit.estimates, se)]
-    print(_csv_text(("coefficient", "estimate", "se"), coefficients))
-    print(emm_to_csv(emms), end="")
+    sys.stdout.writelines(_csv_blocks(("coefficient", "estimate", "se"),
+                                      _quoted(coefficients)))
+    print()
+    sys.stdout.writelines(emm_to_csv(emms))
 
     outputs = [(args.out, contrasts_to_csv(*tables))]
     if args.emm_out:

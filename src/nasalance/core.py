@@ -17,6 +17,7 @@ import numpy as np
 from .audio_io import _owned
 from .errors import UndefinedFrameError, UnmeasurableError
 from .intensity import DB_CLAMP_FLOOR, IntensityTrack
+from .output import _array_rows, _csv_blocks
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,10 @@ def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
-def nasalance_to_csv(nt: NasalanceTrack) -> str:
-    """CSV dump with columns t_s,nasalance_pct,valid; invalid rows leave
-    the value field empty."""
-    rows = ["%.6f,%.6f,1" % (t, v) if ok else "%.6f,,0" % t
-            for t, v, ok in zip(nt.times.tolist(), nt.nasalance_pct.tolist(),
-                                nt.valid.tolist())]
-    return "\n".join(["t_s,nasalance_pct,valid", *rows]) + "\n"
+def nasalance_to_csv(nt: NasalanceTrack):
+    """CSV text with columns t_s,nasalance_pct,valid, in blocks as they are
+    iterated (see output._csv_blocks); invalid rows leave the value field
+    empty."""
+    lines = ("%.6f,%.6f,1\n" % (t, v) if ok else "%.6f,,0\n" % t
+             for t, v, ok in _array_rows(nt.times, nt.nasalance_pct, nt.valid))
+    return _csv_blocks(("t_s", "nasalance_pct", "valid"), lines)

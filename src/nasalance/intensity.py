@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import StereoRecording, _owned
+from .output import _array_rows, _csv_blocks
 
 # Silence clamp keeps arithmetic finite; amplitudes at/below this are
 # treated as exactly zero when converted back to linear scale.
@@ -286,7 +287,7 @@ def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
 
 class _Bandpassed:
     """Both channels of a recording, band-passed block by block as read (see
-    bandpass)."""
+    bandpass); a reader reads and filters only the roles it is given."""
 
     def __init__(self, rec: StereoRecording, spec: BandpassSpec):
         taps = _zero_phase_taps(spec, rec.sample_rate)
@@ -305,7 +306,7 @@ class _Bandpassed:
         from concurrent.futures import ThreadPoolExecutor
 
         half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.hop
-        buf, k = np.empty((2, n_fft)), np.arange(1, half + 1)
+        buf, k = np.empty((len(roles), n_fft)), np.arange(1, half + 1)
 
         def filtered(row, x, s):  # one channel's block at s
             # row holds samples s .. s + n_fft of the recording extended by
@@ -327,21 +328,21 @@ class _Bandpassed:
             return y
 
         @functools.lru_cache(maxsize=2)  # the two blocks filtered last
-        def block(j):  # output samples [j*hop, (j+1)*hop) of both channels
+        def block(j):  # output samples [j*hop, (j+1)*hop) of each of roles
             s = j * hop
-            nasal, oral = read_input(max(s - half, 0), min(s - half + n_fft, n))
-            # NumPy's FFTs release the GIL: the nasal channel runs in the worker
-            nasal = pool.submit(filtered, buf[0], nasal, s)
-            oral = filtered(buf[1], oral, s)
-            return nasal.result(), oral
+            *rest, last = read_input(max(s - half, 0), min(s - half + n_fft, n))
+            # NumPy's FFTs release the GIL: every role but the last runs in the worker
+            rest = [pool.submit(filtered, row, x, s) for row, x in zip(buf, rest)]
+            last = filtered(buf[-1], last, s)
+            return (*(f.result() for f in rest), last)
 
         def read(a, b):  # views of one block, or its blocks' pieces joined
             first = min(a, n - 1) // hop
-            parts = [[block(j)[r][max(a - j * hop, 0) : b - j * hop] for r in roles]
+            parts = [[y[max(a - j * hop, 0) : b - j * hop] for y in block(j)]
                      for j in range(first, max(first, (b - 1) // hop) + 1)]
             return tuple(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
 
-        with self.rec.stored() as read_input, ThreadPoolExecutor(1) as pool:
+        with self.rec.stored(roles) as read_input, ThreadPoolExecutor(1) as pool:
             yield read
 
 
@@ -356,9 +357,10 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     cut to the R samples each side over which its slowest pole decays by
     1e-13 (about 0.11 s for 60:4000 Hz), and applied by overlap-save on a
     fixed grid of power-of-two FFT blocks. Nothing is filtered here: the
-    result filters a block of both channels (in two threads) when a read
-    needs it and keeps the last two, so framing a few spans filters only the
-    blocks that hold them, and memory is O(block), not O(output).
+    result filters a block of the channels a read asks for (both in two
+    threads) when the read needs it and keeps the last two, so framing a few
+    spans filters only the blocks that hold them, decoding one channel
+    filters only that one, and memory is O(block), not O(output).
 
     Edges: each channel is odd-extended by R samples about its end samples
     (held constant past the far end of a recording shorter than R). Further
@@ -376,11 +378,12 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
                                  rec.sample_rate, rec.source_id, 1.0)
 
 
-def intensity_to_csv(track: IntensityTrack) -> str:
-    """CSV dump with columns t_s,nasal_db,oral_db at 6 decimal places."""
-    rows = map("%.6f,%.6f,%.6f".__mod__, zip(
-        track.times.tolist(), track.nasal_db.tolist(), track.oral_db.tolist()))
-    return "\n".join(["t_s,nasal_db,oral_db", *rows]) + "\n"
+def intensity_to_csv(track: IntensityTrack):
+    """CSV text with columns t_s,nasal_db,oral_db at 6 decimal places, in
+    blocks as they are iterated (see output._csv_blocks)."""
+    lines = map("%.6f,%.6f,%.6f\n".__mod__,
+                _array_rows(track.times, track.nasal_db, track.oral_db))
+    return _csv_blocks(("t_s", "nasal_db", "oral_db"), lines)
 
 
 def shift_nasal_db(track: IntensityTrack, delta_db: float) -> IntensityTrack:

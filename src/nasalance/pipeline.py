@@ -17,7 +17,8 @@ from .calibration import CalibrationProfile, apply_calibration
 from .core import nasalance_track, value_at
 from .errors import TokenSchemaError, UnmeasurableError, WordlistError
 from .intensity import BandpassSpec, FrameConfig, bandpass, intensity_track
-from .stats import TokenRecord, _csv_text
+from .output import _csv_blocks, _quoted
+from .stats import TokenRecord
 from .textgrid import DEFAULT_VOWEL_LABELS, find_tier, select_vowel_tokens
 
 TOKEN_CSV_HEADER = (
@@ -162,15 +163,22 @@ def _token_row(r, last) -> tuple:
             f"{r.t_mid_s:.6f}", last)
 
 
+def token_csv_blocks(records):
+    """Token CSV text with the documented schema and fixed 6-decimal floats,
+    in blocks as they are iterated (see output._csv_blocks)."""
+    rows = (_token_row(r, f"{r.nasalance_pct:.6f}") for r in records)
+    return _csv_blocks(TOKEN_CSV_HEADER, _quoted(rows))
+
+
 def tokens_to_csv(records) -> str:
-    """Token CSV with the documented schema; fixed 6-decimal floats."""
-    rows = [_token_row(r, f"{r.nasalance_pct:.6f}") for r in records]
-    return _csv_text(TOKEN_CSV_HEADER, rows)
+    """The whole token CSV text: the blocks of token_csv_blocks, joined."""
+    return "".join(token_csv_blocks(records))
 
 
-def rejects_to_csv(rejects) -> str:
-    """Sidecar CSV for unmeasurable tokens, with a reason column."""
-    return _csv_text(REJECT_CSV_HEADER, [_token_row(r, r.reason) for r in rejects])
+def rejects_to_csv(rejects):
+    """Sidecar CSV text for unmeasurable tokens, with a reason column, in
+    blocks as they are iterated (see output._csv_blocks)."""
+    return _csv_blocks(REJECT_CSV_HEADER, _quoted(_token_row(r, r.reason) for r in rejects))
 
 
 def read_token_csv(path) -> list[TokenRecord]:

@@ -12,8 +12,6 @@ Bonferroni-adjusted over an explicit family size.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -21,6 +19,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import DesignError, NumericError, RankDeficiencyError
+from .output import _csv_blocks, _quoted
 
 # with zero residual variance, estimates this small count as exact zeros
 _ZERO_ESTIMATE_TOL = 1e-10
@@ -475,27 +474,21 @@ def student_t_p(t: float, df: float) -> float:
     return 1.0 - front * _beta_continued_fraction(0.5, a, y, x) / 0.5
 
 
-def _csv_text(header, rows) -> str:
-    """RFC 4180 CSV text: fields holding commas, quotes or newlines are quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def emm_to_csv(table: EmmTable):
+    """CSV text with columns system,environment,emm,se, in blocks as they
+    are iterated (see output._csv_blocks)."""
+    rows = ((r.system, r.environment, f"{r.emm:.9g}", f"{r.se:.9g}") for r in table)
+    return _csv_blocks(("system", "environment", "emm", "se"), _quoted(rows))
 
 
-def emm_to_csv(table: EmmTable) -> str:
-    """CSV dump with columns system,environment,emm,se."""
-    rows = [(r.system, r.environment, f"{r.emm:.9g}", f"{r.se:.9g}") for r in table]
-    return _csv_text(("system", "environment", "emm", "se"), rows)
-
-
-def contrasts_to_csv(*tables: ContrastTable) -> str:
-    """CSV dump with columns contrast,estimate,se,t,df,p,p_adj (9 sig digits)."""
-    rows = [
+def contrasts_to_csv(*tables: ContrastTable):
+    """CSV text with columns contrast,estimate,se,t,df,p,p_adj (9 sig
+    digits), in blocks as they are iterated (see output._csv_blocks)."""
+    rows = (
         (r.description, f"{r.estimate:.9g}", f"{r.se:.9g}", f"{r.t:.9g}",
          r.df, f"{r.p:.9g}", f"{r.p_adjusted:.9g}")
         for table in tables
         for r in table
-    ]
-    return _csv_text(("contrast", "estimate", "se", "t", "df", "p", "p_adj"), rows)
+    )
+    return _csv_blocks(("contrast", "estimate", "se", "t", "df", "p", "p_adj"),
+                       _quoted(rows))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _Held, _peak
 from .errors import SynthSpecError
+from .output import _array_rows, _csv_blocks
 
 
 @dataclass(frozen=True)
@@ -237,11 +238,11 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
     return rec, ground_truth(spec, truth_times)
 
 
-def truth_to_csv(gt: GroundTruth) -> str:
-    """CSV dump with columns t_s,expected_nasalance_pct at 6 decimal places."""
-    rows = map("%.6f,%.6f".__mod__, zip(gt.times.tolist(),
-                                        gt.expected_nasalance_pct.tolist()))
-    return "\n".join(["t_s,expected_nasalance_pct", *rows]) + "\n"
+def truth_to_csv(gt: GroundTruth):
+    """CSV text with columns t_s,expected_nasalance_pct at 6 decimal places,
+    in blocks as they are iterated (see output._csv_blocks)."""
+    lines = map("%.6f,%.6f\n".__mod__, _array_rows(gt.times, gt.expected_nasalance_pct))
+    return _csv_blocks(("t_s", "expected_nasalance_pct"), lines)
 
 
 def _carrier_from_dict(doc):

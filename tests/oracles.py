@@ -3,6 +3,8 @@ span-by-span code is checked against."""
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import struct
 
@@ -163,3 +165,35 @@ def held_wav_bytes(channels, sample_rate, sample_format="float32") -> bytes:
     header += struct.pack("<IHHIIHH", 16, fmt_code, n_channels, int(sample_rate),
                           int(sample_rate) * block_align, block_align, bits)
     return header + b"data" + struct.pack("<I", len(payload)) + payload
+
+
+def nasalance_csv_text(nt) -> str:
+    """The whole text core.nasalance_to_csv writes, formed in one pass."""
+    rows = ["%.6f,%.6f,1" % (t, v) if ok else "%.6f,,0" % t
+            for t, v, ok in zip(nt.times.tolist(), nt.nasalance_pct.tolist(),
+                                nt.valid.tolist())]
+    return "\n".join(["t_s,nasalance_pct,valid", *rows]) + "\n"
+
+
+def intensity_csv_text(track) -> str:
+    """The whole text intensity.intensity_to_csv writes, formed in one pass."""
+    rows = map("%.6f,%.6f,%.6f".__mod__, zip(
+        track.times.tolist(), track.nasal_db.tolist(), track.oral_db.tolist()))
+    return "\n".join(["t_s,nasal_db,oral_db", *rows]) + "\n"
+
+
+def truth_csv_text(gt) -> str:
+    """The whole text synth.truth_to_csv writes, formed in one pass."""
+    rows = map("%.6f,%.6f".__mod__, zip(gt.times.tolist(),
+                                        gt.expected_nasalance_pct.tolist()))
+    return "\n".join(["t_s,expected_nasalance_pct", *rows]) + "\n"
+
+
+def quoted_csv_text(header, rows) -> str:
+    """RFC 4180 text of the header and rows, from one csv.writer: the
+    token, reject, EMM and contrast CSVs."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -608,7 +608,7 @@ def test_calibrate_and_track_take_bandpass(session, tmp_path, capsys):
     assert main(["track", str(wav), "--intensity", "--bandpass", "60:4000",
                  "--out", str(out)]) == 0
     want = intensity_track(bandpass(load_stereo(wav), BandpassSpec(60.0, 4000.0)))
-    assert out.read_text() == intensity_to_csv(want)
+    assert out.read_text() == "".join(intensity_to_csv(want))
 
 
 @pytest.mark.parametrize("calibrated, analyzed, warned", [

@@ -197,7 +197,7 @@ def test_value_at_nan_time_is_outside_track(method):
 
 def test_csv_dump_marks_invalid_rows():
     nt = nasalance_track(make_track([-10.0, DB_CLAMP_FLOOR], [-10.0, DB_CLAMP_FLOOR]))
-    lines = nasalance_to_csv(nt).strip().split("\n")
+    lines = "".join(nasalance_to_csv(nt)).strip().split("\n")
     assert lines[0] == "t_s,nasalance_pct,valid"
     assert lines[1] == "0.016000,50.000000,1"
     assert lines[2] == "0.024000,,0"

@@ -553,6 +553,28 @@ def test_streamed_bandpass_reads_in_any_order():
         np.testing.assert_array_equal(got, held[1][hop - 5 : hop + 5])
 
 
+def test_decoding_one_role_filters_only_that_role(monkeypatch):
+    # each block of a role costs one inverse FFT: decoding one channel runs
+    # one per block, reading both roles two, and each role is the oracle's
+    sr, spec = 48000.0, BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sr)
+    hop = max(_FFT_BLOCK, 1 << (8 * half).bit_length()) - 2 * half
+    n = 3 * hop + 1000  # 4 blocks
+    x = np.random.default_rng(14).uniform(-0.4, 0.4, (2, n))
+    out, held = _bandpassed_and_held(x[0], x[1], sr, spec)
+    calls = []
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    np.testing.assert_array_equal(out.nasal, held[0])
+    assert len(calls) == 4
+    np.testing.assert_array_equal(out.oral, held[1])
+    assert len(calls) == 8
+    with out.stored() as read:
+        for got, want in zip(read(0, n), held):
+            np.testing.assert_array_equal(got, want)
+    assert len(calls) == 16
+
+
 def test_crop_of_bandpassed_recording():
     # band-passing first and cropping after keeps the whole take's edges:
     # the crop's samples, and its frames, are those of the whole
@@ -704,7 +726,7 @@ def test_bandpass_spec_validation():
 def test_intensity_csv_format():
     rec = tone_recording(duration_s=0.1)
     track = intensity_track(rec, FrameConfig())
-    text = intensity_to_csv(track)
+    text = "".join(intensity_to_csv(track))
     lines = text.strip().split("\n")
     assert lines[0] == "t_s,nasal_db,oral_db"
     assert lines[1].startswith("0.016000,")

@@ -222,7 +222,7 @@ def test_rejects_csv_has_reason_column():
     rec, tiers = build_fixture()
     _, rejects = extract_token_records(rec, tiers, WORDLIST,
                                        speaker="sp", system="sys")
-    lines = rejects_to_csv(rejects).splitlines()
+    lines = "".join(rejects_to_csv(rejects)).splitlines()
     assert lines[0].endswith(",reason")
     assert len(lines) == len(rejects) + 1
 

@@ -538,13 +538,13 @@ def test_csv_emitters():
                               lambda s, e, v, r: 40.0 + 5 * int(e[1]) + r)
     fit = fit_nasalance_model(records)
     emms = emmeans(fit)
-    text = emm_to_csv(emms)
+    text = "".join(emm_to_csv(emms))
     assert text.startswith("system,environment,emm,se\n")
     assert len(text.strip().split("\n")) == 5
 
     table = pairwise_env_contrasts(emms, "s1")
     dod = difference_of_differences_table(fit)
-    out = contrasts_to_csv(table, dod)
+    out = "".join(contrasts_to_csv(table, dod))
     lines = out.strip().split("\n")
     assert lines[0] == "contrast,estimate,se,t,df,p,p_adj"
     assert len(lines) == 1 + len(table) + len(dod)
@@ -576,11 +576,11 @@ def test_csv_rows_keep_header_width_for_any_label(systems, environments):
     tables = [pairwise_env_contrasts(emms, s) for s in fit.codings["system"][0]]
     tables.append(difference_of_differences_table(fit))
 
-    emm_rows = list(csv.reader(io.StringIO(emm_to_csv(emms))))
+    emm_rows = list(csv.reader(io.StringIO("".join(emm_to_csv(emms)))))
     assert all(len(row) == 4 for row in emm_rows)
     assert [tuple(row[:2]) for row in emm_rows[1:]] == [
         (r.system, r.environment) for r in emms]
-    contrast_rows = list(csv.reader(io.StringIO(contrasts_to_csv(*tables))))
+    contrast_rows = list(csv.reader(io.StringIO("".join(contrasts_to_csv(*tables)))))
     assert all(len(row) == 7 for row in contrast_rows)
     assert [row[0] for row in contrast_rows[1:]] == [
         r.description for t in tables for r in t]

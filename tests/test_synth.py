@@ -213,7 +213,7 @@ def test_spec_with_byte_order_mark_loads(tmp_path):
 
 def test_truth_csv_format():
     _, truth = synthesize(const_spec(0.2, 0.6, duration=0.01))
-    lines = truth_to_csv(truth).strip().split("\n")
+    lines = "".join(truth_to_csv(truth)).strip().split("\n")
     assert lines[0] == "t_s,expected_nasalance_pct"
     assert lines[1] == "0.000000,25.000000"
 
@@ -223,9 +223,9 @@ def test_truth_csv_bytes_match_formatted_rows():
     pct = np.concatenate([[0.0, 100.0, 2.5e-7, 99.9999995], rng.uniform(0, 100, 500)])
     truth = GroundTruth(times=times, expected_nasalance_pct=pct)
     rows = [f"{t:.6f},{v:.6f}" for t, v in zip(truth.times, truth.expected_nasalance_pct)]
-    assert truth_to_csv(truth) == "\n".join(["t_s,expected_nasalance_pct", *rows]) + "\n"
+    assert "".join(truth_to_csv(truth)) == "\n".join(["t_s,expected_nasalance_pct", *rows]) + "\n"
     empty = GroundTruth(times=[], expected_nasalance_pct=[])
-    assert truth_to_csv(empty) == "t_s,expected_nasalance_pct\n"
+    assert "".join(truth_to_csv(empty)) == "t_s,expected_nasalance_pct\n"
 
 
 def ramp_spec(n, sample_rate, carrier, noise=0.0, bleed=0.0, seed=3):
