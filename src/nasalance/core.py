@@ -80,20 +80,29 @@ def nasalance_track(it: IntensityTrack, mode: str = "amplitude") -> NasalanceTra
     db_per_decade = 20.0 if mode == "amplitude" else 10.0
     nasal, oral = it.nasal_db, it.oral_db
     floor = it.config.silence_floor_db
-    valid = (np.maximum(nasal, oral) > floor) & (
-        (nasal > DB_CLAMP_FLOOR) | (oral > DB_CLAMP_FLOOR)
-    )
-    diff = nasal - oral
-    r = np.power(10.0, -np.abs(diff) / db_per_decade)
-    larger = 100.0 - 100.0 * (r / (r + 1.0))
+    # two float arrays, pct and r, are all the work space: each step writes
+    # in place, with the same operations in the same order as whole-array
+    # steps, so every value is bitwise theirs
+    pct = np.maximum(nasal, oral)
+    valid = pct > floor
+    valid &= (nasal > DB_CLAMP_FLOOR) | (oral > DB_CLAMP_FLOOR)
+    diff = np.subtract(nasal, oral, out=pct)
+    nasal_larger = diff > 0
+    r = np.abs(diff)
+    np.negative(r, out=r)
+    np.divide(r, db_per_decade, out=r)
+    np.power(10.0, r, out=r)
+    np.divide(r, np.add(r, 1.0, out=pct), out=r)
+    np.multiply(100.0, r, out=r)
+    larger = np.subtract(100.0, r, out=r)
     # 100 - larger is exact (Sterbenz), so complementary frames pair up
     # bitwise under a channel swap; costs at most 7e-15 pp
-    smaller = 100.0 - larger
-    pct = np.where(diff <= 0, smaller, larger)
+    np.subtract(100.0, larger, out=pct)
+    np.copyto(pct, larger, where=nasal_larger)
     # a channel clamped to the floor is exactly silent, not 1e-15
-    pct = np.where(nasal <= DB_CLAMP_FLOOR, 0.0, pct)
-    pct = np.where(oral <= DB_CLAMP_FLOOR, 100.0, pct)
-    pct = np.where(valid, pct, np.nan)
+    np.copyto(pct, 0.0, where=nasal <= DB_CLAMP_FLOOR)
+    np.copyto(pct, 100.0, where=oral <= DB_CLAMP_FLOOR)
+    np.copyto(pct, np.nan, where=~valid)
     pct.flags.writeable = valid.flags.writeable = False  # kept without a copy
     return NasalanceTrack(times=it.times, nasalance_pct=pct, valid=valid)
 

@@ -26,6 +26,9 @@ DB_CLAMP_FLOOR = -300.0
 # frames, each overlapping the one before (25728 samples, 201 kB of float64
 # squares, at 48 kHz and 32/8 ms)
 _SPAN_FRAMES = 64
+# intensity_track makes the starts of this many frames at a time and frames
+# them into their slice of its output, so no per-frame work array is longer
+_BLOCK_FRAMES = 64 * _SPAN_FRAMES
 
 _WINDOWS = ("rectangular", "hann")
 
@@ -91,12 +94,19 @@ class IntensityTrack:
 
     Values are finite and at or above DB_CLAMP_FLOOR. There is no ceiling:
     band-pass ringing and calibration shifts can carry frames past 0 dB.
+
+    `index` holds each frame's index on the framing grid (frame k of a
+    recording is centred at k * step_ms + frame_length_ms / 2) when the
+    track holds only some of its frames, strictly increasing; None means
+    every frame, so frame i has index i. Each centre must sit step_ms times
+    the index gap after the one before it, within 1e-9 s.
     """
 
     times: np.ndarray
     nasal_db: np.ndarray
     oral_db: np.ndarray
     config: FrameConfig
+    index: np.ndarray | None = None
 
     def __post_init__(self):
         # a writeable input is copied, so the caller's arrays stay writeable
@@ -105,9 +115,21 @@ class IntensityTrack:
                               for x in (self.times, self.nasal_db, self.oral_db))
         if not len(times) == len(nasal) == len(oral):
             raise ValueError("times, nasal_db, oral_db must have equal length")
+        index = self.index
+        if index is not None:
+            index = _owned(index, np.int64)
+            if len(index) != len(times):
+                raise ValueError("index must have one grid index per frame")
+            if len(index) and (index[0] < 0 or np.any(np.diff(index) <= 0)):
+                raise ValueError("index must be non-negative and strictly increasing")
+            object.__setattr__(self, "index", index)
         step_s = self.config.step_ms / 1000.0
-        if len(times) > 1 and np.max(np.abs(np.diff(times) - step_s)) > 1e-9:
-            raise ValueError("frame centers are not uniformly spaced at step_ms")
+        # a block at a time, so no check array is as long as the track
+        for a in range(0, len(times) - 1, _BLOCK_FRAMES):
+            b = a + _BLOCK_FRAMES + 1
+            grid = step_s if index is None else np.diff(index[a:b]) * step_s
+            if np.max(np.abs(np.diff(times[a:b]) - grid)) > 1e-9:
+                raise ValueError("frame centers are not uniformly spaced at step_ms")
         for name, db in (("nasal_db", nasal), ("oral_db", oral)):
             # NaN fails the first comparison
             if len(db) and not (np.min(db) >= DB_CLAMP_FLOOR and np.max(db) < math.inf):
@@ -133,13 +155,13 @@ def window_weights(window, n: int) -> np.ndarray:
 
 
 def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
-               scale: float = 1.0) -> list[np.ndarray]:
+               scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
     """dB full scale of the frames that start at `starts`, for each channel.
 
     read(a, b) returns the stored samples [a, b) of each channel, a sequence
     of 1-D arrays whose values are stored / scale, and scale is a power of
-    two. The result holds one dB array per channel, in the order of
-    `starts`, which may be any order.
+    two. The result, `out` when it is given, holds one row of dB per
+    channel, in the order of `starts`, which may be any order.
 
     The sorted starts are cut into spans of at most _SPAN_FRAMES frames, and
     a span ends where the next frame does not overlap it, so a sparse set of
@@ -151,15 +173,22 @@ def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
     its own samples, never on the span it falls in: framing any subset of
     `starts` gives, bitwise, the same values as framing all of them.
 
+    The powers go straight into the result, which is then turned into dB in
+    place; only starts out of order need an argsort and rows of powers to
+    scatter from.
+
     The weighted sum of stored squares is scaled by scale**-2: scaling by a
     power of two commutes with rounding in the normal range, so the dB
     values are bitwise those of squaring stored / scale. (Squares of 16- and
     24-bit integers are exact in float64.)
     """
-    order = np.argsort(starts, kind="stable")
-    s = starts[order]
+    if np.all(starts[1:] >= starts[:-1]):
+        order, s = None, starts
+    else:
+        order = np.argsort(starts, kind="stable")
+        s = starts[order]
     gaps = np.diff(s)
-    power = []
+    power = None  # out, or the rows to scatter into it
     squares = np.empty(0)
     first = 0
     for end in np.append(np.flatnonzero(gaps >= frame_len) + 1, len(s)).tolist():
@@ -171,22 +200,64 @@ def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
                 windows = sliding_window_view(squares, frame_len)
             hop = int(gaps[i]) if j - i > 1 else 1
             even = hop > 0 and bool((gaps[i : j - 1] == hop).all())
-            for c, x in enumerate(read(a, b)):
-                if c == len(power):
-                    power.append(np.empty(len(s)))
+            channels = read(a, b)
+            if power is None:
+                if out is None:
+                    out = np.empty((len(channels), len(s)))
+                power = out if order is None else np.empty_like(out)
+            for c, x in enumerate(channels):
                 np.square(x, out=squares[: b - a], dtype=np.float64)
                 # evenly spaced frames are a strided view of the squares
                 frames = windows[::hop][: j - i] if even else windows[s[i:j] - a]
-                power[c][i:j] = np.vecdot(frames, w)
+                np.vecdot(frames, w, out=power[c, i:j])
         first = end
-    out = []
-    for p in power:
+    if out is None:
+        return np.empty((0, 0))
+    if order is not None:
+        out[:, order] = power
+    wsum = w.sum()
+    for db in out:
+        np.multiply(db, scale**-2, out=db)
+        np.divide(db, wsum, out=db)
+        np.sqrt(db, out=db)
         with np.errstate(divide="ignore"):
-            db = 20.0 * np.log10(np.sqrt(p * scale**-2 / w.sum()))
-        scattered = np.empty_like(db)
-        scattered[order] = np.maximum(db, DB_CLAMP_FLOOR)
-        out.append(scattered)
+            np.log10(db, out=db)
+        np.multiply(20.0, db, out=db)
+        np.maximum(db, DB_CLAMP_FLOOR, out=db)
     return out
+
+
+def _frame_count(n: int, frame_len: int, step_samples: float) -> int:
+    """Frames that fit in n samples: starts rint(k * step_samples) are
+    non-decreasing in k, so they are those of k up to the last whose frame
+    ends by sample n."""
+    k = int(np.floor((n - frame_len) / step_samples)) + 1
+    while int(np.rint(k * step_samples)) + frame_len > n:
+        k -= 1
+    return k + 1
+
+
+def _frames_around(at: np.ndarray, count: int, step_s: float,
+                   centre_s: float) -> np.ndarray:
+    """Sorted grid indices of the frames around each time in `at`: the last
+    centred at or before it and the first centred at or after it, clipped to
+    the count frames centred at k * step_s + centre_s.
+
+    These are the frames searchsorted would find on the track's times
+    (NaN sorts after every time), found without building them: an index
+    from division, then moved to where the same float centres say.
+    """
+    t = np.where(np.isnan(at), np.inf, at)
+    k = np.clip(np.floor((t - centre_s) / step_s), -1, count - 1).astype(np.int64)
+    while True:  # k becomes the last frame centred at or before t, or -1
+        up = (k < count - 1) & ((k + 1) * step_s + centre_s <= t)
+        down = (k >= 0) & (k * step_s + centre_s > t)
+        if not (up.any() or down.any()):
+            break
+        k += up
+        k -= down
+    after = k + ((k < 0) | (k * step_s + centre_s < t))  # first at or after t
+    return np.unique(np.concatenate([k, after]).clip(0, count - 1))
 
 
 def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
@@ -197,15 +268,15 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
     dropped. Frame centers sit at k*step + frame_length/2; start sample
     indices are rounded to the nearest sample when the hop is fractional.
     A loaded WAV's samples are read from its file span by span as they are
-    framed (see _frames_db), so memory grows with the number of frames, not
-    with the file.
+    framed (see _frames_db), and the frames are made a block at a time into
+    the track, so memory grows with the number of frames, not with the file.
 
-    With `at` (times in seconds), only the frames that `value_at` can read
-    at those times are framed: for each time, the last frame centred at or
-    before it and the first centred at or after it, clipped to the track.
-    Every other frame holds DB_CLAMP_FLOOR on both channels, which
-    `nasalance_track` marks invalid; no lookup at an `at` time reaches it.
-    The framed frames are bitwise those of framing every frame.
+    With `at` (times in seconds), the track holds only the frames that
+    `value_at` can read at those times, with their grid indices: for each
+    time, the last frame centred at or before it and the first centred at
+    or after it, clipped to the recording's frames. Their times and dB are
+    bitwise those of framing every frame, and `value_at` at an `at` time
+    gives what it gives on the whole track.
     """
     cfg = cfg or FrameConfig()
     sr = rec.sample_rate
@@ -219,27 +290,32 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
         )
     n = rec.n_samples
     if n < frame_len:
+        where = f"{rec.source_id}: " if rec.source_id else ""
         raise ValueError(
-            f"recording of {n} samples is shorter than one {frame_len}-sample frame"
+            f"{where}recording of {n} samples is shorter than one "
+            f"{frame_len}-sample frame"
         )
-    n_nominal = int(np.floor((n - frame_len) / step_samples)) + 1
-    starts = np.rint(np.arange(n_nominal + 1) * step_samples).astype(np.int64)
-    starts = starts[starts + frame_len <= n]
-    times = np.arange(len(starts)) * (cfg.step_ms / 1000.0) + frame_len / (2.0 * sr)
+    count = _frame_count(n, frame_len, step_samples)
+    step_s, centre_s = cfg.step_ms / 1000.0, frame_len / (2.0 * sr)
     if at is None:
-        framed = slice(None)
+        index = None
+        times = np.arange(count) * step_s + centre_s
     else:
-        at = np.asarray(at, dtype=np.float64)
-        framed = np.unique(np.concatenate([
-            np.searchsorted(times, at, side="right") - 1,
-            np.searchsorted(times, at, side="left"),
-        ]).clip(0, len(times) - 1))
+        index = _frames_around(np.asarray(at, dtype=np.float64), count, step_s, centre_s)
+        times = index * step_s + centre_s
     w = window_weights(cfg.window, frame_len)
-    db = np.full((2, len(times)), DB_CLAMP_FLOOR)
+    db = np.empty((2, len(times)))
     with rec.stored() as read:
-        db[:, framed] = _frames_db(read, starts[framed], frame_len, w, rec.scale)
-    times.flags.writeable = db.flags.writeable = False  # kept without a copy
-    return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg)
+        for a in range(0, len(times), _BLOCK_FRAMES):
+            b = min(a + _BLOCK_FRAMES, len(times))
+            k = np.arange(a, b) if index is None else index[a:b]
+            starts = np.rint(k * step_samples).astype(np.int64)
+            _frames_db(read, starts, frame_len, w, rec.scale, out=db[:, a:b])
+    for x in (times, db, index):
+        if x is not None:
+            x.flags.writeable = False  # kept without a copy
+    return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg,
+                          index=index)
 
 
 # The band-pass kernel ends where its slowest pole has decayed by this factor

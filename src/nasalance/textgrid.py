@@ -4,9 +4,11 @@ Reads both the long and the short text formats with one lexer: a compiled
 pattern whose every match skips the text that carries no payload
 (separators, bracket indices, long-format key words) and then takes one
 token (a quoted string, a <flag> or a number), so the two formats parse
-through one code path. A stray word, a non-finite number or an unterminated
-string, bracket or flag is an error located by its line. Writing always
-emits the long format with 6-decimal times.
+through one code path. Tokens are lexed one at a time as the parser takes
+them, so none are held, and a line is counted only for an error. A stray
+word, a non-finite number or an unterminated string, bracket or flag is an
+error located by its line. Writing always emits the long format with
+6-decimal times.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import re
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 
 from .errors import TextGridParseError
 
@@ -35,7 +38,7 @@ _KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     tmin: float
     tmax: float
@@ -107,150 +110,193 @@ _UNTERMINATED = {'"': "unterminated string", "[": "unterminated bracket",
                  "<": "unterminated flag"}
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """(kind, value, line) payload tokens for both TextGrid text formats.
+def _line(text: str, pos: int) -> int:
+    return text.count("\n", 0, pos) + 1
+
+
+def _tokenize(text: str):
+    """Yield the (kind, value, pos) payload tokens of both TextGrid text
+    formats, one at a time, pos being the token's offset in text.
 
     kind is "num", "str" or "flag"; quoted strings may span lines and use
-    doubled quotes for embedded quotes.
+    doubled quotes for embedded quotes. Lines are counted only for an error.
     """
-    tokens = []
-    line, pos = 1, 0
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        value = m[kind]
-        line += text.count("\n", pos, m.start(kind))
-        pos = m.end()
+        value, pos = m[kind], m.start(kind)
         if kind == "num":
             try:
                 number = float(value)
             except ValueError:
                 raise TextGridParseError(
-                    f"non-numeric value {value!r}", line=line) from None
+                    f"non-numeric value {value!r}", line=_line(text, pos)) from None
             if not math.isfinite(number):
-                raise TextGridParseError(f"non-finite value {value!r}", line=line)
-            tokens.append(("num", number, line))
+                raise TextGridParseError(f"non-finite value {value!r}",
+                                         line=_line(text, pos))
+            yield "num", number, pos
         elif kind == "str":
-            tokens.append(("str", value[1:-1].replace('""', '"'), line))
-            line += value.count("\n")
+            yield "str", value[1:-1].replace('""', '"'), pos
         elif kind == "flag":
-            tokens.append(("flag", value[1:-1], line))
-            line += value.count("\n")
+            yield "flag", value[1:-1], pos
         elif kind == "word":
-            raise TextGridParseError(f"unexpected word {value!r}", line=line)
+            raise TextGridParseError(f"unexpected word {value!r}", line=_line(text, pos))
         elif kind == "bad":
             raise TextGridParseError(
                 _UNTERMINATED.get(value, f"unexpected character {value!r}"),
-                line=line)
-    return tokens
+                line=_line(text, pos))
 
 
 class _Stream:
-    def __init__(self, tokens):
-        self._tokens = tokens
-        self._pos = 0
+    """The payload tokens of a TextGrid text, lexed as the parser takes them.
+
+    A lexer error anywhere in the text comes before any grammar error, as if
+    the whole text were lexed first: `error` lexes the rest of the text
+    before it gives the grammar error, so a later lexer error is raised
+    instead.
+    """
+
+    def __init__(self, text: str):
+        self._text = text
+        self._tokens = _tokenize(text)
+        self._peek = None  # the next token, looked at before it is taken
+        self._pos = 0  # offset of the next token, or of the last one at the end
+        self.lexed = False  # the whole text lexed without error (lex_rest)
+        self._take()
+
+    def lex_rest(self) -> None:
+        """Lex the tokens not taken, raising the first lexer error."""
+        for _ in self._tokens:
+            pass
+        self.lexed = True
+
+    def error(self, message, pos=None) -> TextGridParseError:
+        """The error to raise at offset pos (by default the next token, or
+        the last one at the end of the text), once the rest is lexed."""
+        self.lex_rest()
+        pos = self._pos if pos is None else pos
+        return TextGridParseError(message, line=_line(self._text, pos))
 
     def exhausted(self) -> bool:
-        return self._pos >= len(self._tokens)
+        return self._peek is None
 
-    @property
-    def last_line(self) -> int:
-        if self._tokens:
-            return self._tokens[min(self._pos, len(self._tokens) - 1)][2]
-        return 1
+    def _take(self):
+        token = self._peek
+        self._peek = next(self._tokens, None)
+        if self._peek is not None:
+            self._pos = self._peek[2]
+        return token
 
     def _next(self, kind, what):
-        if self._pos >= len(self._tokens):
-            raise TextGridParseError(f"expected {what}, got end of file",
-                                     line=self.last_line)
-        got, value, line = self._tokens[self._pos]
+        if self._peek is None:
+            raise self.error(f"expected {what}, got end of file")
+        got, value, pos = self._peek
         if got != kind:
-            raise TextGridParseError(f"expected {what}, got {got} {value!r}",
-                                     line=line)
-        self._pos += 1
-        return value, line
+            raise self.error(f"expected {what}, got {got} {value!r}", pos)
+        self._take()
+        return value, pos
 
     def number(self, what) -> tuple[float, int]:
         return self._next("num", what)
 
     def count(self, what) -> tuple[int, int]:
-        value, line = self.number(what)
+        value, pos = self.number(what)
         if value != int(value) or value < 0:
-            raise TextGridParseError(f"{what} must be a non-negative integer",
-                                     line=line)
-        return int(value), line
+            raise self.error(f"{what} must be a non-negative integer", pos)
+        return int(value), pos
 
     def string(self, what) -> tuple[str, int]:
         return self._next("str", what)
 
     def flag_or_none(self):
-        if not self.exhausted() and self._tokens[self._pos][0] == "flag":
-            self._pos += 1
-            return self._tokens[self._pos - 1][1]
+        if self._peek is not None and self._peek[0] == "flag":
+            return self._take()[1]
         return None
 
 
 def decode_textgrid(data: bytes) -> str:
-    """Decode TextGrid bytes: UTF-16 (either order, with BOM) or UTF-8."""
-    if data[:2] in (b"\xff\xfe", b"\xfe\xff"):
-        return data.decode("utf-16")
-    return data.decode("utf-8-sig")
+    """Decode TextGrid bytes: UTF-16 (either order, with BOM) or UTF-8.
+
+    Bytes that do not decode raise TextGridParseError at their line and
+    byte offset.
+    """
+    utf16 = data[:2] in (b"\xff\xfe", b"\xfe\xff")
+    encoding = "utf-16" if utf16 else "utf-8-sig"
+    try:
+        return data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode(encoding, errors="replace")
+        raise TextGridParseError(
+            f"not {'UTF-16' if utf16 else 'UTF-8'} text at byte offset "
+            f"{exc.start}: {exc.reason}", line=before.count("\n") + 1) from None
 
 
 def parse_textgrid(text) -> list[IntervalTier]:
     """Parse TextGrid file contents (str or bytes) into interval tiers.
 
     Point tiers are skipped with a PointTierSkippedWarning; tiers come back
-    in file order.
+    in file order. The text is lexed as it is parsed; a lexer error anywhere
+    comes before a grammar error, and the warnings are given only once the
+    whole text has lexed.
     """
     if isinstance(text, bytes):
         text = decode_textgrid(text)
-    stream = _Stream(_tokenize(text))
+    stream = _Stream(text)
+    skipped = []
+    try:
+        tiers = _parse_tiers(stream, skipped)
+        stream.lex_rest()  # what follows an <absent> flag is lexed too
+    finally:
+        if stream.lexed:  # as when every token was lexed before parsing
+            for name in skipped:
+                warnings.warn(f"skipping point tier {name!r}", PointTierSkippedWarning,
+                              stacklevel=2)
+    return tiers
 
-    file_type, line = stream.string("file type header")
+
+def _parse_tiers(stream: _Stream, skipped: list) -> list[IntervalTier]:
+    file_type, pos = stream.string("file type header")
     if file_type != "ooTextFile":
-        raise TextGridParseError(f"not an ooTextFile (got {file_type!r})", line=line)
-    object_class, line = stream.string("object class header")
+        raise stream.error(f"not an ooTextFile (got {file_type!r})", pos)
+    object_class, pos = stream.string("object class header")
     if object_class != "TextGrid":
-        raise TextGridParseError(f"not a TextGrid (got {object_class!r})", line=line)
+        raise stream.error(f"not a TextGrid (got {object_class!r})", pos)
     stream.number("grid xmin")
     stream.number("grid xmax")
     flag = stream.flag_or_none()
     if flag == "absent":
         return []
     if flag != "exists":
-        raise TextGridParseError(
-            "malformed header: missing tiers? <exists> flag", line=stream.last_line
-        )
+        raise stream.error("malformed header: missing tiers? <exists> flag")
     n_tiers, _ = stream.count("tier count")
 
     tiers = []
     for tier_index in range(1, n_tiers + 1):
-        tier_class, class_line = stream.string(f"class of tier {tier_index}")
+        tier_class, class_pos = stream.string(f"class of tier {tier_index}")
         name, _ = stream.string(f"name of tier {tier_index}")
         tmin, _ = stream.number(f"xmin of tier {name!r}")
         tmax, _ = stream.number(f"xmax of tier {name!r}")
         size, _ = stream.count(f"size of tier {name!r}")
         if tier_class == "IntervalTier":
             intervals = []
-            prev_tmax, prev_line = tmin, None
+            prev_tmax, prev_pos = tmin, None
             for j in range(1, size + 1):
                 what = f"interval {j} of tier {name!r}"
-                imin, l0 = stream.number(f"xmin of {what}")
-                imax, l1 = stream.number(f"xmax of {what}")
+                imin, p0 = stream.number(f"xmin of {what}")
+                imax, p1 = stream.number(f"xmax of {what}")
                 label, _ = stream.string(f"text of {what}")
                 if imin > imax:
-                    raise TextGridParseError(f"{what}: xmin > xmax", line=l0)
+                    raise stream.error(f"{what}: xmin > xmax", p0)
                 if imin != prev_tmax:
-                    raise TextGridParseError(
-                        f"{what}: starts at {imin:g}, expected {prev_tmax:g}", line=l0
+                    raise stream.error(
+                        f"{what}: starts at {imin:g}, expected {prev_tmax:g}", p0
                     )
                 intervals.append(Interval(imin, imax, label))
-                prev_tmax, prev_line = imax, l1
+                prev_tmax, prev_pos = imax, p1
             if intervals and intervals[-1].tmax != tmax:
-                raise TextGridParseError(
+                raise stream.error(
                     f"tier {name!r}: last interval ends at "
                     f"{intervals[-1].tmax:g}, tier ends at {tmax:g}",
-                    line=prev_line,
+                    prev_pos,
                 )
             tiers.append(IntervalTier(name=name, tmin=tmin, tmax=tmax,
                                       intervals=tuple(intervals)))
@@ -258,25 +304,24 @@ def parse_textgrid(text) -> list[IntervalTier]:
             for j in range(1, size + 1):
                 stream.number(f"time of point {j} in tier {name!r}")
                 stream.string(f"mark of point {j} in tier {name!r}")
-            warnings.warn(
-                f"skipping point tier {name!r}", PointTierSkippedWarning,
-                stacklevel=2,
-            )
+            skipped.append(name)
         else:
-            raise TextGridParseError(
-                f"unknown tier class {tier_class!r}", line=class_line
-            )
+            raise stream.error(f"unknown tier class {tier_class!r}", class_pos)
     if not stream.exhausted():
-        raise TextGridParseError(
-            "unexpected content after final tier", line=stream.last_line
-        )
+        raise stream.error("unexpected content after final tier")
     return tiers
 
 
 def read_textgrid(path) -> list[IntervalTier]:
-    """Read and parse a TextGrid file from disk."""
-    with open(path, "rb") as fh:
-        return parse_textgrid(fh.read())
+    """Read and parse a TextGrid file from disk; a TextGridParseError names
+    the file."""
+    try:
+        with open(path, "rb") as fh:
+            text = decode_textgrid(fh.read())  # the bytes are freed once decoded
+        return parse_textgrid(text)
+    except TextGridParseError as exc:
+        exc.args = (f"{Path(path).name}: {exc}",)
+        raise
 
 
 def _quote(label: str) -> str:

@@ -167,6 +167,25 @@ def held_wav_bytes(channels, sample_rate, sample_format="float32") -> bytes:
     return header + b"data" + struct.pack("<I", len(payload)) + payload
 
 
+def held_nasalance_track(it, mode: str = "amplitude") -> tuple[np.ndarray, np.ndarray]:
+    """(nasalance_pct, valid) of core.nasalance_track, in whole-array steps,
+    each a new array."""
+    db_per_decade = 20.0 if mode == "amplitude" else 10.0
+    nasal, oral = it.nasal_db, it.oral_db
+    floor = it.config.silence_floor_db
+    valid = (np.maximum(nasal, oral) > floor) & (
+        (nasal > DB_CLAMP_FLOOR) | (oral > DB_CLAMP_FLOOR)
+    )
+    diff = nasal - oral
+    r = np.power(10.0, -np.abs(diff) / db_per_decade)
+    larger = 100.0 - 100.0 * (r / (r + 1.0))
+    smaller = 100.0 - larger
+    pct = np.where(diff <= 0, smaller, larger)
+    pct = np.where(nasal <= DB_CLAMP_FLOOR, 0.0, pct)
+    pct = np.where(oral <= DB_CLAMP_FLOOR, 100.0, pct)
+    return np.where(valid, pct, np.nan), valid
+
+
 def nasalance_csv_text(nt) -> str:
     """The whole text core.nasalance_to_csv writes, formed in one pass."""
     rows = ["%.6f,%.6f,1" % (t, v) if ok else "%.6f,,0" % t

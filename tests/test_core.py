@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import tone_recording
+from oracles import held_nasalance_track
 from nasalance.audio_io import StereoRecording
 from nasalance.core import (
     NasalanceTrack,
@@ -223,3 +224,57 @@ def test_nasalance_track_leaves_caller_arrays_writeable():
     assert kept.times is times and kept.nasalance_pct is pct and kept.valid is valid
     it = intensity_track(tone_recording(), FrameConfig())
     assert nasalance_track(it).times is it.times
+
+
+@pytest.mark.parametrize("mode", ["amplitude", "power"])
+def test_in_place_track_is_the_whole_array_oracle(mode):
+    # the in-place steps give bitwise the whole-array ones, on frames of
+    # every kind: either channel louder, equal, clamped or under the floor
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 64, 1001, 40000):
+        db = rng.uniform(-90.0, 10.0, (2, n))
+        kind = rng.integers(0, 6, (2, n))
+        db[kind == 0] = DB_CLAMP_FLOOR  # silent channel
+        db[kind == 1] = rng.uniform(-299.0, -61.0, int((kind == 1).sum()))  # quiet
+        db[1, kind[0] == 2] = db[0, kind[0] == 2]  # equal levels
+        it = make_track(db[0], db[1])
+        nt = nasalance_track(it, mode)
+        pct, valid = held_nasalance_track(it, mode)
+        assert nt.nasalance_pct.tobytes() == pct.tobytes()
+        np.testing.assert_array_equal(nt.valid, valid)
+        if n == 40000:
+            assert 0 < valid.sum() < n and (pct == 0.0).any() and (pct == 100.0).any()
+
+
+@pytest.mark.parametrize("sample_rate", [48000, 44100])
+@pytest.mark.parametrize("method", ["nearest", "linear"])
+def test_value_at_is_the_same_on_sparse_and_whole_tracks(sample_rate, method):
+    # at the times a sparse track was framed for, value_at gives bitwise the
+    # whole track's value, or the same reject reason: on nearest-frame ties,
+    # on centres, at and past both edges, and next to silent frames
+    rng = np.random.default_rng(sample_rate)
+    x = rng.uniform(-0.5, 0.5, (2, sample_rate))
+    x[:, sample_rate // 2 : sample_rate // 2 + 2000] = 0.0
+    rec = StereoRecording(x[0], x[1], sample_rate)
+    dense = nasalance_track(intensity_track(rec))
+    times = dense.times
+    ties = [m for k in range(len(times) - 1)
+            if (m := (times[k] + times[k + 1]) / 2) - times[k] == times[k + 1] - m]
+    at = [*ties[::7], *times[::9], times[0], times[-1], np.nextafter(times[0], 0),
+          np.nextafter(times[-1], 2), -1.0, 2.0, np.nan,
+          *rng.uniform(0.45, 0.6, 40)]
+    assert len(ties) > 10
+
+    def measured(nt, t):
+        try:
+            return value_at(nt, t, method)
+        except UnmeasurableError as exc:
+            return exc.reason
+
+    for framed_at in (at, *([t] for t in at)):
+        sparse = nasalance_track(intensity_track(rec, at=framed_at))
+        for t in framed_at:
+            got, want = measured(sparse, t), measured(dense, t)
+            assert repr(got) == repr(want), (t, got, want)
+    reasons = {measured(dense, t) for t in at}
+    assert {"outside-track", "invalid-frame"} <= reasons

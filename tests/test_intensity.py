@@ -20,7 +20,9 @@ from nasalance.audio_io import (
     write_wav,
 )
 from nasalance.intensity import (
+    _BLOCK_FRAMES,
     _FFT_BLOCK,
+    _SPAN_FRAMES,
     DB_CLAMP_FLOOR,
     BandpassSpec,
     FrameConfig,
@@ -198,25 +200,62 @@ def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_
 
 
 def test_sparse_track_frames_the_frames_around_each_time():
+    # the sparse track holds, for each time, the last frame centred at or
+    # before it and the first at or after it, clipped to the recording's
+    # frames: the frames searchsorted finds on the whole track's times (NaN
+    # sorts last), with their grid indices and, bitwise, their times and dB
     rng = np.random.default_rng(4)
-    for sample_rate in (48000, 44100):
+    for sample_rate in (48000, 44100):  # 44.1 kHz: a fractional hop
         x = rng.uniform(-0.5, 0.5, (2, sample_rate))
+        x[:, : sample_rate // 10] = 0.0  # silence clamps
         rec = StereoRecording(x[0], x[1], sample_rate)
         full = intensity_track(rec)
-        times = full.times
-        # before the first centre, on a centre, between two, after the last,
-        # twice the same time, and NaN (clipped to the last frame)
-        at = [0.0, times[10], (times[20] + times[21]) / 2, times[-1] + 0.001,
-              times[10], math.nan]
-        sparse = intensity_track(rec, at=at)
-        framed = [0, 10, 20, 21, len(times) - 1]
-        others = np.setdiff1d(np.arange(len(times)), framed)
-        np.testing.assert_array_equal(sparse.times, times)
-        for got, want in ((sparse.nasal_db, full.nasal_db),
-                          (sparse.oral_db, full.oral_db)):
-            np.testing.assert_array_equal(got[framed], want[framed])
-            assert np.all(got[others] == DB_CLAMP_FLOOR)
-        assert np.all(intensity_track(rec, at=[]).nasal_db == DB_CLAMP_FLOOR)
+        times, last = full.times, len(full) - 1
+        cases = [
+            ([0.0], [0]),  # before the first centre
+            ([times[10]], [10]),  # on a centre
+            ([(times[20] + times[21]) / 2], [20, 21]),  # halfway
+            ([times[-1] + 0.001], [last]),  # past the last
+            ([times[10], times[10], times[30]], [10, 30]),  # repeated
+            ([math.nan], [last]),
+            ([-math.inf, math.inf], [0, last]),
+            ([], []),
+        ]
+        on_grid = times[rng.integers(0, len(times), 200)]
+        anywhere = np.concatenate([
+            rng.uniform(-0.05, 1.05, 400), on_grid,
+            np.nextafter(on_grid, -math.inf), np.nextafter(on_grid, math.inf)])
+        framed = np.unique(np.concatenate([
+            np.searchsorted(times, anywhere, side="right") - 1,
+            np.searchsorted(times, anywhere, side="left")]).clip(0, last))
+        cases.append((anywhere, framed))
+        for at, framed in cases:
+            sparse = intensity_track(rec, at=at)
+            np.testing.assert_array_equal(sparse.index, framed)
+            assert sparse.times.tobytes() == times[framed].tobytes()
+            assert sparse.nasal_db.tobytes() == full.nasal_db[framed].tobytes()
+            assert sparse.oral_db.tobytes() == full.oral_db[framed].tobytes()
+        assert full.index is None
+
+
+def test_sparse_track_centres_sit_on_the_grid_of_their_index():
+    # the spacing check is today's for a whole track and as strict for a
+    # sparse one: each gap is step_ms times the index gap, within 1e-9 s
+    cfg = FrameConfig()
+    times = 0.016 + 0.008 * np.array([0.0, 1.0, 5.0, 9.0])
+    db = np.full(4, -20.0)
+    track = IntensityTrack(times, db, db, cfg, index=[0, 1, 5, 9])
+    assert track.index.dtype == np.int64 and not track.index.flags.writeable
+    for index in ([0, 1, 5, 8], [0, 1, 4, 8]):
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            IntensityTrack(times, db, db, cfg, index=index)
+    with pytest.raises(ValueError, match="not uniformly spaced"):
+        IntensityTrack(times + [0, 0, 2e-9, 2e-9], db, db, cfg, index=[0, 1, 5, 9])
+    for index, message in (([0, 1, 5], "one grid index per frame"),
+                           ([-1, 0, 4, 8], "non-negative and strictly increasing"),
+                           ([0, 1, 1, 9], "non-negative and strictly increasing")):
+        with pytest.raises(ValueError, match=message):
+            IntensityTrack(times, db, db, cfg, index=index)
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
@@ -310,6 +349,35 @@ def test_load_and_track_allocate_spans_and_per_frame_arrays(tmp_path):
     assert peaks[1] - peaks[0] <= 16 * 8 * (frames[1] - frames[0]), peaks
 
 
+@pytest.mark.parametrize("sample_rate", [8000, 11025])  # 11.025 kHz: gathered rows
+def test_whole_track_holds_its_output_and_one_span(sample_rate):
+    # framing every frame of a held take allocates the track (times and two
+    # dB rows) and, beyond it, only one span's buffers (its float64 squares,
+    # and rows gathered from them when the hop is fractional) and one block
+    # of per-frame work arrays: nothing else grows with the take (1-ms hop,
+    # so 30 s is 30k frames)
+    cfg = FrameConfig(step_ms=1.0)
+    frame_len = cfg.frame_samples(sample_rate)
+    span = math.ceil((_SPAN_FRAMES - 1) * sample_rate / 1000.0) + frame_len
+    span_bytes = 8 * (span + _SPAN_FRAMES * frame_len)
+    block_bytes = 16 * 8 * _BLOCK_FRAMES
+    rng = np.random.default_rng(sample_rate)
+    extra = []
+    for seconds in (30, 120):
+        x = rng.uniform(-0.5, 0.5, (2, seconds * sample_rate))
+        x.flags.writeable = False  # held without a copy
+        rec = StereoRecording(x[0], x[1], sample_rate)
+        tracemalloc.start()
+        try:
+            track = intensity_track(rec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - 24 * len(track))
+        assert extra[-1] < span_bytes + block_bytes, (seconds, extra)
+    assert abs(extra[1] - extra[0]) < 64 * 1024, extra
+
+
 def test_frame_count_one_second_48k():
     rec = tone_recording(duration_s=1.0, sample_rate=48000)
     track = intensity_track(rec, FrameConfig())
@@ -328,6 +396,13 @@ def test_single_frame_recording():
 def test_too_short_recording():
     rec = tone_recording(duration_s=0.010, sample_rate=48000)
     with pytest.raises(ValueError, match="shorter than one"):
+        intensity_track(rec, FrameConfig())
+
+
+def test_too_short_recording_is_named():
+    rec = StereoRecording(np.zeros(100), np.zeros(100), 48000, source_id="take.wav")
+    with pytest.raises(ValueError, match="^take.wav: recording of 100 samples is "
+                                         "shorter than one 1536-sample frame$"):
         intensity_track(rec, FrameConfig())
 
 
@@ -685,10 +760,9 @@ def test_sparse_framing_of_bandpassed_take_filters_only_its_block(tmp_path, monk
     got = intensity_track(bandpass(rec, spec), at=[3.5 * hop / sr])  # mid block 3
     assert reads and min(a for a, _ in reads) >= 3 * hop - half
     assert max(b for _, b in reads) <= 4 * hop + half
-    framed = np.flatnonzero(got.nasal_db > DB_CLAMP_FLOOR)
-    assert len(framed) == 2
-    np.testing.assert_array_equal(got.nasal_db[framed], want.nasal_db[framed])
-    np.testing.assert_array_equal(got.oral_db[framed], want.oral_db[framed])
+    assert len(got) == 2
+    np.testing.assert_array_equal(got.nasal_db, want.nasal_db[got.index])
+    np.testing.assert_array_equal(got.oral_db, want.oral_db[got.index])
 
 
 def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):

@@ -1,5 +1,7 @@
 """Token extraction over synthetic recordings with known per-word nasalance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,30 @@ def test_sparse_framing_matches_the_full_track(monkeypatch, sample_rate, method,
     assert {r.reason for r in sparse[1]} == {
         "midpoint outside track", "unmeasurable at midpoint", "unmapped word",
         "empty word interval"}
+
+
+def test_token_records_memory_does_not_grow_with_the_take():
+    # at a fixed token count, a take eight times as long allocates nothing
+    # more: only the frames around each midpoint are framed and held
+    sample_rate = 8000
+    tiers = make_alignment_tiers([("bin", "IH1"), ("bed", "EH1")] * 40)  # 20 s
+    rng = np.random.default_rng(6)
+    peaks = []
+    for seconds in (20, 160):
+        x = rng.uniform(-0.5, 0.5, (2, seconds * sample_rate))
+        x.flags.writeable = False  # held without a copy
+        rec = StereoRecording(x[0], x[1], sample_rate, source_id="take")
+        extract_token_records(rec, tiers, WORDLIST, speaker="s", system="x")
+        tracemalloc.start()
+        try:
+            records, _ = extract_token_records(rec, tiers, WORDLIST, speaker="s",
+                                               system="x")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 80
+    # 20k frames more: one whole-track float64 array would be 140 kB
+    assert abs(peaks[1] - peaks[0]) < 32 * 1024, peaks
 
 
 def test_token_csv_round_trip():

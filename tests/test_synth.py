@@ -8,8 +8,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import nasalance.synth
 from oracles import held_synthesize
-from nasalance.audio_io import _BLOCK_FRAMES
+from nasalance.audio_io import _BLOCK_FRAMES, _blocks
 from nasalance.core import nasalance_track
 from nasalance.errors import SynthSpecError
 from nasalance.intensity import FrameConfig, intensity_track
@@ -284,10 +285,13 @@ def test_one_sample_spec_is_silent():
         synthesize(ramp_spec(1, 48000.0, SineCarrier(440.0)))
 
 
-def test_synthesize_holds_only_its_two_channels():
+def test_synthesize_holds_only_its_two_channels(monkeypatch):
     # beyond the two float64 channels, a take four times as long allocates
-    # nothing more: every other array is a block of one of the two threads
-    # (one whole-signal float64 temporary would add 5.5 MB from 5 s to 20 s)
+    # nothing more: every other array is a block (one whole-signal float64
+    # temporary would add 5.5 MB from 5 s to 20 s). The render runs in this
+    # thread, so the peak does not depend on how two threads' blocks overlap.
+    monkeypatch.setattr(nasalance.synth, "_in_two_threads",
+                        lambda work, n: work(list(_blocks(n))))
     extra = []
     for seconds in (5, 20):
         spec = ramp_spec(seconds * 48000, 48000.0, HarmonicCarrier(120.0, 2), noise=1e-4)

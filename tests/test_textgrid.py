@@ -1,15 +1,25 @@
 """TextGrid parsing, format equivalence, round-trips, token selection."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corpus_variants, random_tiers, write_long, write_short
+from conftest import (
+    corpus_variants,
+    make_alignment_tiers,
+    random_tiers,
+    write_long,
+    write_short,
+)
 from nasalance.errors import TextGridParseError
 from nasalance.textgrid import (
     Interval,
     IntervalTier,
     PointTierSkippedWarning,
+    decode_textgrid,
     find_tier,
     parse_textgrid,
     read_textgrid,
@@ -404,3 +414,73 @@ def test_parse_round_trips_awkward_labels(tiers):
     assert parse_textgrid(write_long(tiers)) == tiers
     assert parse_textgrid(write_short(tiers)) == tiers
     assert parse_textgrid(serialize_textgrid(tiers)) == tiers
+
+
+def test_a_later_lexer_error_comes_before_a_grammar_error():
+    # the text is lexed as it is parsed, yet a lexer error anywhere still
+    # comes first, and a skipped point tier warns only once all has lexed
+    late = MINIMAL_LONG.replace('text = "ih"', 'text = "ih" #')
+    for early in (('"ooTextFile"', '"Spreadsheet"'), ("size = 2", "size = 3"),
+                  ("xmin = 0.4", "xmin = 0.5")):
+        with pytest.raises(TextGridParseError) as err:
+            parse_textgrid(late.replace(*early, 1))
+        assert str(err.value) == "unexpected character '#' (line 22)"
+    with pytest.raises(TextGridParseError, match="non-finite value '1e999'"):
+        parse_textgrid(MINIMAL_SHORT.replace("<exists>", "<absent>") + "1e999\n")
+    tiers = random_tiers(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TextGridParseError, match="unexpected character"):
+            parse_textgrid(write_long(tiers, with_point_tier=True) + "#")
+    with pytest.warns(PointTierSkippedWarning):
+        with pytest.raises(TextGridParseError, match="unexpected content"):
+            parse_textgrid(write_long(tiers, with_point_tier=True) + '"x"')
+
+
+def test_undecodable_textgrid_is_located(tmp_path):
+    # a Latin-1 file read as UTF-8: the error gives the file, the byte
+    # offset of the first bad byte and its line
+    text = MINIMAL_LONG.replace('text = "ih"', 'text = "ih\u00e9"')
+    path = tmp_path / "latin1.TextGrid"
+    path.write_bytes(text.encode("latin-1"))
+    offset = text.encode("latin-1").index(b"\xe9")
+    with pytest.raises(TextGridParseError) as err:
+        read_textgrid(path)
+    assert str(err.value) == (f"latin1.TextGrid: not UTF-8 text at byte offset "
+                              f"{offset}: invalid continuation byte (line 22)")
+    assert err.value.line == 22
+    # UTF-16 with an odd byte count: the last byte is cut off
+    with pytest.raises(TextGridParseError, match="not UTF-16 text at byte offset") as err:
+        decode_textgrid(MINIMAL_LONG.encode("utf-16") + b"\x00")
+    assert err.value.line == MINIMAL_LONG.count("\n") + 1
+
+
+def test_truncated_textgrid_names_the_file(tmp_path):
+    path = tmp_path / "cut.TextGrid"
+    path.write_text(MINIMAL_LONG[: MINIMAL_LONG.index("intervals [2]")])
+    with pytest.raises(TextGridParseError) as err:
+        read_textgrid(path)
+    assert str(err.value) == ("cut.TextGrid: expected xmin of interval 2 of tier "
+                              "'phones', got end of file (line 18)")
+    assert err.value.line == 18
+
+
+def test_read_textgrid_memory_does_not_grow_with_tokens(tmp_path):
+    # beyond the tiers it returns and the file's text, parsing holds no
+    # per-token list: four times the intervals add only what is kept
+    extra = []
+    for n_words in (500, 2000):
+        path = tmp_path / f"{n_words}.TextGrid"
+        tiers = make_alignment_tiers([("bin", "IH1")] * n_words)
+        path.write_text(serialize_textgrid(tiers))
+        read_textgrid(path)
+        tracemalloc.start()
+        try:
+            tiers = read_textgrid(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(t.intervals) for t in tiers) == 4 * n_words
+        extra.append(peak - kept - path.stat().st_size)
+    # the parser's token list was 2.3 MB more at 8000 intervals than at 2000
+    assert extra[1] - extra[0] < 64 * 1024, extra
