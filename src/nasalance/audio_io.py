@@ -116,10 +116,10 @@ class StereoRecording:
         (0 nasal, 1 oral), by default (nasal, oral). A file no role reads is
         not opened.
 
-        For held channels these are slices; for a loaded WAV they are read
-        from the file into buffers that the next read reuses, so each pair
-        holds only until then. A read of a file that no longer holds the
-        samples raises AudioFormatError. 0 <= a <= b <= n_samples.
+        For held channels these are slices; a loaded WAV's are read, and a
+        band-passed one's filtered, into buffers that the next read reuses,
+        so each pair holds only until then. A read of a file that no longer
+        holds the samples raises AudioFormatError. 0 <= a <= b <= n_samples.
         """
         start = self._start
         with self._channels.reader(roles) as read:

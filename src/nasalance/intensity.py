@@ -7,7 +7,6 @@ ratio downstream, so no absolute SPL calibration is pretended.
 
 from __future__ import annotations
 
-import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -374,7 +373,7 @@ class _Bandpassed:
         self.hop = n_fft - 2 * half
         # the even kernel wrapped around index 0, so its spectrum is real
         self.kernel_fft = np.fft.rfft(np.concatenate(
-            [taps, np.zeros(self.hop - 1), taps[:0:-1]])).real
+            [taps, np.zeros(self.hop - 1), taps[:0:-1]])).real.copy()
 
     @contextmanager
     def reader(self, roles=(0, 1)):
@@ -382,9 +381,12 @@ class _Bandpassed:
         from concurrent.futures import ThreadPoolExecutor
 
         half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.hop
-        buf, k = np.empty((len(roles), n_fft)), np.arange(1, half + 1)
+        # block j is filtered in place in slot j % 2 of a ring, a row per role
+        ring, k = np.empty((2, len(roles), n_fft)), np.arange(1, half + 1)
+        spectra = np.empty((len(roles), n_fft // 2 + 1), complex)
+        held = [(-1, ()), (-1, ())]  # (block index, output views) of each slot
 
-        def filtered(row, x, s):  # one channel's block at s
+        def filtered(row, spectrum, x, s):  # one channel's block at s
             # row holds samples s .. s + n_fft of the recording extended by
             # R = half samples each side, then zeros: sample i is at i + o
             o = half - s
@@ -398,25 +400,35 @@ class _Bandpassed:
                 tail = 2.0 * row[o + n - 1] - row[o + np.maximum(n - 1 - k, 0)]
                 row[o + n : o + n + half] = tail[: n_fft - o - n]
             row[max(0, o + n + half) :] = 0.0
-            y = np.fft.irfft(np.fft.rfft(row) * self.kernel_fft, n_fft)
-            y = y[half : half + min(hop, n - s)]
+            np.multiply(np.fft.rfft(row, out=spectrum), self.kernel_fft, out=spectrum)
+            np.fft.irfft(spectrum, n_fft, out=row)
+            y = row[half : half + min(hop, n - s)]
             y.flags.writeable = False
             return y
 
-        @functools.lru_cache(maxsize=2)  # the two blocks filtered last
         def block(j):  # output samples [j*hop, (j+1)*hop) of each of roles
-            s = j * hop
-            *rest, last = read_input(max(s - half, 0), min(s - half + n_fft, n))
-            # NumPy's FFTs release the GIL: every role but the last runs in the worker
-            rest = [pool.submit(filtered, row, x, s) for row, x in zip(buf, rest)]
-            last = filtered(buf[-1], last, s)
-            return (*(f.result() for f in rest), last)
+            if held[j % 2][0] != j:
+                held[j % 2] = (-1, ())  # until its rows are whole again
+                s, rows = j * hop, ring[j % 2]
+                *rest, last = read_input(max(s - half, 0), min(s - half + n_fft, n))
+                # NumPy's FFTs release the GIL: every role but the last runs in the worker
+                rest = [pool.submit(filtered, *job, s) for job in zip(rows, spectra, rest)]
+                last = filtered(rows[-1], spectra[-1], last, s)
+                held[j % 2] = (j, (*(f.result() for f in rest), last))
+            return held[j % 2][1]
 
-        def read(a, b):  # views of one block, or its blocks' pieces joined
+        def read(a, b):  # views of one block, or its blocks' pieces copied out
             first = min(a, n - 1) // hop
-            parts = [[y[max(a - j * hop, 0) : b - j * hop] for y in block(j)]
-                     for j in range(first, max(first, (b - 1) // hop) + 1)]
-            return tuple(parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+            last = max(first, (b - 1) // hop)
+            if first == last:
+                return tuple(y[a - first * hop : b - first * hop] for y in block(first))
+            out = np.empty((len(roles), b - a))
+            for j in range(first, last + 1):  # copied before block j + 2 takes its slot
+                lo, hi = max(a, j * hop), min(b, (j + 1) * hop)
+                for row, y in zip(out, block(j)):
+                    row[lo - a : hi - a] = y[lo - j * hop : hi - j * hop]
+            out.flags.writeable = False
+            return tuple(out)
 
         with self.rec.stored(roles) as read_input, ThreadPoolExecutor(1) as pool:
             yield read
@@ -434,9 +446,11 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     1e-13 (about 0.11 s for 60:4000 Hz), and applied by overlap-save on a
     fixed grid of power-of-two FFT blocks. Nothing is filtered here: the
     result filters a block of the channels a read asks for (both in two
-    threads) when the read needs it and keeps the last two, so framing a few
-    spans filters only the blocks that hold them, decoding one channel
-    filters only that one, and memory is O(block), not O(output).
+    threads) when the read needs it, in place in buffers each reader
+    allocates once (two blocks per channel, block j in slot j % 2), so
+    framing a few spans filters only the blocks that hold them, decoding one
+    channel filters only that one, and memory is O(block), not O(output). A
+    read within one block returns views that hold until the next read.
 
     Edges: each channel is odd-extended by R samples about its end samples
     (held constant past the far end of a recording shorter than R). Further

@@ -25,7 +25,7 @@ from .output import _csv_blocks, _quoted
 _ZERO_ESTIMATE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenRecord:
     """One vowel token with its factors and midpoint nasalance."""
 

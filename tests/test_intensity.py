@@ -628,6 +628,112 @@ def test_streamed_bandpass_reads_in_any_order():
         np.testing.assert_array_equal(got, held[1][hop - 5 : hop + 5])
 
 
+def _ring_setup(seed):
+    # a 48 kHz take of 4 blocks and a bit, band-passed, and its oracle
+    sr, spec = 48000.0, BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sr)
+    hop = max(_FFT_BLOCK, 1 << (8 * half).bit_length()) - 2 * half
+    n = 4 * hop + 1000
+    x = np.random.default_rng(seed).uniform(-0.4, 0.4, (2, n))
+    out, held = _bandpassed_and_held(x[0], x[1], sr, spec)
+    return out, held, hop, n
+
+
+@pytest.mark.parametrize("roles", [(0,), (1,), (0, 1), (1, 0)])
+def test_bandpass_ring_rereads_evicted_blocks_and_spans_of_many(roles):
+    # the reader keeps two filtered blocks, block j in slot j % 2: coming back
+    # to a block that j + 2 evicted filters it again, and a span over three
+    # or more blocks is copied out piece by piece; every read is the
+    # oracle's, bitwise, and read-only
+    out, held, hop, n = _ring_setup(21)
+    mid = hop // 2
+    spans = [(mid, mid + 9), (2 * hop + mid, 2 * hop + mid + 9), (mid, mid + 9),
+             (hop + 1, hop + 5), (3 * hop + mid, 3 * hop + 99), (hop + 1, hop + 5),
+             (mid, 3 * hop + mid), (hop - 3, 4 * hop + 3), (0, n), (mid, mid + 9),
+             (4 * hop, n), (0, n), (2 * hop - 1, 2 * hop + 1), (n, n), (0, 0)]
+    with out.stored(roles) as read:
+        for a, b in spans:
+            got = read(a, b)
+            assert len(got) == len(roles)
+            for role, y in zip(roles, got):
+                assert not y.flags.writeable, (a, b)
+                np.testing.assert_array_equal(y, held[role][a:b])
+
+
+def test_bandpass_reader_refilters_a_block_whose_slot_failed(monkeypatch):
+    # a filter that raises halfway leaves its slot holding no block, so the
+    # block it was evicting is filtered again when it is read next
+    out, held, hop, n = _ring_setup(25)
+    irfft = np.fft.irfft
+    with out.stored((0,)) as read:
+        read(5, 10)  # block 0, in slot 0
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            read(2 * hop + 5, 2 * hop + 10)  # block 2, into slot 0
+        monkeypatch.setattr(np.fft, "irfft", irfft)
+        (got,) = read(5, 10)
+        np.testing.assert_array_equal(got, held[0][5:10])
+
+
+def test_bandpass_twice_equals_the_oracle_twice():
+    # the outer filter reads the inner one's ring, whose views hold only
+    # until its next read
+    out, held, hop, n = _ring_setup(22)
+    spec = BandpassSpec(60.0, 4000.0)
+    want = held_bandpass(held_recording(*held, out.sample_rate), spec)
+    twice = bandpass(out, spec)
+    np.testing.assert_array_equal(twice.nasal, want[0])
+    np.testing.assert_array_equal(twice.oral, want[1])
+    with twice.stored() as read:
+        for a, b in ((hop - 50, hop + 50), (0, n), (3 * hop, 3 * hop + 10)):
+            for got, w in zip(read(a, b), want):
+                np.testing.assert_array_equal(got, w[a:b])
+
+
+def test_two_readers_of_one_bandpassed_recording_keep_their_own_blocks():
+    # each reader has its own ring: reads through one do not overwrite the
+    # views the other returned
+    out, held, hop, n = _ring_setup(23)
+    with out.stored() as first, out.stored((1,)) as second:
+        for j in range(3):  # blocks 0 to 4
+            a = j * hop + 17
+            kept = first(a, a + 100)
+            for k in (j + 1, j + 2, j):
+                (y,) = second(k * hop + 5, k * hop + 50)
+                np.testing.assert_array_equal(y, held[1][k * hop + 5 : k * hop + 50])
+            for got, want in zip(kept, held):
+                np.testing.assert_array_equal(got, want[a : a + 100])
+
+
+def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
+    # after a warm-up call (lazy imports, FFT plans), sparse framing of a
+    # band-passed pcm16 take allocates the reader's ring of two blocks per
+    # role, one spectrum per role, the real kernel spectrum and the file's
+    # read buffer, all fixed by n_fft, and the per-frame arrays; no array
+    # per block
+    sample_rate, spec = 48000, BandpassSpec(60.0, 4000.0)
+    half = half_width(spec, sample_rate)
+    n_fft = max(_FFT_BLOCK, 1 << (8 * half).bit_length())
+    path = tmp_path / "take.wav"
+    seconds = 20
+    x = np.random.default_rng(24).uniform(-0.5, 0.5, (2, seconds * sample_rate))
+    write_wav(path, list(x), sample_rate, "pcm16")
+    at = np.arange(0.125, seconds, 0.25)  # a vowel midpoint every 250 ms
+    intensity_track(bandpass(load_stereo(path), spec), at=at)
+    tracemalloc.start()
+    try:
+        track = intensity_track(bandpass(load_stereo(path), spec), at=at)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ring = 2 * 2 * n_fft * 8
+    spectra = 2 * (n_fft // 2 + 1) * 16
+    kernel = (n_fft // 2 + 1) * 8
+    inputs = n_fft * 2 * 2  # one stereo pcm16 block of the file
+    per_frame = 16 * 8 * len(track)
+    assert peak <= ring + spectra + kernel + inputs + per_frame + 2**20, peak
+
+
 def test_decoding_one_role_filters_only_that_role(monkeypatch):
     # each block of a role costs one inverse FFT: decoding one channel runs
     # one per block, reading both roles two, and each role is the oracle's

@@ -158,6 +158,20 @@ def test_token_record_validation():
         make_token("s1", "", "v1", 50.0)
 
 
+def test_token_record_has_slots_and_still_checks():
+    # analyze and stats hold one record per token: no per-record __dict__
+    token = make_token("s1", "e1", "v1", 50.0)
+    assert not hasattr(token, "__dict__")
+    with pytest.raises(AttributeError):
+        token.nasalance_pct = 60.0
+    for bad in (-0.1, 100.1, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            make_token("s1", "e1", "v1", bad)
+    for system, environment, vowel in (("", "e1", "v1"), ("s1", "e1", "")):
+        with pytest.raises(ValueError, match="empty factor level"):
+            make_token(system, environment, vowel, 50.0)
+
+
 # --- OLS ------------------------------------------------------------------
 
 
