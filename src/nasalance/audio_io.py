@@ -46,19 +46,18 @@ class ChannelMap:
 class StereoRecording:
     """Paired nasal/oral channels at a common sample rate.
 
-    Each channel keeps the dtype it is stored in, with one `scale` for both:
-    a sample's value is stored / scale, and `scale` must be a power of two,
-    so decoding is exact. Loaded and constructed recordings are checked to
-    lie on [-1, 1]; a band-passed one (intensity.bandpass) is not, and its
-    ringing may read past full scale. A loaded WAV holds no samples: it
-    reads its int16, int32 (24- and 32-bit) or float32 samples from the file
-    whenever they are asked for. Channels passed in are held in memory, as
-    float64 unless already in one of those dtypes.
+    Channels passed in are held in memory as float64, at `scale` 1. A
+    loaded WAV holds no samples: it reads its int16, int32 (24- and 32-bit)
+    or float32 samples from the file whenever they are asked for, with one
+    `scale` for both channels: a sample's value is stored / scale, and
+    `scale` is a power of two, so decoding is exact. Loaded and constructed
+    recordings are checked to lie on [-1, 1]; a band-passed one
+    (intensity.bandpass) is not, and its ringing may read past full scale.
 
     `stored()` is the one way to the stored samples; `nasal` and `oral`
-    decode them to read-only, C-contiguous float64 (for float64 held at
-    scale 1, the held array itself). Held arrays are read-only. A read-only
-    input that is already in a stored dtype is kept without a copy; a
+    decode them to read-only, C-contiguous float64 (for held channels, the
+    held array itself, or a slice of it). Held arrays are read-only. A
+    read-only, C-contiguous float64 input is kept without a copy; a
     writeable one is copied, so the caller's array stays writeable and later
     writes to it do not reach the recording.
     Instances are immutable and safe to share between threads.
@@ -71,8 +70,8 @@ class StereoRecording:
     _channels: object = field(repr=False)  # _Held or _FileChannels
     _start: int = field(repr=False)  # of the recording in _channels
 
-    def __init__(self, nasal, oral, sample_rate, source_id="", scale=1.0):
-        nasal, oral = (_owned(x) for x in (nasal, oral))
+    def __init__(self, nasal, oral, sample_rate, source_id=""):
+        nasal, oral = (_owned(x, np.float64) for x in (nasal, oral))
         if nasal.ndim != 1 or oral.ndim != 1:
             raise ValueError("channels must be one-dimensional")
         if len(nasal) != len(oral):
@@ -83,17 +82,13 @@ class StereoRecording:
             raise ValueError("recording is empty")
         if not 0 < sample_rate < math.inf:
             raise ValueError(f"sample_rate must be finite and > 0, got {sample_rate}")
-        if not (0 < scale < math.inf and math.frexp(scale)[0] == 0.5):
-            raise ValueError(f"scale must be a positive power of two, got {scale}")
         for name, ch in (("nasal", nasal), ("oral", oral)):
-            if ch.dtype.kind == "i" and -np.iinfo(ch.dtype).min <= scale:
-                continue  # every value of the dtype is within full scale
-            peak = _peak(ch) / scale
+            peak = _peak(ch)
             if not math.isfinite(peak):
                 raise ValueError(f"{name} channel contains non-finite samples")
             if peak > 1.0:
                 raise ValueError(f"{name} channel exceeds full scale (peak {peak:g})")
-        self._set(_Held(nasal, oral), 0, len(nasal), sample_rate, source_id, scale)
+        self._set(_Held(nasal, oral), 0, len(nasal), sample_rate, source_id, 1.0)
 
     def _set(self, channels, start, n_samples, sample_rate, source_id, scale):
         for name, value in (("_channels", channels), ("_start", start),
@@ -135,12 +130,11 @@ class StereoRecording:
 
     def _decoded(self, role: int) -> np.ndarray:
         channels = self._channels
-        if isinstance(channels, _Held) and self.scale == 1.0:
+        if isinstance(channels, _Held):  # float64 at scale 1
             x = (channels.nasal, channels.oral)[role]
-            if x.dtype == np.float64:
-                if self._start == 0 and self.n_samples == len(x):
-                    return x
-                return x[self._start : self._start + self.n_samples]
+            if self.n_samples == len(x):
+                return x
+            return x[self._start : self._start + self.n_samples]
         out = np.empty(self.n_samples)
         with self.stored((role,)) as read:
             for a, b in _blocks(self.n_samples):
@@ -174,9 +168,6 @@ _CODECS = {
 # write_wav's sample_format names -> _CODECS keys
 _SAMPLE_FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32), "float32": (3, 32)}
 
-# the file dtypes a recording keeps undecoded; any other input becomes float64
-_CODEC_DTYPES = {np.dtype(dtype) for dtype, _ in _CODECS.values()}
-
 # WAVE_FORMAT_EXTENSIBLE: the fmt chunk carries a 22-byte extension whose
 # sub-format GUID starts with the plain format tag; KSDATAFORMAT_SUBTYPE_PCM
 # and _IEEE_FLOAT share the GUID's other 12 bytes
@@ -188,15 +179,11 @@ _SUBTYPE_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
 _BLOCK_FRAMES = 2**16
 
 
-def _owned(x, dtype=None) -> np.ndarray:
-    """x as a read-only array: C-contiguous in `dtype` when one is given;
-    otherwise x keeps a stored dtype (_CODECS) and anything else becomes
-    C-contiguous float64. A writeable input is copied, so the caller keeps
-    its own array writeable and separate; a read-only one is kept without a
-    copy."""
-    arr = np.asarray(x)
-    if dtype is not None or arr.dtype not in _CODEC_DTYPES:
-        arr = np.ascontiguousarray(arr, dtype=dtype or np.float64)
+def _owned(x, dtype) -> np.ndarray:
+    """x as a read-only, C-contiguous array of `dtype`. A writeable input is
+    copied, so the caller keeps its own array writeable and separate; a
+    read-only one already in that form is kept without a copy."""
+    arr = np.ascontiguousarray(x, dtype=dtype)
     if arr is x and arr.flags.writeable:
         arr = arr.copy()
     arr.flags.writeable = False

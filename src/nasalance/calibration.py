@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +20,12 @@ import numpy as np
 from .audio_io import StereoRecording
 from .errors import CalibrationError, InputFormatError
 from .intensity import (
+    DB_CLAMP_FLOOR,
     BandpassSpec,
     FrameConfig,
     IntensityTrack,
     bandpass,
     intensity_track,
-    shift_nasal_db,
 )
 from .output import _commit
 
@@ -93,8 +93,11 @@ def estimate_gain_offset(
 
 
 def apply_calibration(it: IntensityTrack, profile: CalibrationProfile) -> IntensityTrack:
-    """Reduce every nasal frame by the profile's offset; oral and times untouched."""
-    return shift_nasal_db(it, -profile.gain_offset_db)
+    """Reduce every nasal frame by the profile's offset, clamped at
+    DB_CLAMP_FLOOR; oral and times untouched."""
+    nasal = np.maximum(it.nasal_db - profile.gain_offset_db, DB_CLAMP_FLOOR)
+    nasal.flags.writeable = False  # kept without a copy
+    return replace(it, nasal_db=nasal)
 
 
 def save_profile(profile: CalibrationProfile, path) -> None:

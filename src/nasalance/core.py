@@ -68,16 +68,13 @@ def nasalance_frame(a_n: float, a_o: float) -> float:
     return 100.0 - 100.0 * (a_o / total)
 
 
-def nasalance_track(it: IntensityTrack, mode: str = "amplitude") -> NasalanceTrack:
-    """Apply the nasalance ratio to every frame of an intensity track.
+def nasalance_track(it: IntensityTrack) -> NasalanceTrack:
+    """Apply the nasalance ratio of linear RMS amplitudes to every frame of
+    an intensity track.
 
     A frame is valid iff at least one channel is above the configured
-    silence floor. mode="power" squares the amplitudes in the ratio; the
-    default ratio is of linear RMS amplitudes.
+    silence floor.
     """
-    if mode not in ("amplitude", "power"):
-        raise ValueError(f"unknown mode {mode!r}")
-    db_per_decade = 20.0 if mode == "amplitude" else 10.0
     nasal, oral = it.nasal_db, it.oral_db
     floor = it.config.silence_floor_db
     # two float arrays, pct and r, are all the work space: each step writes
@@ -90,7 +87,7 @@ def nasalance_track(it: IntensityTrack, mode: str = "amplitude") -> NasalanceTra
     nasal_larger = diff > 0
     r = np.abs(diff)
     np.negative(r, out=r)
-    np.divide(r, db_per_decade, out=r)
+    np.divide(r, 20.0, out=r)  # 20 dB per decade of amplitude
     np.power(10.0, r, out=r)
     np.divide(r, np.add(r, 1.0, out=pct), out=r)
     np.multiply(100.0, r, out=r)

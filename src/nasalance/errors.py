@@ -75,11 +75,7 @@ class UndefinedFrameError(NasalanceError):
 class UnmeasurableError(NasalanceError):
     """A nasalance value was requested at a time with no valid frame."""
 
-    def __init__(self, t, reason="invalid-frame", label=None):
-        what = f"nasalance unmeasurable at t={t:.6f}s ({reason})"
-        if label:
-            what += f" [{label}]"
-        super().__init__(what)
+    def __init__(self, t, reason="invalid-frame"):
+        super().__init__(f"nasalance unmeasurable at t={t:.6f}s ({reason})")
         self.t = t
         self.reason = reason
-        self.label = label

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -153,67 +153,49 @@ def window_weights(window, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {window!r}")
 
 
-def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
-               scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
-    """dB full scale of the frames that start at `starts`, for each channel.
+def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray, scale: float,
+               out: np.ndarray) -> None:
+    """Write the dB full scale of the frames that start at `starts` into
+    `out`, one row per channel and one column per start.
 
     read(a, b) returns the stored samples [a, b) of each channel, a sequence
     of 1-D arrays whose values are stored / scale, and scale is a power of
-    two. The result, `out` when it is given, holds one row of dB per
-    channel, in the order of `starts`, which may be any order.
+    two. `starts` are sorted, as the framing grid gives them.
 
-    The sorted starts are cut into spans of at most _SPAN_FRAMES frames, and
-    a span ends where the next frame does not overlap it, so a sparse set of
-    frames reads only the samples around each. Each span is read once and
-    each of its samples squared once, into one reused float64 buffer; every
-    frame is then reduced by its own dot product with w (one ddot), over a
-    strided view of the squares when the span's frames are evenly spaced and
-    over rows gathered from them otherwise. So a frame's dB depends only on
-    its own samples, never on the span it falls in: framing any subset of
-    `starts` gives, bitwise, the same values as framing all of them.
-
-    The powers go straight into the result, which is then turned into dB in
-    place; only starts out of order need an argsort and rows of powers to
-    scatter from.
+    The starts are cut into spans of at most _SPAN_FRAMES frames, and a span
+    ends where the next frame does not overlap it, so a sparse set of frames
+    reads only the samples around each. Each span is read once and each of
+    its samples squared once, into one reused float64 buffer; every frame is
+    then reduced by its own dot product with w (one ddot), over a strided
+    view of the squares when the span's frames are evenly spaced and over
+    rows gathered from them otherwise. So a frame's dB depends only on its
+    own samples, never on the span it falls in: framing any subset of
+    `starts` gives, bitwise, the same values as framing all of them. The
+    powers go straight into `out`, which is then turned into dB in place.
 
     The weighted sum of stored squares is scaled by scale**-2: scaling by a
     power of two commutes with rounding in the normal range, so the dB
     values are bitwise those of squaring stored / scale. (Squares of 16- and
     24-bit integers are exact in float64.)
     """
-    if np.all(starts[1:] >= starts[:-1]):
-        order, s = None, starts
-    else:
-        order = np.argsort(starts, kind="stable")
-        s = starts[order]
-    gaps = np.diff(s)
-    power = None  # out, or the rows to scatter into it
+    gaps = np.diff(starts)
     squares = np.empty(0)
     first = 0
-    for end in np.append(np.flatnonzero(gaps >= frame_len) + 1, len(s)).tolist():
+    for end in np.append(np.flatnonzero(gaps >= frame_len) + 1, len(starts)).tolist():
         for i in range(first, end, _SPAN_FRAMES):
             j = min(i + _SPAN_FRAMES, end)
-            a, b = int(s[i]), int(s[j - 1]) + frame_len
+            a, b = int(starts[i]), int(starts[j - 1]) + frame_len
             if b - a > len(squares):
                 squares = np.empty(b - a)
                 windows = sliding_window_view(squares, frame_len)
             hop = int(gaps[i]) if j - i > 1 else 1
             even = hop > 0 and bool((gaps[i : j - 1] == hop).all())
-            channels = read(a, b)
-            if power is None:
-                if out is None:
-                    out = np.empty((len(channels), len(s)))
-                power = out if order is None else np.empty_like(out)
-            for c, x in enumerate(channels):
+            for c, x in enumerate(read(a, b)):
                 np.square(x, out=squares[: b - a], dtype=np.float64)
                 # evenly spaced frames are a strided view of the squares
-                frames = windows[::hop][: j - i] if even else windows[s[i:j] - a]
-                np.vecdot(frames, w, out=power[c, i:j])
+                frames = windows[::hop][: j - i] if even else windows[starts[i:j] - a]
+                np.vecdot(frames, w, out=out[c, i:j])
         first = end
-    if out is None:
-        return np.empty((0, 0))
-    if order is not None:
-        out[:, order] = power
     wsum = w.sum()
     for db in out:
         np.multiply(db, scale**-2, out=db)
@@ -223,7 +205,6 @@ def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
             np.log10(db, out=db)
         np.multiply(20.0, db, out=db)
         np.maximum(db, DB_CLAMP_FLOOR, out=db)
-    return out
 
 
 def _frame_count(n: int, frame_len: int, step_samples: float) -> int:
@@ -309,7 +290,7 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
             b = min(a + _BLOCK_FRAMES, len(times))
             k = np.arange(a, b) if index is None else index[a:b]
             starts = np.rint(k * step_samples).astype(np.int64)
-            _frames_db(read, starts, frame_len, w, rec.scale, out=db[:, a:b])
+            _frames_db(read, starts, frame_len, w, rec.scale, db[:, a:b])
     for x in (times, db, index):
         if x is not None:
             x.flags.writeable = False  # kept without a copy
@@ -474,10 +455,3 @@ def intensity_to_csv(track: IntensityTrack):
     lines = map("%.6f,%.6f,%.6f\n".__mod__,
                 _array_rows(track.times, track.nasal_db, track.oral_db))
     return _csv_blocks(("t_s", "nasal_db", "oral_db"), lines)
-
-
-def shift_nasal_db(track: IntensityTrack, delta_db: float) -> IntensityTrack:
-    """Return a copy with every nasal frame shifted by delta_db."""
-    shifted = np.maximum(track.nasal_db + delta_db, DB_CLAMP_FLOOR)
-    shifted.flags.writeable = False  # kept without a copy
-    return replace(track, nasal_db=shifted)

@@ -57,17 +57,27 @@ def _commit(outputs) -> None:
     temporary sibling first, and the temporaries are moved into place only
     once all are written; on a failure, one raised while a block is made
     included, they are removed, so no output is left half written or
-    beside another run's.
+    beside another run's. Two outputs that resolve to one file are refused
+    before anything is written, and an error opening an output names the
+    path asked for, not its temporary.
     """
     outputs = [(Path(path), blocks) for path, blocks in outputs]
+    targets = {}
     for path, _ in outputs:
         if path.is_dir():  # os.replace would fail only after earlier moves
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        other = targets.setdefault(path.resolve(), path)
+        if other is not path:
+            raise ValueError(f"outputs {other} and {path} are the same file")
     moves = []
     try:
         for path, blocks in outputs:
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            with open(tmp, "xb") as fh:
+            try:
+                fh = open(tmp, "xb")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from exc
+            with fh:
                 moves.append(tmp)
                 for block in blocks:
                     fh.write(block.encode("utf-8") if isinstance(block, str) else block)

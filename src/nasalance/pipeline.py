@@ -120,40 +120,30 @@ def extract_token_records(
     records, rejects = [], []
     for token in tokens:
         info = wordlist.get(token.word.lower()) if token.word else None
-        vowel = info.vowel if info else token.vowel_label
-        environment = info.environment if info else ""
-
-        def _reject(reason):
-            rejects.append(
-                RejectRecord(
-                    source_id=rec.source_id, speaker=speaker, system=system,
-                    word=token.word, vowel=vowel, environment=environment,
-                    t_mid_s=token.midpoint, reason=reason,
-                )
-            )
-
-        if token.in_empty_word:
-            _reject("empty word interval")
-            continue
-        if info is None:
-            _reject("unmapped word")
-            continue
-        try:
-            value = value_at(nt, token.midpoint, method=method)
-        except UnmeasurableError as exc:
-            _reject(
-                "midpoint outside track"
-                if exc.reason == "outside-track"
-                else "unmeasurable at midpoint"
-            )
-            continue
-        records.append(
-            TokenRecord(
+        reason = None
+        if not token.word:
+            reason = "empty word interval"
+        elif info is None:
+            reason = "unmapped word"
+        else:
+            try:
+                value = value_at(nt, token.midpoint, method=method)
+            except UnmeasurableError as exc:
+                reason = ("midpoint outside track" if exc.reason == "outside-track"
+                          else "unmeasurable at midpoint")
+        if reason is None:
+            records.append(TokenRecord(
                 source_id=rec.source_id, speaker=speaker, system=system,
                 word=token.word, vowel=info.vowel, environment=info.environment,
                 t_mid_s=token.midpoint, nasalance_pct=value,
-            )
-        )
+            ))
+        else:
+            rejects.append(RejectRecord(
+                source_id=rec.source_id, speaker=speaker, system=system, word=token.word,
+                vowel=info.vowel if info else token.vowel_label,
+                environment=info.environment if info else "",
+                t_mid_s=token.midpoint, reason=reason,
+            ))
     return records, rejects
 
 

@@ -78,13 +78,12 @@ class IntervalTier:
 
 @dataclass(frozen=True)
 class TokenSelection:
-    """One vowel token: containing word, vowel label, interval, midpoint."""
+    """One vowel token: the label of the word holding its midpoint ("" for
+    an empty word interval, or none), its vowel label, and its midpoint."""
 
     word: str
     vowel_label: str
-    interval: Interval
     midpoint: float
-    in_empty_word: bool = False
 
 
 # One match: the noise that carries no payload (separators, bracketed
@@ -387,7 +386,7 @@ def select_vowel_tokens(
 
     Stress digits are stripped before matching; zero-length and empty-label
     phone intervals are skipped. A vowel whose midpoint lands in an empty
-    word interval is flagged, not dropped.
+    word interval is kept, with word "".
     """
     if (phone_tier.tmin, phone_tier.tmax) != (word_tier.tmin, word_tier.tmax):
         raise ValueError(
@@ -415,13 +414,5 @@ def select_vowel_tokens(
         if k < 0 or mid >= word_ends[k]:
             k = bisect_left(word_ends, mid) if mid == word_tier.tmax else len(words)
         word = words[k].label.strip() if k < len(words) else ""
-        tokens.append(
-            TokenSelection(
-                word=word,
-                vowel_label=vowel,
-                interval=iv,
-                midpoint=mid,
-                in_empty_word=(word == ""),
-            )
-        )
+        tokens.append(TokenSelection(word=word, vowel_label=vowel, midpoint=mid))
     return tokens

@@ -68,10 +68,10 @@ def zero_phase(x: np.ndarray, kernel_fft: np.ndarray, half: int, n_fft: int) -> 
 
 
 def held_recording(nasal, oral, sample_rate) -> StereoRecording:
-    """A recording holding nasal and oral as given, unchecked: values past
+    """A recording holding nasal and oral as float64, unchecked: values past
     full scale read as they are, as a band-passed recording's do."""
-    return StereoRecording._over(_Held(_owned(nasal), _owned(oral)), 0, len(nasal),
-                                 sample_rate, "", 1.0)
+    held = _Held(*(_owned(x, np.float64) for x in (nasal, oral)))
+    return StereoRecording._over(held, 0, len(nasal), sample_rate, "", 1.0)
 
 
 def held_bandpass(rec, spec) -> tuple[np.ndarray, np.ndarray]:
@@ -167,17 +167,16 @@ def held_wav_bytes(channels, sample_rate, sample_format="float32") -> bytes:
     return header + b"data" + struct.pack("<I", len(payload)) + payload
 
 
-def held_nasalance_track(it, mode: str = "amplitude") -> tuple[np.ndarray, np.ndarray]:
+def held_nasalance_track(it) -> tuple[np.ndarray, np.ndarray]:
     """(nasalance_pct, valid) of core.nasalance_track, in whole-array steps,
     each a new array."""
-    db_per_decade = 20.0 if mode == "amplitude" else 10.0
     nasal, oral = it.nasal_db, it.oral_db
     floor = it.config.silence_floor_db
     valid = (np.maximum(nasal, oral) > floor) & (
         (nasal > DB_CLAMP_FLOOR) | (oral > DB_CLAMP_FLOOR)
     )
     diff = nasal - oral
-    r = np.power(10.0, -np.abs(diff) / db_per_decade)
+    r = np.power(10.0, -np.abs(diff) / 20.0)
     larger = 100.0 - 100.0 * (r / (r + 1.0))
     smaller = 100.0 - larger
     pct = np.where(diff <= 0, smaller, larger)

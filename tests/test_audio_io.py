@@ -415,14 +415,18 @@ def test_load_pair_of_mixed_formats_decodes_both(tmp_path):
 
 
 def test_recording_scale_must_be_a_power_of_two():
+    # a loaded WAV's scale is its codec's power of two; channels passed in
+    # are held as float64 at scale 1, so int16 codes are past full scale
+    for _, scale in audio_io._CODECS.values():
+        assert math.frexp(scale)[0] == 0.5
     ints = np.array([100, -200], dtype=np.int16)
-    assert StereoRecording(ints, ints, 48000, scale=2**15).nasal.tolist() == [
-        100 / 2**15, -200 / 2**15]
-    for bad in (3.0, 0.0, -2.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="power of two"):
-            StereoRecording(ints, ints, 48000, scale=bad)
     with pytest.raises(ValueError, match=r"nasal channel exceeds full scale \(peak 200\)"):
-        StereoRecording(ints, ints, 48000)  # int16 codes at scale 1
+        StereoRecording(ints, ints, 48000)
+    floats = (ints / 2**15).astype(np.float32)
+    rec = StereoRecording(floats, floats, 48000)
+    assert rec.scale == 1.0 and rec.nasal.tolist() == [100 / 2**15, -200 / 2**15]
+    with rec.stored() as read:
+        assert [x.dtype for x in read(0, 2)] == [np.float64, np.float64]
 
 
 def test_zero_sample_rate_is_located(tmp_path):

@@ -510,6 +510,28 @@ def test_stats_family_size_zero_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("emm_out", ["r.csv", "sub/../r.csv"], ids=["same", "via-parent"])
+def test_stats_two_outputs_to_one_file_exit_2(tmp_path, capsys, emm_out):
+    tokens = tmp_path / "tokens.csv"
+    write_token_rows(tokens, ["s1", "s2"], ["e1", "e2"])
+    (tmp_path / "sub").mkdir()
+    assert main(["stats", str(tokens), "--out", str(tmp_path / "r.csv"),
+                 "--emm-out", str(tmp_path / emm_out)]) == 2
+    err = capsys.readouterr().err
+    assert "r.csv" in err and "same file" in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "tokens.csv"]
+
+
+def test_output_in_a_missing_directory_exits_2(tmp_path, capsys):
+    tokens = tmp_path / "tokens.csv"
+    write_token_rows(tokens, ["s1", "s2"], ["e1", "e2"])
+    assert main(["stats", str(tokens), "--out", str(tmp_path / "nodir" / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "No such file or directory" in err
+    assert f"{tmp_path / 'nodir' / 'r.csv'}'" in err and ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["tokens.csv"]
+
+
 def test_stats_single_environment_exits_2(tmp_path):
     header = "source_id,speaker,system,word,vowel,environment,t_mid_s,nasalance_pct"
     rows = [

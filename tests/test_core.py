@@ -110,16 +110,6 @@ def test_track_one_silent_channel_is_exact():
     assert nt.valid.all()
 
 
-def test_track_power_mode():
-    a_n = 10 ** (-6.0206 / 20)
-    a_o = 1.0
-    expected = 100.0 * a_n**2 / (a_n**2 + a_o**2)
-    nt = nasalance_track(make_track([-6.0206], [0.0]), mode="power")
-    assert nt.nasalance_pct[0] == pytest.approx(expected, abs=1e-9)
-    with pytest.raises(ValueError, match="mode"):
-        nasalance_track(make_track([-6.0], [-6.0]), mode="energy")
-
-
 def test_common_gain_invariance_on_recordings():
     rng = np.random.default_rng(42)
     n = 24000
@@ -226,8 +216,7 @@ def test_nasalance_track_leaves_caller_arrays_writeable():
     assert nasalance_track(it).times is it.times
 
 
-@pytest.mark.parametrize("mode", ["amplitude", "power"])
-def test_in_place_track_is_the_whole_array_oracle(mode):
+def test_in_place_track_is_the_whole_array_oracle():
     # the in-place steps give bitwise the whole-array ones, on frames of
     # every kind: either channel louder, equal, clamped or under the floor
     rng = np.random.default_rng(11)
@@ -238,8 +227,8 @@ def test_in_place_track_is_the_whole_array_oracle(mode):
         db[kind == 1] = rng.uniform(-299.0, -61.0, int((kind == 1).sum()))  # quiet
         db[1, kind[0] == 2] = db[0, kind[0] == 2]  # equal levels
         it = make_track(db[0], db[1])
-        nt = nasalance_track(it, mode)
-        pct, valid = held_nasalance_track(it, mode)
+        nt = nasalance_track(it)
+        pct, valid = held_nasalance_track(it)
         assert nt.nasalance_pct.tobytes() == pct.tobytes()
         np.testing.assert_array_equal(nt.valid, valid)
         if n == 40000:

@@ -157,9 +157,9 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
             for window in ("hann", "rectangular"):
                 w = window_weights(window, frame_len)
                 for n_frames in (1, 64, 4097, 8193):  # many 64-frame spans
-                    got = _frames_db(read_file, starts[:n_frames], frame_len, w, data.scale)
-                    want = _frames_db(read_decoded, starts[:n_frames], frame_len, w)
-                    assert len(got) == len(want) == n_channels
+                    got, want = np.empty((2, n_channels, n_frames))
+                    _frames_db(read_file, starts[:n_frames], frame_len, w, data.scale, got)
+                    _frames_db(read_decoded, starts[:n_frames], frame_len, w, 1.0, want)
                     np.testing.assert_array_equal(got, want)
                 for db in want:
                     assert db[0] == DB_CLAMP_FLOOR and db[-1] > -10.0
@@ -173,7 +173,7 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
 ])
 def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_ms,
                                               n_frames):
-    # any subset of the frames, in any order, gives bitwise the same dB as
+    # any subset of the frames, in grid order, gives bitwise the same dB as
     # the same rows of framing them all: a frame's value must not depend on
     # where it sits in a span, nor on whether its span is reduced over a
     # strided view or over gathered rows (a blocked matrix product moves the
@@ -191,12 +191,14 @@ def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_
         def read_file(a, b):
             return read(a, b).T
 
-        (full,) = _frames_db(read_file, starts, frame_len, w, data.scale)
+        full = np.empty((1, n_frames))
+        _frames_db(read_file, starts, frame_len, w, data.scale, full)
         for size in (1, 7, n_frames // 3, n_frames - 1):
             for _ in range(2):
-                picked = rng.permutation(n_frames)[:size]
-                (got,) = _frames_db(read_file, starts[picked], frame_len, w, data.scale)
-                np.testing.assert_array_equal(got, full[picked])
+                picked = np.sort(rng.permutation(n_frames)[:size])
+                got = np.empty((1, size))
+                _frames_db(read_file, starts[picked], frame_len, w, data.scale, got)
+                np.testing.assert_array_equal(got, full[:, picked])
 
 
 def test_sparse_track_frames_the_frames_around_each_time():
@@ -326,7 +328,7 @@ def test_load_and_track_allocate_spans_and_per_frame_arrays(tmp_path):
     # a loaded pcm16 take is read from its file span by span: nothing of the
     # file is held, and nothing beyond the reused span buffers (the stored
     # samples and their float64 squares) grows with the samples; the rest is
-    # a few per-frame arrays (frame starts, times, order, power, dB) and a
+    # a few per-frame arrays (frame indices and starts, times, dB) and a
     # fixed 128 kB for the window, the file object and NumPy's casting buffers
     sample_rate = 48000
     cfg = FrameConfig()

@@ -12,6 +12,7 @@ from nasalance.calibration import CalibrationProfile
 from nasalance.errors import TokenSchemaError, WordlistError
 from nasalance.intensity import BandpassSpec, intensity_track
 from nasalance.pipeline import (
+    RejectRecord,
     WordInfo,
     extract_token_records,
     load_wordlist,
@@ -74,10 +75,15 @@ def test_extract_token_records_and_rejects():
     assert by_word["bin"].speaker == "sp1"
     assert by_word["bin"].system == "nosey"
 
-    reasons = {r.word: r.reason for r in rejects}
-    assert reasons["zzz"] == "unmapped word"
-    assert reasons[""] == "empty word interval"
-    assert reasons["mum"] == "unmeasurable at midpoint"
+    # a token with no wordlist entry keeps its TextGrid vowel (stress
+    # stripped) and no environment; a mapped one takes the wordlist's
+    mids = [iv.midpoint for iv in tiers[0].intervals[1::3]]
+    assert rejects == [
+        RejectRecord("synth", "sp1", "nosey", "zzz", "AE", "", mids[2], "unmapped word"),
+        RejectRecord("synth", "sp1", "nosey", "", "AH", "", mids[3], "empty word interval"),
+        RejectRecord("synth", "sp1", "nosey", "mum", "STRUT", "nasal_both", mids[4],
+                     "unmeasurable at midpoint"),
+    ]
 
 
 def test_midpoint_outside_track_rejected():

@@ -234,10 +234,8 @@ def test_select_vowel_tokens():
     first = tokens[0]
     assert (first.word, first.vowel_label) == ("bin", "IH")
     assert first.midpoint == pytest.approx(0.45)
-    assert not first.in_empty_word
     second = tokens[1]
-    assert second.vowel_label == "EH"
-    assert second.in_empty_word and second.word == ""
+    assert (second.word, second.vowel_label) == ("", "EH")  # in an empty word interval
 
 
 def test_select_requires_matching_spans():
@@ -281,7 +279,7 @@ def first_match_tokens(phone_tier, word_tier, vowel_labels):
             if w.tmin <= mid < w.tmax or mid == w.tmax == word_tier.tmax:
                 word = w.label.strip()
                 break
-        tokens.append((word, strip_stress(label), iv, mid, word == ""))
+        tokens.append((word, strip_stress(label), mid))
     return tokens
 
 
@@ -323,7 +321,7 @@ def phone_word_tiers(draw):
 def test_select_vowel_tokens_matches_first_match_scan(tiers):
     phones, words = tiers
     vowels = {"IH", "EH", "AE", "AH"}
-    got = [(t.word, t.vowel_label, t.interval, t.midpoint, t.in_empty_word)
+    got = [(t.word, t.vowel_label, t.midpoint)
            for t in select_vowel_tokens(phones, words, vowels)]
     assert got == first_match_tokens(phones, words, vowels)
 
@@ -334,7 +332,7 @@ def test_select_vowel_midpoint_on_tier_end_takes_first_word_ending_there():
     assert phones.intervals[-1].midpoint == end
     words = grid_tier("word", [4.0, end, end], ["", "bin", "", "pat"], end)
     (token,) = select_vowel_tokens(phones, words, {"IH"})
-    assert (token.word, token.in_empty_word) == ("bin", False)
+    assert token.word == "bin"
 
 
 # (edits to MINIMAL_LONG, message, line); the lexer reads the whole text
