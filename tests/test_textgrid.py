@@ -435,6 +435,121 @@ def test_a_later_lexer_error_comes_before_a_grammar_error():
             parse_textgrid(write_long(tiers, with_point_tier=True) + '"x"')
 
 
+# (text, edits to it, message, line) for every error of the grammar; an
+# error is located at the token it is about
+GRAMMAR_ERRORS = {
+    "wrong-file-type": (MINIMAL_LONG, [('"ooTextFile"', '"Spreadsheet"')],
+                        "not an ooTextFile (got 'Spreadsheet')", 1),
+    "wrong-object-class": (MINIMAL_LONG, [('"TextGrid"', '"Pitch"')],
+                           "not a TextGrid (got 'Pitch')", 2),
+    "missing-flag": (MINIMAL_LONG, [("tiers? <exists>", "tiers?")],
+                     "malformed header: missing tiers? <exists> flag", 7),
+    "malformed-flag": (MINIMAL_LONG, [("<exists>", "<maybe>")],
+                       "malformed header: missing tiers? <exists> flag", 7),
+    "missing-flag-at-end": (MINIMAL_SHORT, [(MINIMAL_SHORT[MINIMAL_SHORT.index("<"):], "")],
+                            "malformed header: missing tiers? <exists> flag", 5),
+    "non-integer-count": (MINIMAL_LONG, [("size = 1", "size = 1.5")],
+                          "tier count must be a non-negative integer", 7),
+    "negative-count": (MINIMAL_LONG, [("intervals: size = 2", "intervals: size = -2")],
+                       "size of tier 'phones' must be a non-negative integer", 14),
+    "number-for-string": (MINIMAL_LONG, [('name = "phones"', "name = 3")],
+                          "expected name of tier 1, got num 3.0", 11),
+    "flag-for-string": (MINIMAL_SHORT, [('"IntervalTier"', "<x>")],
+                        "expected class of tier 1, got flag 'x'", 8),
+    "string-for-number": (MINIMAL_SHORT, [('"phones"\n0', '"phones"\n"0"')],
+                          "expected xmin of tier 'phones', got str '0'", 10),
+    "end-of-file": (MINIMAL_SHORT, [('0.9\n"ih"\n', "")],
+                    "expected xmax of interval 2 of tier 'phones', got end of file", 16),
+    "empty-text": (MINIMAL_LONG, [(MINIMAL_LONG, "")],
+                   "expected file type header, got end of file", 1),
+    "xmin-above-xmax": (
+        MINIMAL_LONG, [("xmin = 0.4\n            xmax = 0.9",
+                        "xmin = 0.4\n            xmax = 0.3")],
+        "interval 2 of tier 'phones': xmin > xmax", 20),
+    "gap-between-intervals": (
+        MINIMAL_LONG, [("xmin = 0.4\n            xmax = 0.9",
+                        "xmin = 0.5\n            xmax = 0.9")],
+        "interval 2 of tier 'phones': starts at 0.5, expected 0.4", 20),
+    "first-interval-off-tier-start": (
+        MINIMAL_SHORT, [("2\n0\n0.4", "2\n0.1\n0.4")],
+        "interval 1 of tier 'phones': starts at 0.1, expected 0", 13),
+    "last-interval-off-tier-end": (
+        MINIMAL_LONG, [('xmax = 0.9\n            text = "ih"',
+                        'xmax = 0.8\n            text = "ih"')],
+        "tier 'phones': last interval ends at 0.8, tier ends at 0.9", 21),
+    "unknown-tier-class": (MINIMAL_LONG, [('"IntervalTier"', '"PitchTier"')],
+                           "unknown tier class 'PitchTier'", 10),
+    "trailing-content": (MINIMAL_LONG, [('text = "ih"', 'text = "ih"\n"leftover"')],
+                         "unexpected content after final tier", 23),
+}
+
+
+@pytest.mark.parametrize("text, edits, message, line", GRAMMAR_ERRORS.values(),
+                         ids=GRAMMAR_ERRORS.keys())
+def test_grammar_errors_carry_message_and_line(text, edits, message, line):
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    with pytest.raises(TextGridParseError) as err:
+        parse_textgrid(text)
+    assert str(err.value) == f"{message} (line {line})"
+    assert err.value.line == line
+
+
+# the minimal texts with a point tier after the interval tier
+POINT_LONG = MINIMAL_LONG.replace("size = 1", "size = 2") + """\
+    item [2]:
+        class = "TextTier"
+        name = "clicks"
+        xmin = 0
+        xmax = 0.9
+        points: size = 1
+        points [1]:
+            number = 0.45
+            mark = "click"
+"""
+POINT_SHORT = (MINIMAL_SHORT.replace("<exists>\n1\n", "<exists>\n2\n")
+               + '"TextTier"\n"clicks"\n0\n0.9\n1\n0.45\n"click"\n')
+
+# pieces an edit inserts: TextGrid syntax, broken syntax and stray text
+_PIECES = st.sampled_from(['"', '""', '"x"', "\n", " ", "<", ">", "<exists>",
+                           "<absent>", "[", "]", "[1]", "0", "1", "-1", "0.5",
+                           "1e999", "size =", "xmin", "tiers?", "#", "é"])
+
+
+@st.composite
+def edited_textgrids(draw):
+    """A minimal text, long or short and with or without a point tier,
+    after a few inserts, deletes, truncations and copied slices."""
+    text = draw(st.sampled_from([MINIMAL_LONG, MINIMAL_SHORT, POINT_LONG, POINT_SHORT]))
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, len(text)))
+        b = draw(st.integers(a, min(len(text), a + 40)))
+        op = draw(st.sampled_from(["insert", "delete", "truncate", "copy"]))
+        if op == "insert":
+            text = text[:a] + draw(_PIECES) + text[a:]
+        elif op == "delete":
+            text = text[:a] + text[b:]
+        elif op == "truncate":
+            text = text[:a]
+        else:
+            c = draw(st.integers(0, len(text)))
+            text = text[:c] + text[a:b] + text[c:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_textgrids())
+def test_edited_textgrid_parses_or_fails_at_a_line_of_it(text):
+    # no other exception type escapes, and the line is one of the text's
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PointTierSkippedWarning)
+        try:
+            parse_textgrid(text)
+        except TextGridParseError as exc:
+            assert 1 <= exc.line <= text.count("\n") + 1, (exc, text)
+
+
 def test_undecodable_textgrid_is_located(tmp_path):
     # a Latin-1 file read as UTF-8: the error gives the file, the byte
     # offset of the first bad byte and its line
