@@ -182,9 +182,11 @@ _BLOCK_FRAMES = 2**16
 def _owned(x, dtype) -> np.ndarray:
     """x as a read-only, C-contiguous array of `dtype`. A writeable input is
     copied, so the caller keeps its own array writeable and separate; a
-    read-only one already in that form is kept without a copy."""
+    read-only one already in that form is kept without a copy. A writeable
+    view, as of an ndarray subclass such as np.memmap, is the caller's
+    memory too."""
     arr = np.ascontiguousarray(x, dtype=dtype)
-    if arr is x and arr.flags.writeable:
+    if arr.flags.writeable and (arr is x or not arr.flags.owndata):
         arr = arr.copy()
     arr.flags.writeable = False
     return arr

@@ -68,8 +68,9 @@ def estimate_gain_offset(
         t0, t1 = window
         if not (np.isfinite(t0) and np.isfinite(t1)):
             raise CalibrationError(f"stimulus window [{t0}, {t1}] is not finite")
-        sr = rec.sample_rate
-        i0, i1 = max(0, int(round(t0 * sr))), min(rec.n_samples, int(round(t1 * sr)))
+        # clamped to the take first: a finite time can overflow in samples
+        i0, i1 = (int(round(min(max(t * rec.sample_rate, 0.0), rec.n_samples)))
+                  for t in (t0, t1))
         if i1 - i0 < 1:
             raise CalibrationError(f"stimulus window [{t0}, {t1}] selects no samples")
         rec = rec.crop(i0, i1)  # reads only the window's samples

@@ -255,6 +255,11 @@ def cmd_stats(args) -> int:
             file=sys.stderr,
         )
 
+    outputs = [(args.out, contrasts_to_csv(*tables))]
+    if args.emm_out:
+        outputs.append((args.emm_out, emm_to_csv(emms)))
+    _commit(outputs)  # first, so a refused output prints no results
+
     se = [float(fit.covariance[i, i]) ** 0.5 for i in range(len(fit.names))]
     print(f"# n={len(records)} residual_df={fit.residual_df} "
           f"residual_variance={fit.residual_variance:.9g}")
@@ -264,11 +269,6 @@ def cmd_stats(args) -> int:
                                       _quoted(coefficients)))
     print()
     sys.stdout.writelines(emm_to_csv(emms))
-
-    outputs = [(args.out, contrasts_to_csv(*tables))]
-    if args.emm_out:
-        outputs.append((args.emm_out, emm_to_csv(emms)))
-    _commit(outputs)
     return 0
 
 

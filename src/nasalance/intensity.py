@@ -58,7 +58,13 @@ class FrameConfig:
             raise ValueError(f"unknown window {self.window!r}")
 
     def frame_samples(self, sample_rate: float) -> int:
-        n = int(round(self.frame_length_ms * sample_rate / 1000.0))
+        n = self.frame_length_ms * sample_rate / 1000.0
+        if not math.isfinite(n):
+            raise ValueError(
+                f"frame of {self.frame_length_ms} ms is not a finite number of "
+                f"samples at {sample_rate:g} Hz"
+            )
+        n = int(round(n))
         if n < 2:
             raise ValueError(
                 f"frame of {self.frame_length_ms} ms is under 2 samples "

@@ -4,11 +4,11 @@ Reads both the long and the short text formats with one lexer: a compiled
 pattern whose every match skips the text that carries no payload
 (separators, bracket indices, long-format key words) and then takes one
 token (a quoted string, a <flag> or a number), so the two formats parse
-through one code path. Tokens are lexed one at a time as the parser takes
-them, so none are held, and a line is counted only for an error. A stray
-word, a non-finite number or an unterminated string, bracket or flag is an
-error located by its line. Writing always emits the long format with
-6-decimal times.
+through one function, `parse_textgrid`. It takes the tokens straight from
+the lexer's generator one at a time, so none are held, and a line is
+counted only for an error. A stray word, a non-finite number or an
+unterminated string, bracket or flag is an error located by its line.
+Writing always emits the long format with 6-decimal times.
 """
 
 from __future__ import annotations
@@ -145,73 +145,6 @@ def _tokenize(text: str):
                 line=_line(text, pos))
 
 
-class _Stream:
-    """The payload tokens of a TextGrid text, lexed as the parser takes them.
-
-    A lexer error anywhere in the text comes before any grammar error, as if
-    the whole text were lexed first: `error` lexes the rest of the text
-    before it gives the grammar error, so a later lexer error is raised
-    instead.
-    """
-
-    def __init__(self, text: str):
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._peek = None  # the next token, looked at before it is taken
-        self._pos = 0  # offset of the next token, or of the last one at the end
-        self.lexed = False  # the whole text lexed without error (lex_rest)
-        self._take()
-
-    def lex_rest(self) -> None:
-        """Lex the tokens not taken, raising the first lexer error."""
-        for _ in self._tokens:
-            pass
-        self.lexed = True
-
-    def error(self, message, pos=None) -> TextGridParseError:
-        """The error to raise at offset pos (by default the next token, or
-        the last one at the end of the text), once the rest is lexed."""
-        self.lex_rest()
-        pos = self._pos if pos is None else pos
-        return TextGridParseError(message, line=_line(self._text, pos))
-
-    def exhausted(self) -> bool:
-        return self._peek is None
-
-    def _take(self):
-        token = self._peek
-        self._peek = next(self._tokens, None)
-        if self._peek is not None:
-            self._pos = self._peek[2]
-        return token
-
-    def _next(self, kind, what):
-        if self._peek is None:
-            raise self.error(f"expected {what}, got end of file")
-        got, value, pos = self._peek
-        if got != kind:
-            raise self.error(f"expected {what}, got {got} {value!r}", pos)
-        self._take()
-        return value, pos
-
-    def number(self, what) -> tuple[float, int]:
-        return self._next("num", what)
-
-    def count(self, what) -> tuple[int, int]:
-        value, pos = self.number(what)
-        if value != int(value) or value < 0:
-            raise self.error(f"{what} must be a non-negative integer", pos)
-        return int(value), pos
-
-    def string(self, what) -> tuple[str, int]:
-        return self._next("str", what)
-
-    def flag_or_none(self):
-        if self._peek is not None and self._peek[0] == "flag":
-            return self._take()[1]
-        return None
-
-
 def decode_textgrid(data: bytes) -> str:
     """Decode TextGrid bytes: UTF-16 (either order, with BOM) or UTF-8.
 
@@ -233,81 +166,96 @@ def parse_textgrid(text) -> list[IntervalTier]:
     """Parse TextGrid file contents (str or bytes) into interval tiers.
 
     Point tiers are skipped with a PointTierSkippedWarning; tiers come back
-    in file order. The text is lexed as it is parsed; a lexer error anywhere
-    comes before a grammar error, and the warnings are given only once the
-    whole text has lexed.
+    in file order, and an <absent> tiers flag ends the file. Tokens are
+    taken from the lexer as the grammar needs them. A grammar error first
+    lexes the rest of the text, so a lexer error anywhere comes first, as
+    if the whole text were lexed before parsing; the warnings are given
+    only once the whole text has lexed.
     """
     if isinstance(text, bytes):
         text = decode_textgrid(text)
-    stream = _Stream(text)
-    skipped = []
-    try:
-        tiers = _parse_tiers(stream, skipped)
-        stream.lex_rest()  # what follows an <absent> flag is lexed too
-    finally:
-        if stream.lexed:  # as when every token was lexed before parsing
-            for name in skipped:
-                warnings.warn(f"skipping point tier {name!r}", PointTierSkippedWarning,
-                              stacklevel=2)
-    return tiers
+    tokens = _tokenize(text)
+    pos = 0  # offset of the last token taken
+    skipped = []  # names of the point tiers
 
+    def fail(message, at=None):
+        """The error at offset `at` (by default the last token taken), once
+        the rest of the text has lexed."""
+        for _ in tokens:
+            pass
+        for name in skipped:
+            warnings.warn(f"skipping point tier {name!r}", PointTierSkippedWarning,
+                          stacklevel=3)
+        return TextGridParseError(message, line=_line(text, pos if at is None else at))
 
-def _parse_tiers(stream: _Stream, skipped: list) -> list[IntervalTier]:
-    file_type, pos = stream.string("file type header")
+    def take(kind, what):
+        nonlocal pos
+        got, value, pos = next(tokens, (None, None, pos))
+        if got != kind:
+            raise fail(f"expected {what}, got "
+                       + (f"{got} {value!r}" if got else "end of file"))
+        return value
+
+    def count(what):
+        value = take("num", what)
+        if value != int(value) or value < 0:
+            raise fail(f"{what} must be a non-negative integer")
+        return int(value)
+
+    file_type = take("str", "file type header")
     if file_type != "ooTextFile":
-        raise stream.error(f"not an ooTextFile (got {file_type!r})", pos)
-    object_class, pos = stream.string("object class header")
+        raise fail(f"not an ooTextFile (got {file_type!r})")
+    object_class = take("str", "object class header")
     if object_class != "TextGrid":
-        raise stream.error(f"not a TextGrid (got {object_class!r})", pos)
-    stream.number("grid xmin")
-    stream.number("grid xmax")
-    flag = stream.flag_or_none()
-    if flag == "absent":
-        return []
-    if flag != "exists":
-        raise stream.error("malformed header: missing tiers? <exists> flag")
-    n_tiers, _ = stream.count("tier count")
+        raise fail(f"not a TextGrid (got {object_class!r})")
+    take("num", "grid xmin")
+    take("num", "grid xmax")
+    kind, flag, pos = next(tokens, (None, None, pos))
+    if kind != "flag" or flag not in ("exists", "absent"):
+        raise fail("malformed header: missing tiers? <exists> flag")
+    n_tiers = count("tier count") if flag == "exists" else 0
 
     tiers = []
     for tier_index in range(1, n_tiers + 1):
-        tier_class, class_pos = stream.string(f"class of tier {tier_index}")
-        name, _ = stream.string(f"name of tier {tier_index}")
-        tmin, _ = stream.number(f"xmin of tier {name!r}")
-        tmax, _ = stream.number(f"xmax of tier {name!r}")
-        size, _ = stream.count(f"size of tier {name!r}")
-        if tier_class == "IntervalTier":
-            intervals = []
-            prev_tmax, prev_pos = tmin, None
+        tier_class = take("str", f"class of tier {tier_index}")
+        class_pos = pos
+        name = take("str", f"name of tier {tier_index}")
+        tmin = take("num", f"xmin of tier {name!r}")
+        tmax = take("num", f"xmax of tier {name!r}")
+        size = count(f"size of tier {name!r}")
+        if tier_class == "TextTier":
             for j in range(1, size + 1):
-                what = f"interval {j} of tier {name!r}"
-                imin, p0 = stream.number(f"xmin of {what}")
-                imax, p1 = stream.number(f"xmax of {what}")
-                label, _ = stream.string(f"text of {what}")
-                if imin > imax:
-                    raise stream.error(f"{what}: xmin > xmax", p0)
-                if imin != prev_tmax:
-                    raise stream.error(
-                        f"{what}: starts at {imin:g}, expected {prev_tmax:g}", p0
-                    )
-                intervals.append(Interval(imin, imax, label))
-                prev_tmax, prev_pos = imax, p1
-            if intervals and intervals[-1].tmax != tmax:
-                raise stream.error(
-                    f"tier {name!r}: last interval ends at "
-                    f"{intervals[-1].tmax:g}, tier ends at {tmax:g}",
-                    prev_pos,
-                )
-            tiers.append(IntervalTier(name=name, tmin=tmin, tmax=tmax,
-                                      intervals=tuple(intervals)))
-        elif tier_class == "TextTier":
-            for j in range(1, size + 1):
-                stream.number(f"time of point {j} in tier {name!r}")
-                stream.string(f"mark of point {j} in tier {name!r}")
+                take("num", f"time of point {j} in tier {name!r}")
+                take("str", f"mark of point {j} in tier {name!r}")
             skipped.append(name)
-        else:
-            raise stream.error(f"unknown tier class {tier_class!r}", class_pos)
-    if not stream.exhausted():
-        raise stream.error("unexpected content after final tier")
+            continue
+        if tier_class != "IntervalTier":
+            raise fail(f"unknown tier class {tier_class!r}", class_pos)
+        intervals = []
+        end = tmin  # where the next interval must start
+        for j in range(1, size + 1):
+            what = f"interval {j} of tier {name!r}"
+            imin = take("num", f"xmin of {what}")
+            imin_pos = pos
+            imax = take("num", f"xmax of {what}")
+            end_pos = pos
+            label = take("str", f"text of {what}")
+            if imin > imax:
+                raise fail(f"{what}: xmin > xmax", imin_pos)
+            if imin != end:
+                raise fail(f"{what}: starts at {imin:g}, expected {end:g}", imin_pos)
+            intervals.append(Interval(imin, imax, label))
+            end = imax
+        if intervals and end != tmax:
+            raise fail(f"tier {name!r}: last interval ends at {end:g}, "
+                       f"tier ends at {tmax:g}", end_pos)
+        tiers.append(IntervalTier(name, tmin, tmax, intervals))
+    kind, _, pos = next(tokens, (None, None, pos))
+    if kind is not None:
+        raise fail("unexpected content after final tier")
+    for name in skipped:
+        warnings.warn(f"skipping point tier {name!r}", PointTierSkippedWarning,
+                      stacklevel=2)
     return tiers
 
 

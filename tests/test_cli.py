@@ -379,6 +379,32 @@ def test_non_finite_numeric_flags_exit_2(tmp_path, capsys, command, flags, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["track", "analyze", "calibrate"])
+def test_frame_of_overflowing_sample_count_exits_2(session, tmp_path, capsys, command):
+    # 1e308 ms is finite, but not as a count of samples at 48 kHz
+    wav, tg, wordlist = session
+    out = tmp_path / "out"
+    inputs = [str(tg), "--wordlist", str(wordlist)] if command == "analyze" else []
+    assert main([command, str(wav), *inputs, "--out", str(out),
+                 "--frame-ms", "1e308"]) == 2
+    assert "not a finite number of samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stimulus_window_past_any_take_is_the_whole_take(tmp_path):
+    tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, [tone, 0.5 * tone], 48000, "float32")
+    offsets = []
+    for window in ("0:1e6", "0:1e308", "-1e308:1e308"):
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", str(wav), "--out", str(out),
+                     f"--stimulus-window={window}"]) == 0
+        offsets.append(json.loads(out.read_text())["gain_offset_db"])
+    assert main(["calibrate", str(wav), "--out", str(out)]) == 0
+    assert offsets == [json.loads(out.read_text())["gain_offset_db"]] * 3
+
+
 def test_synth_command(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(synth_spec_doc([25.0])))
@@ -517,7 +543,8 @@ def test_stats_two_outputs_to_one_file_exit_2(tmp_path, capsys, emm_out):
     (tmp_path / "sub").mkdir()
     assert main(["stats", str(tokens), "--out", str(tmp_path / "r.csv"),
                  "--emm-out", str(tmp_path / emm_out)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before any result is printed
     assert "r.csv" in err and "same file" in err and ".tmp" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub", "tokens.csv"]
 

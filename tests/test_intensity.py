@@ -303,6 +303,26 @@ def test_intensity_track_leaves_caller_arrays_writeable():
     assert replace(made, config=made.config).nasal_db is made.nasal_db
 
 
+class _Subclass(np.ndarray):
+    pass
+
+
+def test_writeable_ndarray_subclasses_are_copied(tmp_path):
+    # np.ascontiguousarray gives a base-class view of a subclass, not the
+    # input itself; that view is still the caller's memory
+    m = np.memmap(tmp_path / "nasal.f64", dtype=np.float64, mode="w+", shape=(4,))
+    rec = StereoRecording(m, np.zeros(4), 1000.0)
+    m[0] = 0.5
+    assert rec.nasal[0] == 0.0 and not np.shares_memory(rec.nasal, m)
+    del m
+    times = 0.016 + 0.008 * np.arange(3)
+    nasal = np.array([-10.0, -20.0, -30.0]).view(_Subclass)
+    track = IntensityTrack(times, nasal, np.array([-1.0, -2.0, -3.0]), FrameConfig())
+    nasal[0] = 0.0
+    assert track.nasal_db[0] == -10.0 and not np.shares_memory(track.nasal_db, nasal)
+    assert type(track.nasal_db) is np.ndarray and not track.nasal_db.flags.writeable
+
+
 def test_intensity_track_holds_finite_db_above_the_floor():
     # no ceiling: band-pass ringing and calibration shifts pass 0 dB
     times = 0.016 + 0.008 * np.arange(2)

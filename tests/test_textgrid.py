@@ -445,7 +445,7 @@ GRAMMAR_ERRORS = {
     "missing-flag": (MINIMAL_LONG, [("tiers? <exists>", "tiers?")],
                      "malformed header: missing tiers? <exists> flag", 7),
     "malformed-flag": (MINIMAL_LONG, [("<exists>", "<maybe>")],
-                       "malformed header: missing tiers? <exists> flag", 7),
+                       "malformed header: missing tiers? <exists> flag", 6),
     "missing-flag-at-end": (MINIMAL_SHORT, [(MINIMAL_SHORT[MINIMAL_SHORT.index("<"):], "")],
                             "malformed header: missing tiers? <exists> flag", 5),
     "non-integer-count": (MINIMAL_LONG, [("size = 1", "size = 1.5")],
@@ -481,6 +481,8 @@ GRAMMAR_ERRORS = {
                            "unknown tier class 'PitchTier'", 10),
     "trailing-content": (MINIMAL_LONG, [('text = "ih"', 'text = "ih"\n"leftover"')],
                          "unexpected content after final tier", 23),
+    "content-after-absent": (MINIMAL_SHORT, [("<exists>", "<absent>")],
+                             "unexpected content after final tier", 7),
 }
 
 
