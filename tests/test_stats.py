@@ -14,6 +14,8 @@ from scipy.special import betainc, betaincc
 
 from nasalance.errors import DesignError, NumericError, RankDeficiencyError
 from nasalance.stats import (
+    EmmTable,
+    FitResult,
     TokenRecord,
     bonferroni,
     build_design,
@@ -598,3 +600,59 @@ def test_csv_rows_keep_header_width_for_any_label(systems, environments):
     assert all(len(row) == 7 for row in contrast_rows)
     assert [row[0] for row in contrast_rows[1:]] == [
         r.description for t in tables for r in t]
+
+
+# --- hand-built fits ---------------------------------------------------------
+
+
+def zero_covariance_fit():
+    """A 2-system x 3-environment fit with zero covariance: every contrast has
+    zero SE. Its estimates make one difference of differences 2e-12 away from
+    zero and give pairwise estimates of both signs."""
+    codings = {
+        "system": (("s1", "s2"), deviation_code(["s1", "s2"])),
+        "environment": (("e1", "e2", "e3"), deviation_code(["e1", "e2", "e3"])),
+    }
+    names = ("intercept", "system.s1", "environment.e1", "environment.e2",
+             "env.e1:sys.s1", "env.e2:sys.s1")
+    estimates = np.array([50.0, 2.0, -3.0, 4.0, 1.0, 1.0 + 1e-12])
+    return FitResult(names=names, estimates=estimates, covariance=np.zeros((6, 6)),
+                     residual_variance=0.0, residual_df=10, codings=codings)
+
+
+def test_zero_se_rows_are_infinite_or_exactly_null():
+    fit = zero_covariance_fit()
+    pairwise = pairwise_env_contrasts(emmeans(fit), "s1")
+    dod = difference_of_differences_table(fit)
+    rows = [*pairwise, *dod]
+    lines = "".join(contrasts_to_csv(pairwise, dod)).splitlines()[1:]
+    assert len(lines) == len(rows) == 6
+    signs = set()
+    for row, line in zip(rows, lines):
+        assert row.se == 0.0 and row.df == 10
+        if abs(row.estimate) <= 1e-10:
+            assert (row.t, row.p, row.p_adjusted) == (0.0, 1.0, 1.0)
+            tail = "0,0,10,1,1"
+            signs.add(0)
+        else:
+            assert row.t == math.copysign(math.inf, row.estimate)
+            assert (row.p, row.p_adjusted) == (0.0, 0.0)
+            tail = f"0,{row.t:g},10,0,0"
+            signs.add(int(math.copysign(1, row.estimate)))
+        assert line == f"{row.description},{row.estimate:.9g},{tail}"
+    assert signs == {-1, 0, 1}
+    # the near-zero difference of differences is not rounded to zero
+    assert dod.rows[0].estimate != 0.0
+
+
+def test_fit_without_coding_tables_is_refused():
+    rng = np.random.default_rng(5)
+    fit = ols_fit(np.column_stack([np.ones(8), rng.standard_normal(8)]),
+                  rng.standard_normal(8))
+    message = "fit carries no system/environment coding tables"
+    with pytest.raises(ValueError, match=message):
+        emmeans(fit)
+    with pytest.raises(ValueError, match=message):
+        pairwise_env_contrasts(EmmTable(rows=(), fit=fit), "s1")
+    with pytest.raises(ValueError, match=message):
+        difference_of_differences_table(fit)
