@@ -43,7 +43,7 @@ for row in emms:
 
 print("\npairwise environment contrasts within each system:")
 for system in ("icspeech", "nosey"):
-    for row in pairwise_env_contrasts(emms, system):
+    for row in pairwise_env_contrasts(fit, system):
         print(f"  {row.description:28} {row.estimate:+7.2f}  p_adj={row.p_adjusted:.4f}")
 
 print("\ndifference of differences (positive: first system's contrast larger):")

@@ -54,7 +54,8 @@ def estimate_gain_offset(
     window: tuple[float, float] | None = None,
     bandpass_spec: BandpassSpec | None = None,
 ) -> CalibrationProfile:
-    """Median per-frame dB difference (nasal - oral) over a same-stimulus take.
+    """Median dB difference (nasal - oral) over the valid frames
+    (IntensityTrack.valid_frames) of a same-stimulus take.
 
     The median is robust to transient frames at stimulus onset/offset.
     With bandpass_spec, the whole take is band-passed before the window is
@@ -77,7 +78,7 @@ def estimate_gain_offset(
     else:
         window = (0.0, rec.duration_s)
     it = intensity_track(rec, cfg)
-    valid = np.maximum(it.nasal_db, it.oral_db) > cfg.silence_floor_db
+    valid = it.valid_frames()
     n_valid = int(valid.sum())
     if n_valid < MIN_CALIBRATION_FRAMES:
         raise CalibrationError(

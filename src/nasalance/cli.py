@@ -241,7 +241,7 @@ def cmd_stats(args) -> int:
     pairwise_family = (args.family_size if args.family_size is not None
                        else n_pairs * len(sys_levels))
     pairwise = [
-        pairwise_env_contrasts(emms, s, family_size=pairwise_family)
+        pairwise_env_contrasts(fit, s, family_size=pairwise_family)
         for s in sys_levels
     ]
     tables = list(pairwise)

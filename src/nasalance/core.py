@@ -73,19 +73,16 @@ def nasalance_track(it: IntensityTrack) -> NasalanceTrack:
     an intensity track.
 
     A frame is valid iff at least one channel is above the configured
-    silence floor.
+    silence floor and the clamp floor (IntensityTrack.valid_frames).
     """
     nasal, oral = it.nasal_db, it.oral_db
-    floor = it.config.silence_floor_db
+    valid = it.valid_frames()
     # two float arrays, pct and r, are all the work space: each step writes
     # in place, with the same operations in the same order as whole-array
     # steps, so every value is bitwise theirs
-    pct = np.maximum(nasal, oral)
-    valid = pct > floor
-    valid &= (nasal > DB_CLAMP_FLOOR) | (oral > DB_CLAMP_FLOOR)
-    diff = np.subtract(nasal, oral, out=pct)
-    nasal_larger = diff > 0
-    r = np.abs(diff)
+    pct = np.subtract(nasal, oral)
+    nasal_larger = pct > 0
+    r = np.abs(pct)
     np.negative(r, out=r)
     np.divide(r, 20.0, out=r)  # 20 dB per decade of amplitude
     np.power(10.0, r, out=r)

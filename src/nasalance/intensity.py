@@ -146,6 +146,13 @@ class IntensityTrack:
     def __len__(self) -> int:
         return len(self.times)
 
+    def valid_frames(self) -> np.ndarray:
+        """Frames whose louder channel is above the silence floor and above
+        DB_CLAMP_FLOOR: the frames that nasalance and calibration read. A
+        frame clamped in both channels is digitally silent at any floor."""
+        loudest = np.maximum(self.nasal_db, self.oral_db)
+        return loudest > max(self.config.silence_floor_db, DB_CLAMP_FLOOR)
+
 
 def window_weights(window, n: int) -> np.ndarray:
     """Weight vector for a window name."""
@@ -279,7 +286,7 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
         where = f"{rec.source_id}: " if rec.source_id else ""
         raise ValueError(
             f"{where}recording of {n} samples is shorter than one "
-            f"{frame_len}-sample frame"
+            f"{frame_len:.6g}-sample frame"
         )
     count = _frame_count(n, frame_len, step_samples)
     step_s, centre_s = cfg.step_ms / 1000.0, frame_len / (2.0 * sr)

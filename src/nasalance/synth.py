@@ -25,6 +25,9 @@ from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _Held, _peak
 from .errors import SynthSpecError
 from .output import _array_rows, _csv_blocks
 
+# the most frames of a float32 stereo WAV: write_wav refuses a 4-GiB data chunk
+_MAX_FRAMES = (2**32 - 37) // 8
+
 
 @dataclass(frozen=True)
 class SineCarrier:
@@ -90,6 +93,11 @@ class SynthSpec:
             raise SynthSpecError(f"duration_s must be > 0, got {self.duration_s}")
         if self.sample_rate <= 0:
             raise SynthSpecError(f"sample_rate must be > 0, got {self.sample_rate}")
+        n = self.duration_s * self.sample_rate
+        if not (math.isfinite(n) and 1 <= round(n) <= _MAX_FRAMES):
+            raise SynthSpecError(f"duration_s {self.duration_s:g} at sample_rate "
+                                 f"{self.sample_rate:g} gives {n:.6g} samples; a float32 "
+                                 f"stereo WAV holds 1 to {_MAX_FRAMES}")
         nyquist = self.sample_rate / 2.0
         if isinstance(self.carrier, SineCarrier):
             if not 0 < self.carrier.f_hz < nyquist:
@@ -192,9 +200,7 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
     Each sample comes from the same operations as a whole-signal render, so
     the samples do not depend on the block size.
     """
-    n = int(round(spec.duration_s * spec.sample_rate))
-    if n < 1:
-        raise SynthSpecError("spec is shorter than one sample")
+    n = int(round(spec.duration_s * spec.sample_rate))  # 1 to _MAX_FRAMES
     sr, bleed = spec.sample_rate, spec.bleed
     nasal, oral = np.empty(n), np.empty(n)
 

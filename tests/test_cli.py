@@ -319,6 +319,23 @@ def test_calibrate_command(tmp_path, capsys):
     assert main(["calibrate", str(tmp_path / "silent.wav"), "--out", str(out)]) == 2
 
 
+def test_calibrate_skips_digital_silence_at_any_floor(tmp_path):
+    # 1 s of tone 3 dB hotter in the nasal channel, then 2 s of zeros: the
+    # silent frames are clamped in both channels, and no floor makes them valid
+    tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
+    oral = np.concatenate([tone, np.zeros(96000)])
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, [10 ** (3 / 20) * oral, oral], 48000, "float32")
+    out = tmp_path / "cal.json"
+    offsets = []
+    for floor in ("-60", "-400", "-inf"):
+        assert main(["calibrate", str(wav), "--out", str(out),
+                     f"--silence-floor-db={floor}"]) == 0
+        offsets.append(json.loads(out.read_text())["gain_offset_db"])
+    assert offsets == [pytest.approx(3.0, abs=1e-6)] * 3
+    assert len(set(offsets)) == 1
+
+
 def test_calibration_flag_in_analyze(session, tmp_path):
     wav, tg, wordlist = session
     profile = tmp_path / "cal.json"
@@ -391,6 +408,19 @@ def test_frame_of_overflowing_sample_count_exits_2(session, tmp_path, capsys, co
     assert not out.exists()
 
 
+def test_huge_finite_frame_is_named_in_one_short_line(tmp_path, capsys):
+    tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(24000) / 48000.0)
+    wav = tmp_path / "tone.wav"
+    write_wav(wav, [tone, tone], 48000, "float32")
+    out = tmp_path / "out.csv"
+    assert main(["track", str(wav), "--out", str(out),
+                 "--frame-ms", "1e300", "--step-ms", "1e300"]) == 2
+    err = capsys.readouterr().err
+    assert "recording of 24000 samples is shorter than one 4.8e+301-sample frame" in err
+    assert len(err) < 200 and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_stimulus_window_past_any_take_is_the_whole_take(tmp_path):
     tone = 0.4 * np.sin(2 * np.pi * 330 * np.arange(48000) / 48000.0)
     wav = tmp_path / "tone.wav"
@@ -444,6 +474,22 @@ def test_synth_non_finite_spec_exits_2(tmp_path, capsys, key, value):
     spec.write_text(doc)
     assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
     assert "must be finite" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("duration_s", 1e308),
+    ("duration_s", 1e7),
+    ("sample_rate", 1e300),
+], ids=["duration_overflows", "duration_over_wav_limit", "rate_over_wav_limit"])
+def test_synth_unwritable_sample_count_exits_2(tmp_path, capsys, key, value):
+    # refused by the spec: nothing is rendered, allocated or written
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**synth_spec_doc([25.0]), key: value}))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
+    err = capsys.readouterr().err
+    assert "duration_s" in err and "sample_rate" in err
+    assert "a float32 stereo WAV holds 1 to 536870907" in err
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.special import betainc, betaincc
 
 from nasalance.errors import DesignError, NumericError, RankDeficiencyError
 from nasalance.stats import (
-    EmmTable,
     FitResult,
     TokenRecord,
     bonferroni,
@@ -116,30 +116,27 @@ def reference_row(codings, system, environment, vowel=None):
 def unbalanced_records(draw):
     """2-4 levels per factor (or a single vowel), every cell filled once plus
     at least one extra token, so the fit is full rank and unbalanced; with
-    or without an explicit level order."""
+    or without the level names relabeled, so the -1-coded last level varies."""
     systems = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
     envs = [f"e{i}" for i in range(draw(st.integers(2, 4)))]
     vowels = [f"v{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4])))]
     cells = [(s, e, v) for s in systems for e in envs for v in vowels]
     extra = draw(st.lists(st.tuples(st.sampled_from(systems), st.sampled_from(envs),
                                      st.sampled_from(vowels)), min_size=1, max_size=30))
-    records = [
-        make_token(s, e, v, draw(st.floats(0.0, 100.0)), rep=i)
+    label = {name: name for name in systems + envs + vowels}
+    if draw(st.booleans()):
+        for names in (systems, envs, vowels):
+            label.update(zip(names, draw(st.permutations(names))))
+    return [
+        make_token(label[s], label[e], label[v], draw(st.floats(0.0, 100.0)), rep=i)
         for i, (s, e, v) in enumerate(draw(st.permutations(cells + extra)))
     ]
-    order = None
-    if draw(st.booleans()):
-        order = {"system": draw(st.permutations(systems)),
-                 "environment": draw(st.permutations(envs)),
-                 "vowel": draw(st.permutations(vowels))}
-    return records, order
 
 
 @settings(max_examples=60, deadline=None)
 @given(unbalanced_records())
-def test_design_and_emm_rows_bitwise_equal_per_record_reference(case):
-    records, order = case
-    design = build_design(records, level_order=order)
+def test_design_and_emm_rows_bitwise_equal_per_record_reference(records):
+    design = build_design(records)
     reference = np.array([
         reference_row(design.codings, r.system, r.environment, r.vowel)
         for r in records
@@ -254,15 +251,16 @@ def test_results_invariant_to_level_order():
         ["s1", "s2"], ["e1", "e2", "e3"], ["v1", "v2"], 2,
         lambda s, e, v, r: float(rng.uniform(20, 80)),
     )
+    # new names that sort as s2 s1, e3 e1 e2, v2 v1
+    label = {"s2": "sa", "s1": "sb", "e3": "ea", "e1": "eb", "e2": "ec",
+             "v2": "va", "v1": "vb"}
+    relabeled = [replace(r, system=label[r.system], environment=label[r.environment],
+                         vowel=label[r.vowel]) for r in records]
     fit_a = fit_nasalance_model(records)
-    fit_b = fit_nasalance_model(records, level_order={
-        "system": ["s2", "s1"],
-        "environment": ["e3", "e1", "e2"],
-        "vowel": ["v2", "v1"],
-    })
+    fit_b = fit_nasalance_model(relabeled)
     emm_a, emm_b = emmeans(fit_a), emmeans(fit_b)
     for row in emm_a:
-        other = emm_b.cell(row.system, row.environment)
+        other = emm_b.cell(label[row.system], label[row.environment])
         assert row.emm == pytest.approx(other.emm, abs=1e-8)
         assert row.se == pytest.approx(other.se, abs=1e-8)
 
@@ -315,7 +313,7 @@ def test_emm_unknown_level():
                               lambda s, e, v, r: 50.0)
     fit = fit_nasalance_model(records)
     with pytest.raises(ValueError, match="unknown system"):
-        pairwise_env_contrasts(emmeans(fit), "s9")
+        pairwise_env_contrasts(fit, "s9")
     with pytest.raises(ValueError, match="unknown environment"):
         system_difference_of_differences(fit, ("e1", "e9"))
 
@@ -333,7 +331,7 @@ def test_identical_emms_give_zero_estimate_p_one():
         return 50.0 + noise[idx % 12]
 
     records = balanced_tokens(["s1", "s2"], ["e1", "e2"], ["v1", "v2"], 3, value)
-    table = pairwise_env_contrasts(emmeans(fit_nasalance_model(records)), "s1")
+    table = pairwise_env_contrasts(fit_nasalance_model(records), "s1")
     row = table.rows[0]
     assert row.estimate == pytest.approx(0.0, abs=1e-10)
     assert row.p == 1.0
@@ -345,7 +343,7 @@ def test_four_environments_give_six_contrasts():
         ["s1", "s2"], ["e1", "e2", "e3", "e4"], ["v1"], 2,
         lambda s, e, v, r: 40.0 + 3 * int(e[1]) + r,
     )
-    table = pairwise_env_contrasts(emmeans(fit_nasalance_model(records)), "s1")
+    table = pairwise_env_contrasts(fit_nasalance_model(records), "s1")
     assert len(table) == 6
     assert table.family_size == 6
 
@@ -378,7 +376,7 @@ def test_pairwise_t_matches_hand_built_oracle():
     oracle_t = oracle_est / oracle_se
     oracle_p = 2.0 * float(spstats.t.sf(abs(oracle_t), len(y) - 4))
 
-    table = pairwise_env_contrasts(emmeans(fit_nasalance_model(records)), "s1")
+    table = pairwise_env_contrasts(fit_nasalance_model(records), "s1")
     row = table.rows[0]
     assert row.description == "s1: e1 - e2"
     assert row.estimate == pytest.approx(oracle_est, abs=1e-6)
@@ -558,7 +556,7 @@ def test_csv_emitters():
     assert text.startswith("system,environment,emm,se\n")
     assert len(text.strip().split("\n")) == 5
 
-    table = pairwise_env_contrasts(emms, "s1")
+    table = pairwise_env_contrasts(fit, "s1")
     dod = difference_of_differences_table(fit)
     out = "".join(contrasts_to_csv(table, dod))
     lines = out.strip().split("\n")
@@ -589,7 +587,7 @@ def test_csv_rows_keep_header_width_for_any_label(systems, environments):
                               lambda s, e, v, r: 40.0 + 3 * environments.index(e) + r)
     fit = fit_nasalance_model(records)
     emms = emmeans(fit)
-    tables = [pairwise_env_contrasts(emms, s) for s in fit.codings["system"][0]]
+    tables = [pairwise_env_contrasts(fit, s) for s in fit.codings["system"][0]]
     tables.append(difference_of_differences_table(fit))
 
     emm_rows = list(csv.reader(io.StringIO("".join(emm_to_csv(emms)))))
@@ -622,7 +620,7 @@ def zero_covariance_fit():
 
 def test_zero_se_rows_are_infinite_or_exactly_null():
     fit = zero_covariance_fit()
-    pairwise = pairwise_env_contrasts(emmeans(fit), "s1")
+    pairwise = pairwise_env_contrasts(fit, "s1")
     dod = difference_of_differences_table(fit)
     rows = [*pairwise, *dod]
     lines = "".join(contrasts_to_csv(pairwise, dod)).splitlines()[1:]
@@ -653,6 +651,6 @@ def test_fit_without_coding_tables_is_refused():
     with pytest.raises(ValueError, match=message):
         emmeans(fit)
     with pytest.raises(ValueError, match=message):
-        pairwise_env_contrasts(EmmTable(rows=(), fit=fit), "s1")
+        pairwise_env_contrasts(fit, "s1")
     with pytest.raises(ValueError, match=message):
         difference_of_differences_table(fit)

@@ -141,6 +141,19 @@ def test_spec_validation():
                   nasal_env=[(0.0, 0.1)], oral_env=[(0.0, 0.1)])
 
 
+def test_spec_holds_at_most_one_float32_stereo_wav():
+    # 36 header bytes + 8 bytes a frame must stay under 2**32
+    def spec(n):
+        return SynthSpec(duration_s=n, sample_rate=1.0, carrier=SineCarrier(0.25),
+                         nasal_env=[(0.0, 0.1)], oral_env=[(0.0, 0.1)])
+
+    assert 36 + 8 * 536870907 < 2**32 <= 36 + 8 * 536870908
+    assert spec(536870907.0).duration_s == 536870907.0
+    for n in (536870908.0, 0.4):
+        with pytest.raises(SynthSpecError, match="holds 1 to 536870907$"):
+            spec(n)
+
+
 def test_pipeline_recovers_constant_truth():
     rec, _ = synthesize(const_spec(0.2, 0.6, duration=1.0))
     nt = nasalance_track(intensity_track(rec, FrameConfig()))
