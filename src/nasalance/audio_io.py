@@ -211,6 +211,7 @@ def _peak(ch: np.ndarray) -> float:
 
 class _Held:
     """Nasal and oral channels held in memory, read as slices."""
+    block_len = 0  # no filter blocks to cut framing spans at (see intensity._frames_db)
 
     def __init__(self, nasal: np.ndarray, oral: np.ndarray):
         self.nasal, self.oral = nasal, oral
@@ -290,6 +291,7 @@ class _FileChannels:
     Each role is a (data chunk, channel) pair. Two files whose stored
     formats differ are decoded to float64 as they are read.
     """
+    block_len = 0  # see _Held
 
     def __init__(self, nasal: tuple[_WavData, int], oral: tuple[_WavData, int]):
         self.roles = (nasal, oral)
@@ -477,6 +479,13 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
     )
 
 
+def _check_rate(sample_rate, error=ValueError) -> None:
+    """Raise `error` unless a WAV header can hold sample_rate."""
+    if not (1 <= sample_rate < 2**32 and sample_rate == int(sample_rate)):
+        raise error(f"sample_rate must be a whole number of Hz in 1..{2**32 - 1}, "
+                    f"got {sample_rate!r}")
+
+
 def _wav_blocks(channels, sample_rate, sample_format):
     """Check what write_wav is given and return the WAV file's bytes, as
     blocks made while they are iterated (see write_wav); a block's buffer is
@@ -494,11 +503,7 @@ def _wav_blocks(channels, sample_rate, sample_format):
     if block_align >= 2**16:
         raise ValueError(f"{n_channels} channels of {bits}-bit samples do not fit "
                          f"the WAV header")
-    if not (1 <= sample_rate < 2**32 and sample_rate == int(sample_rate)):
-        raise ValueError(
-            f"sample_rate must be a whole number of Hz in 1..{2**32 - 1}, "
-            f"got {sample_rate!r}"
-        )
+    _check_rate(sample_rate)
     byte_rate = int(sample_rate) * block_align
     if byte_rate >= 2**32:
         raise ValueError(

@@ -167,7 +167,7 @@ def window_weights(window, n: int) -> np.ndarray:
 
 
 def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray, scale: float,
-               out: np.ndarray) -> None:
+               out: np.ndarray, grid=(0, 0)) -> None:
     """Write the dB full scale of the frames that start at `starts` into
     `out`, one row per channel and one column per start.
 
@@ -177,24 +177,31 @@ def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray, scale: f
 
     The starts are cut into spans of at most _SPAN_FRAMES frames, and a span
     ends where the next frame does not overlap it, so a sparse set of frames
-    reads only the samples around each. Each span is read once and each of
-    its samples squared once, into one reused float64 buffer; every frame is
-    then reduced by its own dot product with w (one ddot), over a strided
-    view of the squares when the span's frames are evenly spaced and over
-    rows gathered from them otherwise. So a frame's dB depends only on its
-    own samples, never on the span it falls in: framing any subset of
-    `starts` gives, bitwise, the same values as framing all of them. The
-    powers go straight into `out`, which is then turned into dB in place.
+    reads only the samples around each. When read filters sample i in block
+    (i + origin) // block_len of grid = (block_len, origin), a span also
+    ends where the block of a frame's first or last sample changes: reads in
+    order never go back to a block, and copy only frames across an edge.
+    Each span is read once and each of its samples squared once, into one
+    reused float64 buffer; every frame is then reduced by its own dot
+    product with w (one ddot), over a strided view of the squares when the
+    span's frames are evenly spaced and over rows gathered from them
+    otherwise. So a frame's dB depends only on its own samples, never on the
+    span it falls in: framing any subset of `starts` gives, bitwise, the
+    same values as framing all of them. The powers go straight into `out`,
+    which is then turned into dB in place.
 
     The weighted sum of stored squares is scaled by scale**-2: scaling by a
     power of two commutes with rounding in the normal range, so the dB
     values are bitwise those of squaring stored / scale. (Squares of 16- and
     24-bit integers are exact in float64.)
     """
-    gaps = np.diff(starts)
+    gaps, (block_len, origin) = np.diff(starts), grid
+    cut = gaps >= frame_len
+    for edge in (origin, origin + frame_len - 1) if block_len else ():
+        cut |= np.diff((starts + edge) // block_len) != 0
     squares = np.empty(0)
     first = 0
-    for end in np.append(np.flatnonzero(gaps >= frame_len) + 1, len(starts)).tolist():
+    for end in np.append(np.flatnonzero(cut) + 1, len(starts)).tolist():
         for i in range(first, end, _SPAN_FRAMES):
             j = min(i + _SPAN_FRAMES, end)
             a, b = int(starts[i]), int(starts[j - 1]) + frame_len
@@ -250,7 +257,8 @@ def _frames_around(at: np.ndarray, count: int, step_s: float,
         k += up
         k -= down
     after = k + ((k < 0) | (k * step_s + centre_s < t))  # first at or after t
-    return np.unique(np.concatenate([k, after]).clip(0, count - 1))
+    k = np.sort(np.concatenate([k, after]).clip(0, count - 1))
+    return k[np.diff(k, prepend=-1) > 0]  # each once; np.unique would import numpy.ma
 
 
 def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
@@ -298,12 +306,13 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
         times = index * step_s + centre_s
     w = window_weights(cfg.window, frame_len)
     db = np.empty((2, len(times)))
+    grid = (rec._channels.block_len, rec._start)
     with rec.stored() as read:
         for a in range(0, len(times), _BLOCK_FRAMES):
             b = min(a + _BLOCK_FRAMES, len(times))
             k = np.arange(a, b) if index is None else index[a:b]
             starts = np.rint(k * step_samples).astype(np.int64)
-            _frames_db(read, starts, frame_len, w, rec.scale, db[:, a:b])
+            _frames_db(read, starts, frame_len, w, rec.scale, db[:, a:b], grid)
     for x in (times, db, index):
         if x is not None:
             x.flags.writeable = False  # kept without a copy
@@ -318,6 +327,7 @@ _KERNEL_TOL = 1e-13
 _FFT_BLOCK = 2**16
 # Longest kernel half-width (22 s at 48 kHz, a lower edge near 0.3 Hz): blocks grow with it
 _MAX_HALF_WIDTH = 2**20
+_INPUT_FRAMES = 2**13  # of a block's input are decoded per read: small read buffers
 
 
 def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
@@ -364,28 +374,26 @@ class _Bandpassed:
         self.rec, self.half = rec, half
         self.n_fft = n_fft = min(max(_FFT_BLOCK, 1 << (8 * half).bit_length()),
                                  1 << (n + 2 * half - 1).bit_length())
-        self.hop = n_fft - 2 * half
+        self.block_len = n_fft - 2 * half  # output samples per block
         # the even kernel wrapped around index 0, so its spectrum is real
         self.kernel_fft = np.fft.rfft(np.concatenate(
-            [taps, np.zeros(self.hop - 1), taps[:0:-1]])).real.copy()
+            [taps, np.zeros(self.block_len - 1), taps[:0:-1]])).real.copy()
 
     @contextmanager
     def reader(self, roles=(0, 1)):
         # imported here: only band-passed runs need a thread
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor, wait
 
-        half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.hop
-        # block j is filtered in place in slot j % 2 of a ring, a row per role
-        ring, k = np.empty((2, len(roles), n_fft)), np.arange(1, half + 1)
+        half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.block_len
+        scale = self.rec.scale
+        rows, k = np.empty((len(roles), n_fft)), np.arange(1, half + 1)
         spectra = np.empty((len(roles), n_fft // 2 + 1), complex)
-        held = [(-1, ()), (-1, ())]  # (block index, output views) of each slot
+        held = [-1, ()]  # the block filtered in place in rows (one per role), its views
 
-        def filtered(row, spectrum, x, s):  # one channel's block at s
+        def filtered(row, spectrum, s):  # one channel's block at s, its input decoded
             # row holds samples s .. s + n_fft of the recording extended by
             # R = half samples each side, then zeros: sample i is at i + o
             o = half - s
-            a = max(o, 0)  # x is the stored input from sample max(s - half, 0)
-            np.divide(x, self.rec.scale, out=row[a : a + len(x)], dtype=np.float64)
             # odd extension about each end sample, held at its last value once
             # the recording is shorter than the extension
             if s == 0:
@@ -401,15 +409,21 @@ class _Bandpassed:
             return y
 
         def block(j):  # output samples [j*hop, (j+1)*hop) of each of roles
-            if held[j % 2][0] != j:
-                held[j % 2] = (-1, ())  # until its rows are whole again
-                s, rows = j * hop, ring[j % 2]
-                *rest, last = read_input(max(s - half, 0), min(s - half + n_fft, n))
+            if held[0] != j:
+                held[:] = -1, ()  # until its rows are whole again
+                s, o = j * hop, half - j * hop  # sample i goes to row[i + o] (see filtered)
+                for a in range(max(s - half, 0), min(s - half + n_fft, n), _INPUT_FRAMES):
+                    b = min(a + _INPUT_FRAMES, s - half + n_fft, n)
+                    for row, x in zip(rows, read_input(a, b)):
+                        np.divide(x, scale, out=row[a + o : b + o], dtype=np.float64)
                 # NumPy's FFTs release the GIL: every role but the last runs in the worker
-                rest = [pool.submit(filtered, *job, s) for job in zip(rows, spectra, rest)]
-                last = filtered(rows[-1], spectra[-1], last, s)
-                held[j % 2] = (j, (*(f.result() for f in rest), last))
-            return held[j % 2][1]
+                rest = [pool.submit(filtered, *job, s) for job in zip(rows[:-1], spectra)]
+                try:
+                    last = filtered(rows[-1], spectra[-1], s)
+                finally:  # the worker is done with its rows before they are refilled
+                    wait(rest)
+                held[:] = j, (*(f.result() for f in rest), last)
+            return held[1]
 
         def read(a, b):  # views of one block, or its blocks' pieces copied out
             first = min(a, n - 1) // hop
@@ -417,7 +431,7 @@ class _Bandpassed:
             if first == last:
                 return tuple(y[a - first * hop : b - first * hop] for y in block(first))
             out = np.empty((len(roles), b - a))
-            for j in range(first, last + 1):  # copied before block j + 2 takes its slot
+            for j in range(first, last + 1):  # copied before block j + 1 takes the rows
                 lo, hi = max(a, j * hop), min(b, (j + 1) * hop)
                 for row, y in zip(out, block(j)):
                     row[lo - a : hi - a] = y[lo - j * hop : hi - j * hop]
@@ -441,10 +455,10 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     fixed grid of power-of-two FFT blocks. Nothing is filtered here: the
     result filters a block of the channels a read asks for (both in two
     threads) when the read needs it, in place in buffers each reader
-    allocates once (two blocks per channel, block j in slot j % 2), so
-    framing a few spans filters only the blocks that hold them, decoding one
-    channel filters only that one, and memory is O(block), not O(output). A
-    read within one block returns views that hold until the next read.
+    allocates once (one block per channel), so framing a few spans filters
+    only the blocks that hold them, decoding one channel filters only that
+    one, and memory is O(block), not O(output). A read within one block
+    returns views that hold until the next read (see _frames_db's grid).
 
     Edges: each channel is odd-extended by R samples about its end samples
     (held constant past the far end of a recording shorter than R). Further

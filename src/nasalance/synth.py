@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _Held, _peak
+from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _check_rate, _Held, _peak
 from .errors import SynthSpecError
 from .output import _array_rows, _csv_blocks
 
@@ -98,6 +98,7 @@ class SynthSpec:
             raise SynthSpecError(f"duration_s {self.duration_s:g} at sample_rate "
                                  f"{self.sample_rate:g} gives {n:.6g} samples; a float32 "
                                  f"stereo WAV holds 1 to {_MAX_FRAMES}")
+        _check_rate(self.sample_rate, SynthSpecError)  # before any sample is made
         nyquist = self.sample_rate / 2.0
         if isinstance(self.carrier, SineCarrier):
             if not 0 < self.carrier.f_hz < nyquist:

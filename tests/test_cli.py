@@ -287,6 +287,27 @@ def test_study_runs_without_scipy(session, tmp_path):
     assert len(results.read_text().splitlines()) == 4
 
 
+_LOADED_BY_ANALYZE = """
+import sys
+from nasalance.cli import main
+code = main(sys.argv[1:])
+print(code, sorted(m for m in sys.modules
+                   if m == "numpy.ma" or m.startswith(("numpy.ma.", "scipy"))))
+"""
+
+
+def test_bandpassed_analyze_loads_neither_numpy_ma_nor_scipy(session, tmp_path):
+    # each would cost every analyze call its import time and memory
+    wav, tg, wordlist = session
+    src = Path(nasalance.__file__).resolve().parents[1]
+    argv = ["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+            "--bandpass", "60:4000", "--out", str(tmp_path / "tokens.csv")]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY_ANALYZE, *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_track_command(session, tmp_path):
     wav, _, _ = session
     out = tmp_path / "track.csv"
@@ -500,6 +521,21 @@ def test_synth_fractional_rate_exits_2(tmp_path, capsys):
     assert "sample_rate must be a whole number of Hz" in capsys.readouterr().err
     assert not (tmp_path / "fix.wav").exists()
     assert not (tmp_path / "fix.truth.csv").exists()
+
+
+def test_synth_fractional_rate_is_refused_before_rendering(tmp_path, capsys, monkeypatch):
+    # the spec is refused when it is built: a 60-s take is never rendered
+    def render(spec):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(nasalance.cli, "synthesize", render)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**synth_spec_doc([25.0]), "duration_s": 60.0,
+                                "sample_rate": 48000.5}))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
+    assert ("sample_rate must be a whole number of Hz in 1..4294967295, got 48000.5"
+            in capsys.readouterr().err)
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_stats_command(session, tmp_path, capsys):

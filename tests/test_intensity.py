@@ -22,11 +22,13 @@ from nasalance.audio_io import (
 from nasalance.intensity import (
     _BLOCK_FRAMES,
     _FFT_BLOCK,
+    _INPUT_FRAMES,
     _SPAN_FRAMES,
     DB_CLAMP_FLOOR,
     BandpassSpec,
     FrameConfig,
     IntensityTrack,
+    _frames_around,
     _frames_db,
     _zero_phase_taps,
     bandpass,
@@ -238,6 +240,25 @@ def test_sparse_track_frames_the_frames_around_each_time():
             assert sparse.nasal_db.tobytes() == full.nasal_db[framed].tobytes()
             assert sparse.oral_db.tobytes() == full.oral_db[framed].tobytes()
         assert full.index is None
+
+
+def test_frames_around_matches_unique_of_both_neighbours():
+    # np.unique is the oracle: the sorted frames searchsorted finds on each
+    # side of each time, each once
+    rng = np.random.default_rng(29)
+    count, step_s, centre_s = 700, 0.008, 0.016
+    times = np.arange(count) * step_s + centre_s
+    for size in (0, 1, 2, 17, 500):
+        at = rng.uniform(-0.5, times[-1] + 0.5, size)
+        if size > 2:
+            at[:3] = [math.nan, -1.0, math.inf]
+            at = np.concatenate([at, at[size // 2 :], times[rng.integers(0, count, size)]])
+        want = np.unique(np.concatenate([
+            np.searchsorted(times, at, side="right") - 1,
+            np.searchsorted(times, at, side="left")]).clip(0, count - 1))
+        got = _frames_around(rng.permutation(at), count, step_s, centre_s)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 def test_sparse_track_centres_sit_on_the_grid_of_their_index():
@@ -663,14 +684,15 @@ def _ring_setup(seed):
 
 @pytest.mark.parametrize("roles", [(0,), (1,), (0, 1), (1, 0)])
 def test_bandpass_ring_rereads_evicted_blocks_and_spans_of_many(roles):
-    # the reader keeps two filtered blocks, block j in slot j % 2: coming back
-    # to a block that j + 2 evicted filters it again, and a span over three
-    # or more blocks is copied out piece by piece; every read is the
-    # oracle's, bitwise, and read-only
+    # the reader keeps one filtered block: coming back to a block after
+    # reading another filters it again, a span over two or more blocks is
+    # copied out piece by piece and leaves the last of them held, and every
+    # read is the oracle's, bitwise, and read-only
     out, held, hop, n = _ring_setup(21)
     mid = hop // 2
-    spans = [(mid, mid + 9), (2 * hop + mid, 2 * hop + mid + 9), (mid, mid + 9),
-             (hop + 1, hop + 5), (3 * hop + mid, 3 * hop + 99), (hop + 1, hop + 5),
+    spans = [(mid, mid + 9), (hop + mid, hop + mid + 9), (mid, mid + 9),
+             (hop - 3, hop + 3), (hop - 9, hop - 4), (hop + 1, hop + 5),
+             (3 * hop + mid, 3 * hop + 99), (hop + 1, hop + 5),
              (mid, 3 * hop + mid), (hop - 3, 4 * hop + 3), (0, n), (mid, mid + 9),
              (4 * hop, n), (0, n), (2 * hop - 1, 2 * hop + 1), (n, n), (0, 0)]
     with out.stored(roles) as read:
@@ -683,23 +705,24 @@ def test_bandpass_ring_rereads_evicted_blocks_and_spans_of_many(roles):
 
 
 def test_bandpass_reader_refilters_a_block_whose_slot_failed(monkeypatch):
-    # a filter that raises halfway leaves its slot holding no block, so the
-    # block it was evicting is filtered again when it is read next
+    # a filter that raises halfway leaves the workspace holding no block, so
+    # the block it held before is filtered again when it is read next
     out, held, hop, n = _ring_setup(25)
     irfft = np.fft.irfft
     with out.stored((0,)) as read:
-        read(5, 10)  # block 0, in slot 0
+        read(5, 10)  # block 0
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            read(2 * hop + 5, 2 * hop + 10)  # block 2, into slot 0
+            read(hop + 5, hop + 10)  # block 1, into block 0's rows
         monkeypatch.setattr(np.fft, "irfft", irfft)
         (got,) = read(5, 10)
         np.testing.assert_array_equal(got, held[0][5:10])
 
 
 def test_bandpass_twice_equals_the_oracle_twice():
-    # the outer filter reads the inner one's ring, whose views hold only
-    # until its next read
+    # the outer filter reads the inner one's workspace, whose views hold only
+    # until its next read; each outer block goes back over the inner block
+    # edge before it, so inner blocks are filtered again, with the same bytes
     out, held, hop, n = _ring_setup(22)
     spec = BandpassSpec(60.0, 4000.0)
     want = held_bandpass(held_recording(*held, out.sample_rate), spec)
@@ -713,7 +736,7 @@ def test_bandpass_twice_equals_the_oracle_twice():
 
 
 def test_two_readers_of_one_bandpassed_recording_keep_their_own_blocks():
-    # each reader has its own ring: reads through one do not overwrite the
+    # each reader has its own workspace: reads through one do not overwrite the
     # views the other returned
     out, held, hop, n = _ring_setup(23)
     with out.stored() as first, out.stored((1,)) as second:
@@ -729,10 +752,10 @@ def test_two_readers_of_one_bandpassed_recording_keep_their_own_blocks():
 
 def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
     # after a warm-up call (lazy imports, FFT plans), sparse framing of a
-    # band-passed pcm16 take allocates the reader's ring of two blocks per
-    # role, one spectrum per role, the real kernel spectrum and the file's
-    # read buffer, all fixed by n_fft, and the per-frame arrays; no array
-    # per block
+    # band-passed pcm16 take allocates the reader's workspace of one block
+    # per role, one spectrum per role and the real kernel spectrum, all fixed
+    # by n_fft, the file's read buffer of one _INPUT_FRAMES read, and the
+    # per-frame arrays; no array per block
     sample_rate, spec = 48000, BandpassSpec(60.0, 4000.0)
     half = half_width(spec, sample_rate)
     n_fft = max(_FFT_BLOCK, 1 << (8 * half).bit_length())
@@ -748,12 +771,12 @@ def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ring = 2 * 2 * n_fft * 8
+    rows = 2 * n_fft * 8
     spectra = 2 * (n_fft // 2 + 1) * 16
     kernel = (n_fft // 2 + 1) * 8
-    inputs = n_fft * 2 * 2  # one stereo pcm16 block of the file
+    inputs = _INPUT_FRAMES * 2 * 2  # one stereo pcm16 read of the file
     per_frame = 16 * 8 * len(track)
-    assert peak <= ring + spectra + kernel + inputs + per_frame + 2**20, peak
+    assert peak <= rows + spectra + kernel + inputs + per_frame + 2**20, peak
 
 
 def test_decoding_one_role_filters_only_that_role(monkeypatch):
@@ -776,6 +799,100 @@ def test_decoding_one_role_filters_only_that_role(monkeypatch):
         for got, want in zip(read(0, n), held):
             np.testing.assert_array_equal(got, want)
     assert len(calls) == 16
+
+
+def _counting_irfft(monkeypatch):
+    """A list that gains an entry per inverse FFT: one per filtered block and role."""
+    calls, irfft = [], np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
+    return calls
+
+
+def _logged_reads(monkeypatch, rec):
+    """A list that gains the span (a, b) of each read of rec's stored samples."""
+    reads, stored = [], StereoRecording.stored
+
+    @contextmanager
+    def logged(self, roles=(0, 1)):
+        with stored(self, roles) as read:
+            yield (lambda a, b: reads.append((a, b)) or read(a, b)) if self is rec else read
+
+    monkeypatch.setattr(StereoRecording, "stored", logged)
+    return reads
+
+
+def _blocks_framed(starts, frame_len, hop, origin=0):
+    """The filter blocks that hold the first or last sample of some frame."""
+    return set((starts + origin) // hop) | set((starts + origin + frame_len - 1) // hop)
+
+
+@pytest.mark.parametrize("cropped", [False, True])
+def test_dense_bandpassed_framing_filters_each_block_once(monkeypatch, cropped):
+    # spans are cut at the filter's block edges, so framing in order never
+    # goes back to a block: each block is filtered once per role, on the
+    # grid of the band-passed take even when it is cropped off that grid.
+    # The crop puts block 1's first sample 500 samples into the overlap of
+    # two 64-frame spans, so a span that crossed the edge would be followed
+    # by one that starts back in block 0
+    out, held, hop, n = _ring_setup(26)
+    cfg = FrameConfig()  # a 384-sample hop at 48 kHz
+    span = _SPAN_FRAMES * 384  # from one span's first frame to the next's
+    i0, i1 = (hop - 2 * span - 500, 4 * hop - 777) if cropped else (0, n)
+    rec, want = out.crop(i0, i1), held_recording(*(x[i0:i1] for x in held), out.sample_rate)
+    frame_len = cfg.frame_samples(rec.sample_rate)
+    expected = intensity_track(want, cfg)
+    starts = np.rint(np.arange(len(expected)) * 384.0).astype(np.int64)
+    blocks = _blocks_framed(starts, frame_len, hop, i0)
+    assert len(blocks) == 5 - cropped
+    calls = _counting_irfft(monkeypatch)
+    got = intensity_track(rec, cfg)
+    assert len(calls) == 2 * len(blocks)
+    assert got.nasal_db.tobytes() == expected.nasal_db.tobytes()
+    assert got.oral_db.tobytes() == expected.oral_db.tobytes()
+    # one role: framed through _frames_db on the same grid
+    calls.clear()
+    db, w = np.empty((1, len(starts))), window_weights(cfg.window, frame_len)
+    with rec.stored((1,)) as read:
+        _frames_db(read, starts, frame_len, w, 1.0, db, (hop, i0))
+    assert len(calls) == len(blocks)
+    assert db[0].tobytes() == expected.oral_db.tobytes()
+
+
+def test_bandpassed_read_across_a_block_edge_holds_only_the_frames_across_it(monkeypatch):
+    # a read that spans two blocks is copied out; each such read holds only
+    # frames with samples on both sides of the one edge it crosses
+    out, held, hop, n = _ring_setup(27)
+    frame_len = FrameConfig().frame_samples(out.sample_rate)
+    reads = _logged_reads(monkeypatch, out)
+    intensity_track(out)
+    crossing = [(a, b) for a, b in reads if a // hop != (b - 1) // hop]
+    assert len(crossing) == 4  # one per edge
+    for a, b in crossing:
+        edge = (b - 1) // hop * hop
+        # the first frame ends past the edge, the last starts before it
+        assert edge - frame_len < a < edge and b - frame_len < edge < b, (a, b, edge)
+    assert sum(b - a for a, b in reads) < n + len(reads) * frame_len
+
+
+def test_sparse_bandpassed_framing_filters_each_block_it_reads_once(monkeypatch):
+    out, held, hop, n = _ring_setup(28)
+    cfg = FrameConfig()
+    frame_len = cfg.frame_samples(out.sample_rate)
+    rng = np.random.default_rng(28)
+    # midpoints in blocks 0 and 2, around the edge of blocks 2 and 3, and in block 4
+    at = np.sort(np.concatenate([rng.uniform(0.1, 1.0, 20),
+                                 rng.uniform(2 * hop, 3 * hop, 20) / out.sample_rate,
+                                 (3 * hop + np.array([-500, 0, 500])) / out.sample_rate,
+                                 [(n - 10) / out.sample_rate]]))
+    calls = _counting_irfft(monkeypatch)
+    sparse = intensity_track(out, cfg, at=at)
+    starts = np.rint(sparse.index * 384.0).astype(np.int64)
+    blocks = _blocks_framed(starts, frame_len, hop)
+    assert blocks == {0, 2, 3, 4}
+    assert len(calls) == 2 * len(blocks)
+    full = intensity_track(held_recording(*held, out.sample_rate), cfg)
+    assert sparse.nasal_db.tobytes() == full.nasal_db[sparse.index].tobytes()
+    assert sparse.oral_db.tobytes() == full.oral_db[sparse.index].tobytes()
 
 
 def test_crop_of_bandpassed_recording():

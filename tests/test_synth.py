@@ -154,6 +154,15 @@ def test_spec_holds_at_most_one_float32_stereo_wav():
             spec(n)
 
 
+def test_spec_refuses_a_rate_no_wav_header_holds():
+    # refused when the spec is built, with write_wav's message
+    for rate in (48000.5, 2.0**32):
+        with pytest.raises(SynthSpecError, match=r"^sample_rate must be a whole number "
+                                                 r"of Hz in 1\.\.4294967295, got "):
+            SynthSpec(duration_s=1e-4, sample_rate=rate, carrier=SineCarrier(440.0),
+                      nasal_env=[(0.0, 0.1)], oral_env=[(0.0, 0.1)])
+
+
 def test_pipeline_recovers_constant_truth():
     rec, _ = synthesize(const_spec(0.2, 0.6, duration=1.0))
     nt = nasalance_track(intensity_track(rec, FrameConfig()))
