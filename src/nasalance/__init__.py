@@ -39,7 +39,6 @@ from .intensity import (
 from .pipeline import extract_token_records, load_wordlist, read_token_csv
 from .stats import (
     ContrastRow,
-    ContrastTable,
     EmmRow,
     EmmTable,
     FitResult,
@@ -53,7 +52,6 @@ from .stats import (
     ols_fit,
     pairwise_env_contrasts,
     student_t_p,
-    system_difference_of_differences,
 )
 from .synth import (
     GroundTruth,

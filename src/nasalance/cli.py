@@ -20,7 +20,7 @@ from .calibration import (
     save_profile,
 )
 from .core import nasalance_to_csv, nasalance_track
-from .errors import InputFormatError, NumericError
+from .errors import DesignError, InputFormatError, NumericError, TextGridParseError, named
 from .intensity import (
     BandpassSpec,
     FrameConfig,
@@ -170,18 +170,19 @@ def cmd_analyze(args) -> int:
     wordlist = load_wordlist(args.wordlist)
     tiers = _read_textgrid_reporting(args.textgrid)
     profile = _load_calibration(args)
-    records, rejects = extract_token_records(
-        rec,
-        tiers,
-        wordlist,
-        speaker=args.speaker,
-        system=args.system,
-        vowel_labels=args.vowels,
-        frame_cfg=_frame_config(args),
-        bandpass_spec=args.bandpass,
-        calibration_profile=profile,
-        method=args.method,
-    )
+    with named(args.textgrid, TextGridParseError):  # a missing or mismatched tier
+        records, rejects = extract_token_records(
+            rec,
+            tiers,
+            wordlist,
+            speaker=args.speaker,
+            system=args.system,
+            vowel_labels=args.vowels,
+            frame_cfg=_frame_config(args),
+            bandpass_spec=args.bandpass,
+            calibration_profile=profile,
+            method=args.method,
+        )
     out = Path(args.out)
     _commit([(out, token_csv_blocks(records)),
              (_rejects_path(out), rejects_to_csv(rejects))])
@@ -232,7 +233,8 @@ def cmd_synth(args) -> int:
 
 def cmd_stats(args) -> int:
     records = read_token_csv(args.tokens)
-    fit = fit_nasalance_model(records)
+    with named(args.tokens, DesignError, NumericError):
+        fit = fit_nasalance_model(records)
     emms = emmeans(fit)
     sys_levels = fit.codings["system"][0]
     env_levels = fit.codings["environment"][0]
@@ -240,11 +242,10 @@ def cmd_stats(args) -> int:
     n_pairs = len(env_levels) * (len(env_levels) - 1) // 2
     pairwise_family = (args.family_size if args.family_size is not None
                        else n_pairs * len(sys_levels))
-    pairwise = [
+    tables = [
         pairwise_env_contrasts(fit, s, family_size=pairwise_family)
         for s in sys_levels
     ]
-    tables = list(pairwise)
     if len(sys_levels) == 2:
         tables.append(
             difference_of_differences_table(fit, family_size=args.family_size)

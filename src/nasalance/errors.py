@@ -5,6 +5,19 @@ Two branches matter for the CLI: InputFormatError maps to exit code 2
 (degenerate models, rank deficiency).
 """
 
+from contextlib import contextmanager
+from pathlib import Path
+
+
+@contextmanager
+def named(path, *kinds):
+    """Prefix the name of path's file to an error of the given kinds raised inside."""
+    try:
+        yield
+    except kinds as exc:
+        exc.args = (f"{Path(path).name}: {exc}",)
+        raise
+
 
 class NasalanceError(Exception):
     """Base class for all errors raised by this package."""
@@ -24,8 +37,8 @@ class AudioFormatError(InputFormatError):
         self.byte_offset = byte_offset
 
 
-class TextGridParseError(InputFormatError):
-    """TextGrid problem; carries the 1-based line number."""
+class TextGridParseError(InputFormatError, ValueError):
+    """TextGrid problem; carries the 1-based line number, if it has one."""
 
     def __init__(self, message, line=None):
         if line is not None:

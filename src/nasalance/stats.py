@@ -260,63 +260,54 @@ class ContrastRow:
     p_adjusted: float
 
 
-@dataclass(frozen=True)
-class ContrastTable:
-    rows: tuple[ContrastRow, ...]
-    family_size: int
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __len__(self):
-        return len(self.rows)
-
-
-def _contrast_from_vector(fit: FitResult, d: np.ndarray, description: str):
-    estimate, se = _estimate(fit, d)
-    # with a zero SE, t is 0 for an estimate at rounding noise and infinite
-    # otherwise; se becomes 0.0, never the -0.0 that sqrt(-0.0) gives
-    if se > 0:
-        t = estimate / se
-        p = student_t_p(t, fit.residual_df)
-    elif abs(estimate) <= _ZERO_ESTIMATE_TOL:
-        se, t, p = 0.0, 0.0, 1.0
-    else:
-        se, t, p = 0.0, math.inf if estimate > 0 else -math.inf, 0.0
-    return ContrastRow(description, estimate, se, t, fit.residual_df, p, p)
-
-
-def _adjusted(rows, family_size):
-    m = family_size if family_size is not None else len(rows)
+def _contrast_rows(fit: FitResult, terms, family_size: int | None = None):
+    """A ContrastRow per (description, cells) term: the signed sum of its
+    (system, environment, +1 or -1) cells' model rows, added in cell order, and
+    p_adjusted Bonferroni over family_size, by default the number of rows."""
+    if not terms:  # both tables run over environment pairs
+        raise DesignError("need at least 2 environments for contrasts")
+    systems, environments, signs = zip(*(cell for _, cells in terms for cell in cells))
+    x = _rows(fit.codings, systems, environments) * np.array(signs)[:, None]
+    rows, end = [], 0
+    for description, cells in terms:
+        start, end = end, end + len(cells)
+        estimate, se = _estimate(fit, sum(x[start + 1 : end], x[start]))
+        # with a zero SE, t is 0 for an estimate at rounding noise and infinite
+        # otherwise; se becomes 0.0, never the -0.0 that sqrt(-0.0) gives
+        if se > 0:
+            t = estimate / se
+            p = student_t_p(t, fit.residual_df)
+        elif abs(estimate) <= _ZERO_ESTIMATE_TOL:
+            se, t, p = 0.0, 0.0, 1.0
+        else:
+            se, t, p = 0.0, math.inf if estimate > 0 else -math.inf, 0.0
+        rows.append(ContrastRow(description, estimate, se, t, fit.residual_df, p, p))
+    m = len(rows) if family_size is None else family_size
     adjusted = bonferroni([row.p for row in rows], m)
-    rows = (replace(r, p_adjusted=p_adj) for r, p_adj in zip(rows, adjusted))
-    return ContrastTable(rows=tuple(rows), family_size=m)
+    return tuple(replace(row, p_adjusted=p_adj) for row, p_adj in zip(rows, adjusted))
 
 
 def pairwise_env_contrasts(
     fit: FitResult, within_system: str, family_size: int | None = None
-) -> ContrastTable:
+) -> tuple[ContrastRow, ...]:
     """All unordered environment pairs within one system.
 
     family_size defaults to the number of pairs in this table.
     """
-    pairs = list(combinations(_levels(fit, "environment"), 2))
-    if not pairs:
-        raise DesignError("need at least 2 environments for contrasts")
-    x = _rows(fit.codings, [within_system] * (2 * len(pairs)),
-              [env for pair in pairs for env in pair])
-    rows = [
-        _contrast_from_vector(fit, x_i - x_j, f"{within_system}: {env_i} - {env_j}")
-        for (env_i, env_j), x_i, x_j in zip(pairs, x[0::2], x[1::2])
-    ]
-    return _adjusted(rows, family_size)
+    return _contrast_rows(fit, [
+        (f"{within_system}: {env_i} - {env_j}",
+         ((within_system, env_i, 1), (within_system, env_j, -1)))
+        for env_i, env_j in combinations(_levels(fit, "environment"), 2)
+    ], family_size)
 
 
-def system_difference_of_differences(fit: FitResult, env_pair) -> ContrastRow:
-    """How differently two systems capture one environment contrast.
+def difference_of_differences_table(
+    fit: FitResult, family_size: int | None = None
+) -> tuple[ContrastRow, ...]:
+    """How differently two systems capture each environment contrast.
 
-    estimate = (emm_i - emm_j under the first system level)
-             - (emm_i - emm_j under the second). Negative values mean the
+    Per environment pair, estimate = (emm_i - emm_j under the first system
+    level) - (emm_i - emm_j under the second). Negative values mean the
     second system shows the larger contrast for this pair's orientation.
     """
     sys_levels = _levels(fit, "system")
@@ -325,20 +316,11 @@ def system_difference_of_differences(fit: FitResult, env_pair) -> ContrastRow:
             f"difference of differences needs exactly 2 systems, got {len(sys_levels)}"
         )
     sys_a, sys_b = sys_levels
-    env_i, env_j = env_pair
-    a_i, a_j, b_i, b_j = _rows(fit.codings, (sys_a, sys_a, sys_b, sys_b),
-                               (env_i, env_j, env_i, env_j))
-    return _contrast_from_vector(fit, a_i - a_j - b_i + b_j,
-                                 f"({env_i} - {env_j}): {sys_a} - {sys_b}")
-
-
-def difference_of_differences_table(
-    fit: FitResult, family_size: int | None = None
-) -> ContrastTable:
-    """Difference-of-differences rows for each pair of environment levels."""
-    env_pairs = combinations(_levels(fit, "environment"), 2)
-    rows = [system_difference_of_differences(fit, pair) for pair in env_pairs]
-    return _adjusted(rows, family_size)
+    return _contrast_rows(fit, [
+        (f"({env_i} - {env_j}): {sys_a} - {sys_b}",
+         ((sys_a, env_i, 1), (sys_a, env_j, -1), (sys_b, env_i, -1), (sys_b, env_j, 1)))
+        for env_i, env_j in combinations(_levels(fit, "environment"), 2)
+    ], family_size)
 
 
 def bonferroni(p_values, m: int):
@@ -450,7 +432,7 @@ def emm_to_csv(table: EmmTable):
     return _csv_blocks(("system", "environment", "emm", "se"), _quoted(rows))
 
 
-def contrasts_to_csv(*tables: ContrastTable):
+def contrasts_to_csv(*tables):
     """CSV text with columns contrast,estimate,se,t,df,p,p_adj (9 sig
     digits), in blocks as they are iterated (see output._csv_blocks)."""
     rows = (

@@ -18,9 +18,8 @@ import re
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import TextGridParseError
+from .errors import TextGridParseError, named
 
 
 class PointTierSkippedWarning(UserWarning):
@@ -262,13 +261,10 @@ def parse_textgrid(text) -> list[IntervalTier]:
 def read_textgrid(path) -> list[IntervalTier]:
     """Read and parse a TextGrid file from disk; a TextGridParseError names
     the file."""
-    try:
+    with named(path, TextGridParseError):
         with open(path, "rb") as fh:
             text = decode_textgrid(fh.read())  # the bytes are freed once decoded
         return parse_textgrid(text)
-    except TextGridParseError as exc:
-        exc.args = (f"{Path(path).name}: {exc}",)
-        raise
 
 
 def _quote(label: str) -> str:
@@ -337,7 +333,7 @@ def select_vowel_tokens(
     word interval is kept, with word "".
     """
     if (phone_tier.tmin, phone_tier.tmax) != (word_tier.tmin, word_tier.tmax):
-        raise ValueError(
+        raise TextGridParseError(
             "phone and word tiers span different time ranges: "
             f"[{phone_tier.tmin}, {phone_tier.tmax}] vs "
             f"[{word_tier.tmin}, {word_tier.tmax}]"

@@ -1,5 +1,6 @@
-"""Whole-array reference implementations that the library's streamed,
-span-by-span code is checked against."""
+"""Reference implementations that the library's code is checked against:
+whole-array forms of its streamed, span-by-span code, and per-row forms of
+its contrast rows."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import csv
 import io
 import math
 import struct
+from itertools import combinations
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from nasalance.audio_io import (
     _wav_data,
 )
 from nasalance.intensity import DB_CLAMP_FLOOR, _FFT_BLOCK, _zero_phase_taps, window_weights
+from nasalance.stats import _ZERO_ESTIMATE_TOL, _estimate, _rows, student_t_p
 from nasalance.synth import HarmonicCarrier, SineCarrier, _breakpoints
 
 
@@ -215,3 +218,47 @@ def quoted_csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def pairwise_contrast_rows(fit, system, family_size=None) -> list[tuple]:
+    """The rows of stats.pairwise_env_contrasts, as tuples of ContrastRow's
+    fields, each vector built alone as x_i - x_j from two stats._rows rows."""
+    vectors = []
+    for env_i, env_j in combinations(fit.codings["environment"][0], 2):
+        x_i, x_j = _rows(fit.codings, (system, system), (env_i, env_j))
+        vectors.append((f"{system}: {env_i} - {env_j}", x_i - x_j))
+    return _contrast_rows(fit, vectors, family_size)
+
+
+def difference_of_differences_rows(fit, family_size=None) -> list[tuple]:
+    """The rows of stats.difference_of_differences_table, as tuples of
+    ContrastRow's fields, each vector built alone as a_i - a_j - b_i + b_j
+    from four stats._rows rows."""
+    sys_a, sys_b = fit.codings["system"][0]
+    vectors = []
+    for env_i, env_j in combinations(fit.codings["environment"][0], 2):
+        a_i, a_j, b_i, b_j = _rows(fit.codings, (sys_a, sys_a, sys_b, sys_b),
+                                   (env_i, env_j, env_i, env_j))
+        vectors.append((f"({env_i} - {env_j}): {sys_a} - {sys_b}", a_i - a_j - b_i + b_j))
+    return _contrast_rows(fit, vectors, family_size)
+
+
+def _contrast_rows(fit, vectors, family_size) -> list[tuple]:
+    """(description, estimate, se, t, df, p, p_adjusted) of each (description,
+    vector): t is estimate / se, a zero SE gives t = 0 and p = 1 for an
+    estimate within _ZERO_ESTIMATE_TOL of zero and an infinite t with p = 0
+    otherwise, and p_adjusted = min(1, p * family_size), the family being the
+    rows given unless family_size is."""
+    m = len(vectors) if family_size is None else family_size
+    rows = []
+    for description, d in vectors:
+        estimate, se = _estimate(fit, d)
+        if se > 0:
+            t = estimate / se
+            p = student_t_p(t, fit.residual_df)
+        elif abs(estimate) <= _ZERO_ESTIMATE_TOL:
+            se, t, p = 0.0, 0.0, 1.0
+        else:
+            se, t, p = 0.0, math.copysign(math.inf, estimate), 0.0
+        rows.append((description, estimate, se, t, fit.residual_df, p, min(1.0, p * m)))
+    return rows

@@ -61,10 +61,12 @@ def write_session(tmp_path, targets, words, name):
     return wav, tg
 
 
+WORDS = [("bin", "IH1"), ("bid", "IH1"), ("men", "EH1"), ("med", "EH1")]
+
+
 @pytest.fixture
 def session(tmp_path):
-    words = [("bin", "IH1"), ("bid", "IH1"), ("men", "EH1"), ("med", "EH1")]
-    wav, tg = write_session(tmp_path, [70.0, 40.0, 65.0, 35.0], words, "take1")
+    wav, tg = write_session(tmp_path, [70.0, 40.0, 65.0, 35.0], WORDS, "take1")
     wordlist = tmp_path / "words.csv"
     wordlist.write_text(WORDLIST_TEXT)
     return wav, tg, wordlist
@@ -199,6 +201,26 @@ def test_analyze_non_finite_textgrid_exits_2(session, tmp_path, capsys):
     assert main(["analyze", str(wav), str(bad), "--wordlist", str(wordlist),
                  "--out", str(out)]) == 2
     assert "non-finite value '1e999'" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "t.rejects.csv").exists()
+
+
+@pytest.mark.parametrize("tiers, message", [
+    pytest.param(make_alignment_tiers(WORDS)[1:], "no 'phone' tier found (tiers: ['word'])",
+                 id="no-phone-tier"),
+    pytest.param(make_alignment_tiers(WORDS)[:1] + make_alignment_tiers(WORDS * 2)[1:],
+                 "phone and word tiers span different time ranges: [0.0, 1.0] vs [0.0, 2.0]",
+                 id="tier-spans-differ"),
+])
+def test_analyze_refused_alignment_names_its_textgrid(session, tmp_path, capsys, tiers,
+                                                      message):
+    wav, _, wordlist = session
+    tg = tmp_path / "my take.TextGrid"
+    tg.write_text(serialize_textgrid(tiers))
+    out = tmp_path / "t.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: my take.TextGrid: {message}\n"
     assert not out.exists()
     assert not (tmp_path / "t.rejects.csv").exists()
 
@@ -666,6 +688,24 @@ def test_stats_aliased_design_exits_3(tmp_path, capsys):
     assert "rank deficient" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, code, message", [
+    pytest.param([], 2, "no records", id="header-only"),
+    pytest.param([f"a,sp,A,w,v1,e{i % 2},0.5,{40 + i}" for i in range(4)], 2,
+                 "system has a single observed level: ['A']", id="one-system"),
+    # vowel perfectly confounded with environment
+    pytest.param([f"a,sp,s{i % 2},w,v{i // 2 % 2},e{i // 2 % 2},0.5,{40 + i}"
+                  for i in range(8)], 3,
+                 "design matrix is rank deficient: vowel.v0", id="aliased"),
+])
+def test_stats_refused_token_set_names_its_file(tmp_path, capsys, rows, code, message):
+    tokens = tmp_path / "my tokens.csv"
+    tokens.write_text("".join(f"{line}\n" for line in [TOKEN_HEADER, *rows]))
+    assert main(["stats", str(tokens), "--out", str(tmp_path / "r.csv"),
+                 "--emm-out", str(tmp_path / "e.csv")]) == code
+    assert capsys.readouterr() == ("", f"error: my tokens.csv: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["my tokens.csv"]
+
+
 def test_stats_bad_schema_exits_2(tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text("nope\n")
@@ -801,15 +841,28 @@ def test_stats_failing_emm_output_writes_nothing(tmp_path, capsys):
 
 def test_bench_span_targets_resolve(monkeypatch):
     # bench/spans.py wraps each (module, attribute) at the name its caller
-    # looks up; a renamed or moved name must fail here, not only in the bench
+    # looks up, and the bench's fixtures and workloads import names from the
+    # package; a renamed or moved name must fail here, not only in the bench
+    import ast
     import importlib
     import importlib.util
 
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spec = importlib.util.spec_from_file_location("bench_spans", bench / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert spans.CLI_TARGETS
     for module, attr, _ in spans.CLI_TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    # read with ast, not imported: workloads.py imports fixtures as a
+    # top-level module
+    imported = [(node.module, alias.name)
+                for name in ("fixtures.py", "workloads.py")
+                for node in ast.walk(ast.parse((bench / name).read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "nasalance"
+                for alias in node.names]
+    assert ("nasalance.stats", "TokenRecord") in imported
+    for module, attr in imported:
+        assert hasattr(importlib.import_module(module), attr), (module, attr)

@@ -1,5 +1,6 @@
 """Short-time intensity: framing, windows, clamps, band-pass."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -750,12 +751,43 @@ def test_two_readers_of_one_bandpassed_recording_keep_their_own_blocks():
                 np.testing.assert_array_equal(got, want[a : a + 100])
 
 
-def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the band-pass reader's ThreadPoolExecutor: each job runs
+    when it is submitted, in the caller's thread, so no worker thread is still
+    exiting when a test stops tracemalloc. Counts the jobs run."""
+    jobs = [0]
+
+    class Inline:
+        def __init__(self, max_workers=None):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            jobs[0] += 1
+            future = concurrent.futures.Future()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
+    return jobs
+
+
+def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path, inline_pool):
     # after a warm-up call (lazy imports, FFT plans), sparse framing of a
     # band-passed pcm16 take allocates the reader's workspace of one block
     # per role, one spectrum per role and the real kernel spectrum, all fixed
     # by n_fft, the file's read buffer of one _INPUT_FRAMES read, and the
-    # per-frame arrays; no array per block
+    # per-frame arrays; no array per block. Both roles are filtered in this
+    # thread (inline_pool).
     sample_rate, spec = 48000, BandpassSpec(60.0, 4000.0)
     half = half_width(spec, sample_rate)
     n_fft = max(_FFT_BLOCK, 1 << (8 * half).bit_length())
@@ -777,6 +809,7 @@ def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
     inputs = _INPUT_FRAMES * 2 * 2  # one stereo pcm16 read of the file
     per_frame = 16 * 8 * len(track)
     assert peak <= rows + spectra + kernel + inputs + per_frame + 2**20, peak
+    assert inline_pool[0] > 0
 
 
 def test_decoding_one_role_filters_only_that_role(monkeypatch):
@@ -1010,9 +1043,10 @@ def test_sparse_framing_of_bandpassed_take_filters_only_its_block(tmp_path, monk
     np.testing.assert_array_equal(got.oral_db, want.oral_db[got.index])
 
 
-def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):
-    # filtered blocks are made as framing reads them and only two are kept,
-    # so a take four times as long adds only its per-frame arrays
+def test_bandpass_memory_does_not_grow_with_the_take(tmp_path, inline_pool):
+    # blocks are filtered as framing reads them, into one workspace block per
+    # role, so a take four times as long adds only its per-frame arrays. Both
+    # roles are filtered in this thread (inline_pool).
     sample_rate = 48000
     rng = np.random.default_rng(12)
     peaks = []
@@ -1030,6 +1064,7 @@ def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
+    assert inline_pool[0] > 0
 
 
 def test_bandpass_spec_validation():

@@ -3,7 +3,7 @@
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, betaincc
 
+from oracles import difference_of_differences_rows, pairwise_contrast_rows
 from nasalance.errors import DesignError, NumericError, RankDeficiencyError
 from nasalance.stats import (
     FitResult,
@@ -28,7 +29,6 @@ from nasalance.stats import (
     ols_fit,
     pairwise_env_contrasts,
     student_t_p,
-    system_difference_of_differences,
 )
 
 
@@ -314,8 +314,6 @@ def test_emm_unknown_level():
     fit = fit_nasalance_model(records)
     with pytest.raises(ValueError, match="unknown system"):
         pairwise_env_contrasts(fit, "s9")
-    with pytest.raises(ValueError, match="unknown environment"):
-        system_difference_of_differences(fit, ("e1", "e9"))
 
 
 # --- contrasts --------------------------------------------------------------
@@ -332,7 +330,7 @@ def test_identical_emms_give_zero_estimate_p_one():
 
     records = balanced_tokens(["s1", "s2"], ["e1", "e2"], ["v1", "v2"], 3, value)
     table = pairwise_env_contrasts(fit_nasalance_model(records), "s1")
-    row = table.rows[0]
+    row = table[0]
     assert row.estimate == pytest.approx(0.0, abs=1e-10)
     assert row.p == 1.0
     assert row.p_adjusted == 1.0
@@ -345,7 +343,7 @@ def test_four_environments_give_six_contrasts():
     )
     table = pairwise_env_contrasts(fit_nasalance_model(records), "s1")
     assert len(table) == 6
-    assert table.family_size == 6
+    assert [row.p_adjusted for row in table] == [min(1.0, 6 * row.p) for row in table]
 
 
 def test_pairwise_t_matches_hand_built_oracle():
@@ -377,7 +375,7 @@ def test_pairwise_t_matches_hand_built_oracle():
     oracle_p = 2.0 * float(spstats.t.sf(abs(oracle_t), len(y) - 4))
 
     table = pairwise_env_contrasts(fit_nasalance_model(records), "s1")
-    row = table.rows[0]
+    row = table[0]
     assert row.description == "s1: e1 - e2"
     assert row.estimate == pytest.approx(oracle_est, abs=1e-6)
     assert row.se == pytest.approx(oracle_se, abs=1e-6)
@@ -421,20 +419,11 @@ def test_doubled_contrast_sign_convention():
                     make_token(s, e, "v1", mu + float(rng.normal(0, 1e-6)), rep=r)
                 )
     fit = fit_nasalance_model(records)
-    row = system_difference_of_differences(fit, ("e1", "e2"))
+    (row,) = difference_of_differences_table(fit)
     # estimate = (icspeech contrast) - (nosey contrast) = 10 - 20 = -10:
     # below zero, i.e. the larger contrast magnitude belongs to the second system
     assert row.estimate == pytest.approx(-10.0, abs=1e-3)
     assert row.description == "(e1 - e2): icspeech - nosey"
-
-
-def test_dod_same_environment_is_zero():
-    records = balanced_tokens(["s1", "s2"], ["e1", "e2"], ["v1"], 3,
-                              lambda s, e, v, r: 40.0 + r)
-    fit = fit_nasalance_model(records)
-    row = system_difference_of_differences(fit, ("e1", "e1"))
-    assert row.estimate == 0.0
-    assert row.p == 1.0
 
 
 def test_dod_needs_exactly_two_systems():
@@ -442,7 +431,7 @@ def test_dod_needs_exactly_two_systems():
                               lambda s, e, v, r: 40.0 + r)
     fit = fit_nasalance_model(records)
     with pytest.raises(DesignError, match="exactly 2 systems"):
-        system_difference_of_differences(fit, ("e1", "e2"))
+        difference_of_differences_table(fit)
 
 
 # --- bonferroni and student t ----------------------------------------------
@@ -563,7 +552,7 @@ def test_csv_emitters():
     assert lines[0] == "contrast,estimate,se,t,df,p,p_adj"
     assert len(lines) == 1 + len(table) + len(dod)
     # plain labels are written unquoted, byte for byte as before
-    row = table.rows[0]
+    row = table[0]
     assert lines[1] == (
         f"s1: e1 - e2,{row.estimate:.9g},{row.se:.9g},{row.t:.9g},{row.df},"
         f"{row.p:.9g},{row.p_adjusted:.9g}")
@@ -640,7 +629,53 @@ def test_zero_se_rows_are_infinite_or_exactly_null():
         assert line == f"{row.description},{row.estimate:.9g},{tail}"
     assert signs == {-1, 0, 1}
     # the near-zero difference of differences is not rounded to zero
-    assert dod.rows[0].estimate != 0.0
+    assert dod[0].estimate != 0.0
+
+
+def seeded_fit(n_environments, n_vowels, seed):
+    rng = np.random.default_rng(seed)
+    environments = [f"e{i}" for i in range(n_environments)]
+    vowels = [f"v{i}" for i in range(n_vowels)]
+    return fit_nasalance_model(balanced_tokens(
+        ["s1", "s2"], environments, vowels, 3,
+        lambda s, e, v, r: float(np.round(rng.uniform(5, 95), 6))))
+
+
+def labelled_fit():
+    systems, environments = ["sys, one", "sys two"], ["env, a", 'env "b"', " env c "]
+    return fit_nasalance_model(balanced_tokens(
+        systems, environments, ["v1", "v2"], 2,
+        lambda s, e, v, r: 30.0 + 7 * environments.index(e) + 3 * r + (s == "sys two")))
+
+
+def all_equal_fit():
+    return fit_nasalance_model(balanced_tokens(
+        ["s1", "s2"], ["e1", "e2", "e3"], ["v1", "v2"], 2, lambda s, e, v, r: 42.0))
+
+
+def hex_row(fields):
+    description, estimate, se, t, df, p, p_adjusted = fields
+    return (description, *map(float.hex, (estimate, se, t)), df,
+            *map(float.hex, (p, p_adjusted)))
+
+
+@pytest.mark.parametrize("make_fit", [
+    *(pytest.param(lambda k=k, v=v: seeded_fit(k, v, seed=10 * k + v), id=f"{k}env-{v}vowel")
+      for k in range(2, 6) for v in range(1, 4)),
+    pytest.param(labelled_fit, id="labels"),
+    pytest.param(all_equal_fit, id="all-equal"),
+    pytest.param(zero_covariance_fit, id="zero-covariance"),
+])
+@pytest.mark.parametrize("family_size", [None, 7])
+def test_contrast_rows_equal_the_per_row_oracle_bit_for_bit(make_fit, family_size):
+    fit = make_fit()
+    got, want = [], []
+    for system in fit.codings["system"][0]:
+        got += pairwise_env_contrasts(fit, system, family_size)
+        want += pairwise_contrast_rows(fit, system, family_size)
+    got += difference_of_differences_table(fit, family_size)
+    want += difference_of_differences_rows(fit, family_size)
+    assert [hex_row(astuple(row)) for row in got] == [hex_row(row) for row in want]
 
 
 def test_fit_without_coding_tables_is_refused():
