@@ -20,7 +20,15 @@ from .calibration import (
     save_profile,
 )
 from .core import nasalance_to_csv, nasalance_track
-from .errors import DesignError, InputFormatError, NumericError, TextGridParseError, named
+from .errors import (
+    CalibrationError,
+    DesignError,
+    InputFormatError,
+    NumericError,
+    SynthSpecError,
+    TextGridParseError,
+    named,
+)
 from .intensity import (
     BandpassSpec,
     FrameConfig,
@@ -210,9 +218,10 @@ def cmd_track(args) -> int:
 
 def cmd_calibrate(args) -> int:
     rec = _load_recording(args)
-    profile = estimate_gain_offset(
-        rec, _frame_config(args), window=args.stimulus_window, bandpass_spec=args.bandpass
-    )
+    take = "+".join(Path(p).name for p in (args.wav, args.oral) if p)
+    with named(take, CalibrationError):  # too little signal, or an empty window
+        profile = estimate_gain_offset(rec, _frame_config(args), window=args.stimulus_window,
+                                       bandpass_spec=args.bandpass)
     save_profile(profile, args.out)
     print(f"gain offset {profile.gain_offset_db:+.4f} dB (nasal - oral) "
           f"-> {args.out}", file=sys.stderr)
@@ -221,7 +230,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = load_synth_spec(args.spec)
-    rec, truth = synthesize(spec)
+    with named(args.spec, SynthSpecError):  # a silent or clipping spec
+        rec, truth = synthesize(spec)
     base = Path(args.out)
     wav_path = base.with_suffix(".wav") if base.suffix != ".wav" else base
     truth_path = wav_path.with_suffix(".truth.csv")

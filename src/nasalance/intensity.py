@@ -381,16 +381,13 @@ class _Bandpassed:
 
     @contextmanager
     def reader(self, roles=(0, 1)):
-        # imported here: only band-passed runs need a thread
-        from concurrent.futures import ThreadPoolExecutor, wait
-
         half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.block_len
         scale = self.rec.scale
         rows, k = np.empty((len(roles), n_fft)), np.arange(1, half + 1)
-        spectra = np.empty((len(roles), n_fft // 2 + 1), complex)
+        spectrum = np.empty(n_fft // 2 + 1, complex)  # each role's in turn
         held = [-1, ()]  # the block filtered in place in rows (one per role), its views
 
-        def filtered(row, spectrum, s):  # one channel's block at s, its input decoded
+        def filtered(row, s):  # one channel's block at s, its input decoded
             # row holds samples s .. s + n_fft of the recording extended by
             # R = half samples each side, then zeros: sample i is at i + o
             o = half - s
@@ -416,13 +413,7 @@ class _Bandpassed:
                     b = min(a + _INPUT_FRAMES, s - half + n_fft, n)
                     for row, x in zip(rows, read_input(a, b)):
                         np.divide(x, scale, out=row[a + o : b + o], dtype=np.float64)
-                # NumPy's FFTs release the GIL: every role but the last runs in the worker
-                rest = [pool.submit(filtered, *job, s) for job in zip(rows[:-1], spectra)]
-                try:
-                    last = filtered(rows[-1], spectra[-1], s)
-                finally:  # the worker is done with its rows before they are refilled
-                    wait(rest)
-                held[:] = j, (*(f.result() for f in rest), last)
+                held[:] = j, tuple(filtered(row, s) for row in rows)
             return held[1]
 
         def read(a, b):  # views of one block, or its blocks' pieces copied out
@@ -438,7 +429,7 @@ class _Bandpassed:
             out.flags.writeable = False
             return tuple(out)
 
-        with self.rec.stored(roles) as read_input, ThreadPoolExecutor(1) as pool:
+        with self.rec.stored(roles) as read_input:
             yield read
 
 
@@ -453,11 +444,12 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     cut to the R samples each side over which its slowest pole decays by
     1e-13 (about 0.11 s for 60:4000 Hz), and applied by overlap-save on a
     fixed grid of power-of-two FFT blocks. Nothing is filtered here: the
-    result filters a block of the channels a read asks for (both in two
-    threads) when the read needs it, in place in buffers each reader
-    allocates once (one block per channel), so framing a few spans filters
-    only the blocks that hold them, decoding one channel filters only that
-    one, and memory is O(block), not O(output). A read within one block
+    result filters a block of the channels a read asks for (one after the
+    other, on the calling thread) when the read needs it, in place in
+    buffers each reader allocates once (one block per channel and one
+    spectrum), so framing a few spans filters only the blocks that hold
+    them, decoding one channel filters only that one, and memory is
+    O(block), not O(output). A read within one block
     returns views that hold until the next read (see _frames_db's grid).
 
     Edges: each channel is odd-extended by R samples about its end samples

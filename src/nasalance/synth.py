@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _check_rate, _Held, _peak
-from .errors import SynthSpecError
+from .errors import SynthSpecError, named
 from .output import _array_rows, _csv_blocks
 
 # the most frames of a float32 stereo WAV: write_wav refuses a 4-GiB data chunk
@@ -281,12 +281,12 @@ def spec_from_dict(doc: dict) -> SynthSpec:
 
 
 def load_synth_spec(path) -> SynthSpec:
-    """Load a JSON synthesis spec file."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise SynthSpecError(f"{path.name}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SynthSpecError(f"{path.name}: spec must be a JSON object")
-    return spec_from_dict(doc)
+    """Load a JSON synthesis spec file; a refusal of its content names it."""
+    with named(path, SynthSpecError):
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+        except json.JSONDecodeError as exc:
+            raise SynthSpecError(f"not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise SynthSpecError("spec must be a JSON object")
+        return spec_from_dict(doc)

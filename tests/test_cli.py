@@ -311,15 +311,20 @@ def test_study_runs_without_scipy(session, tmp_path):
 
 _LOADED_BY_ANALYZE = """
 import sys
+import threading
 from nasalance.cli import main
 code = main(sys.argv[1:])
-print(code, sorted(m for m in sys.modules
-                   if m == "numpy.ma" or m.startswith(("numpy.ma.", "scipy"))))
+print(code, threading.active_count(), sorted(
+    m for m in sys.modules
+    if m in ("numpy.ma", "concurrent.futures")
+    or m.startswith(("numpy.ma.", "scipy", "concurrent.futures."))))
 """
 
 
 def test_bandpassed_analyze_loads_neither_numpy_ma_nor_scipy(session, tmp_path):
-    # each would cost every analyze call its import time and memory
+    # each would cost every analyze call its import time and memory; the
+    # band-pass filters both roles on the calling thread, so no thread pool
+    # is imported and no thread outlives the call
     wav, tg, wordlist = session
     src = Path(nasalance.__file__).resolve().parents[1]
     argv = ["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
@@ -327,7 +332,7 @@ def test_bandpassed_analyze_loads_neither_numpy_ma_nor_scipy(session, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LOADED_BY_ANALYZE, *argv],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 1 []"
 
 
 def test_track_command(session, tmp_path):
@@ -360,6 +365,25 @@ def test_calibrate_command(tmp_path, capsys):
     )
 
     assert main(["calibrate", str(tmp_path / "silent.wav"), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["stereo", "pair"])
+def test_calibrate_refused_take_names_its_file(tmp_path, capsys, pair):
+    silence = np.zeros(48000)
+    take = tmp_path / "silent take.wav"
+    argv = ["calibrate", str(take), "--out", str(tmp_path / "cal.json")]
+    if pair:
+        write_wav(take, [silence], 48000, "float32")
+        write_wav(tmp_path / "oral.wav", [silence], 48000, "float32")
+        argv += ["--oral", str(tmp_path / "oral.wav")]
+    else:
+        write_wav(take, [silence, silence], 48000, "float32")
+    name = "silent take.wav+oral.wav" if pair else "silent take.wav"
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {name}: insufficient calibration signal: 0 valid frames, need 10\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["silent take.wav", "oral.wav"] if pair else ["silent take.wav"])
 
 
 def test_calibrate_skips_digital_silence_at_any_floor(tmp_path):
@@ -558,6 +582,22 @@ def test_synth_fractional_rate_is_refused_before_rendering(tmp_path, capsys, mon
     assert ("sample_rate must be a whole number of Hz in 1..4294967295, got 48000.5"
             in capsys.readouterr().err)
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({k: v for k, v in synth_spec_doc([25.0]).items() if k != "sample_rate"},
+                 "bad synthesis spec: 'sample_rate'", id="missing-key"),
+    pytest.param({**synth_spec_doc([25.0]), "bleed": 2.0},
+                 "bleed must be in [0, 1), got 2.0", id="bleed"),
+    pytest.param(synth_spec_doc([25.0], amp=2.0),
+                 "spec clips: peak amplitude 2.1213 > 1", id="clips"),
+])
+def test_synth_refused_spec_names_its_file(tmp_path, capsys, doc, message):
+    spec = tmp_path / "my spec.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
+    assert capsys.readouterr() == ("", f"error: my spec.json: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["my spec.json"]
 
 
 def test_stats_command(session, tmp_path, capsys):

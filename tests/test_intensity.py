@@ -1,6 +1,5 @@
 """Short-time intensity: framing, windows, clamps, band-pass."""
 
-import concurrent.futures
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -720,6 +719,37 @@ def test_bandpass_reader_refilters_a_block_whose_slot_failed(monkeypatch):
         np.testing.assert_array_equal(got, held[0][5:10])
 
 
+def test_bandpass_reader_refilters_a_block_whose_second_role_failed(monkeypatch):
+    # the first role's block is filtered whole when the second role's filter
+    # raises: the workspace then holds no block, neither the one it held
+    # before nor the one half filtered, so the next read of each, in either
+    # order, filters both roles again, bitwise as the oracle
+    out, held, hop, n = _ring_setup(26)
+    irfft, calls = np.fft.irfft, []
+
+    def counted(*args, **kwargs):  # the second call after the patch raises
+        calls.append(None)
+        if len(calls) == 2:
+            raise ZeroDivisionError
+        return irfft(*args, **kwargs)
+
+    with out.stored() as read:
+        for spans in ([(5, 10), (hop + 5, hop + 10)], [(hop + 5, hop + 10), (5, 10)]):
+            read(5, 10)  # block 0
+            calls.clear()
+            monkeypatch.setattr(np.fft, "irfft", counted)
+            with pytest.raises(ZeroDivisionError):
+                read(hop + 5, hop + 10)  # block 1, into block 0's rows
+            assert len(calls) == 2
+            for a, b in spans:
+                got = read(a, b)
+                assert len(got) == 2
+                for y, want in zip(got, held):
+                    np.testing.assert_array_equal(y, want[a:b])
+            assert len(calls) == 6  # both roles, twice
+            monkeypatch.setattr(np.fft, "irfft", irfft)
+
+
 def test_bandpass_twice_equals_the_oracle_twice():
     # the outer filter reads the inner one's workspace, whose views hold only
     # until its next read; each outer block goes back over the inner block
@@ -751,43 +781,13 @@ def test_two_readers_of_one_bandpassed_recording_keep_their_own_blocks():
                 np.testing.assert_array_equal(got, want[a : a + 100])
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Stands in for the band-pass reader's ThreadPoolExecutor: each job runs
-    when it is submitted, in the caller's thread, so no worker thread is still
-    exiting when a test stops tracemalloc. Counts the jobs run."""
-    jobs = [0]
-
-    class Inline:
-        def __init__(self, max_workers=None):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def submit(self, fn, *args):
-            jobs[0] += 1
-            future = concurrent.futures.Future()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-            return future
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Inline)
-    return jobs
-
-
-def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path, inline_pool):
+def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
     # after a warm-up call (lazy imports, FFT plans), sparse framing of a
     # band-passed pcm16 take allocates the reader's workspace of one block
-    # per role, one spectrum per role and the real kernel spectrum, all fixed
-    # by n_fft, the file's read buffer of one _INPUT_FRAMES read, and the
-    # per-frame arrays; no array per block. Both roles are filtered in this
-    # thread (inline_pool).
+    # per role, one spectrum that the roles share and the real kernel
+    # spectrum, all fixed by n_fft, the file's read buffer of one
+    # _INPUT_FRAMES read, and the per-frame arrays; no array per block. The
+    # slack of 512 kB is under one spectrum, so a second would not fit.
     sample_rate, spec = 48000, BandpassSpec(60.0, 4000.0)
     half = half_width(spec, sample_rate)
     n_fft = max(_FFT_BLOCK, 1 << (8 * half).bit_length())
@@ -804,12 +804,11 @@ def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path, inline_pool):
     finally:
         tracemalloc.stop()
     rows = 2 * n_fft * 8
-    spectra = 2 * (n_fft // 2 + 1) * 16
+    spectrum = (n_fft // 2 + 1) * 16
     kernel = (n_fft // 2 + 1) * 8
     inputs = _INPUT_FRAMES * 2 * 2  # one stereo pcm16 read of the file
     per_frame = 16 * 8 * len(track)
-    assert peak <= rows + spectra + kernel + inputs + per_frame + 2**20, peak
-    assert inline_pool[0] > 0
+    assert peak <= rows + spectrum + kernel + inputs + per_frame + 2**19, peak
 
 
 def test_decoding_one_role_filters_only_that_role(monkeypatch):
@@ -1043,10 +1042,9 @@ def test_sparse_framing_of_bandpassed_take_filters_only_its_block(tmp_path, monk
     np.testing.assert_array_equal(got.oral_db, want.oral_db[got.index])
 
 
-def test_bandpass_memory_does_not_grow_with_the_take(tmp_path, inline_pool):
+def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):
     # blocks are filtered as framing reads them, into one workspace block per
-    # role, so a take four times as long adds only its per-frame arrays. Both
-    # roles are filtered in this thread (inline_pool).
+    # role, so a take four times as long adds only its per-frame arrays
     sample_rate = 48000
     rng = np.random.default_rng(12)
     peaks = []
@@ -1064,7 +1062,6 @@ def test_bandpass_memory_does_not_grow_with_the_take(tmp_path, inline_pool):
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
-    assert inline_pool[0] > 0
 
 
 def test_bandpass_spec_validation():
