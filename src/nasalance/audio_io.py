@@ -29,17 +29,13 @@ _STEREO_SOURCES = ("left", "right")
 
 @dataclass(frozen=True)
 class ChannelMap:
-    """Which physical channel feeds which microphone role."""
+    """Which physical channel feeds the nasal microphone; the other feeds the oral."""
 
     nasal_source: str = "left"
-    oral_source: str = "right"
 
     def __post_init__(self):
-        for name in (self.nasal_source, self.oral_source):
-            if name not in _STEREO_SOURCES:
-                raise ValueError(f"unknown channel source {name!r}")
-        if self.nasal_source == self.oral_source:
-            raise ValueError("nasal and oral cannot come from the same channel")
+        if self.nasal_source not in _STEREO_SOURCES:
+            raise ValueError(f"unknown channel source {self.nasal_source!r}")
 
 
 @dataclass(frozen=True, init=False)
@@ -67,7 +63,7 @@ class StereoRecording:
     source_id: str
     scale: float
     n_samples: int
-    _channels: object = field(repr=False)  # _Held or _FileChannels
+    _channels: object = field(repr=False)  # _Held, _FileChannels or intensity._Bandpassed
     _start: int = field(repr=False)  # of the recording in _channels
 
     def __init__(self, nasal, oral, sample_rate, source_id=""):
@@ -106,18 +102,18 @@ class StereoRecording:
         return rec
 
     @contextmanager
-    def stored(self, roles=(0, 1)):
-        """Yield read(a, b): the stored samples of [a, b) of each of `roles`
-        (0 nasal, 1 oral), by default (nasal, oral). A file no role reads is
-        not opened.
+    def stored(self):
+        """Yield read(a, b): the (nasal, oral) stored samples of [a, b).
 
-        For held channels these are slices; a loaded WAV's are read, and a
-        band-passed one's filtered, into buffers that the next read reuses,
-        so each pair holds only until then. A read of a file that no longer
-        holds the samples raises AudioFormatError. 0 <= a <= b <= n_samples.
+        For held channels (_Held) these are slices; a loaded WAV's
+        (_FileChannels) are read, and a band-passed one's
+        (intensity._Bandpassed) filtered, into buffers that the next read
+        reuses, so each pair holds only until then. A read of a file that no
+        longer holds the samples raises AudioFormatError.
+        0 <= a <= b <= n_samples.
         """
         start = self._start
-        with self._channels.reader(roles) as read:
+        with self._channels.reader() as read:
             yield read if not start else lambda a, b: read(start + a, start + b)
 
     def crop(self, i0: int, i1: int) -> StereoRecording:
@@ -136,9 +132,9 @@ class StereoRecording:
                 return x
             return x[self._start : self._start + self.n_samples]
         out = np.empty(self.n_samples)
-        with self.stored((role,)) as read:
+        with self.stored() as read:  # both channels, keeping the one asked for
             for a, b in _blocks(self.n_samples):
-                np.divide(read(a, b)[0], self.scale, out=out[a:b], dtype=np.float64)
+                np.divide(read(a, b)[role], self.scale, out=out[a:b], dtype=np.float64)
         out.flags.writeable = False
         return out
 
@@ -211,15 +207,13 @@ def _peak(ch: np.ndarray) -> float:
 
 class _Held:
     """Nasal and oral channels held in memory, read as slices."""
-    block_len = 0  # no filter blocks to cut framing spans at (see intensity._frames_db)
 
     def __init__(self, nasal: np.ndarray, oral: np.ndarray):
         self.nasal, self.oral = nasal, oral
 
     @contextmanager
-    def reader(self, roles=(0, 1)):
-        channels = [(self.nasal, self.oral)[r] for r in roles]
-        yield lambda a, b: tuple(x[a:b] for x in channels)
+    def reader(self):
+        yield lambda a, b: (self.nasal[a:b], self.oral[a:b])
 
 
 @dataclass(frozen=True)
@@ -288,31 +282,27 @@ class _WavData:
 class _FileChannels:
     """Nasal and oral channels read from WAV files when asked for.
 
-    Each role is a (data chunk, channel) pair. Two files whose stored
-    formats differ are decoded to float64 as they are read.
+    Each role is a (data chunk, channel) pair; a stereo file feeds both
+    and is read once per read. Two files whose stored formats differ are
+    decoded to float64 as they are read.
     """
-    block_len = 0  # see _Held
 
     def __init__(self, nasal: tuple[_WavData, int], oral: tuple[_WavData, int]):
-        self.roles = (nasal, oral)
+        self.files = tuple(dict.fromkeys((nasal[0], oral[0])))
+        self.picks = tuple((self.files.index(data), col) for data, col in (nasal, oral))
         self.decode = (nasal[0].dtype, nasal[0].scale) != (oral[0].dtype, oral[0].scale)
 
     @contextmanager
-    def reader(self, roles=(0, 1)):
-        """Each read reads each file that `roles` name once, and no other."""
-        picked = [self.roles[r] for r in roles]
+    def reader(self):
         with ExitStack() as stack:
-            reads = {}
-            for data, _ in picked:
-                if data not in reads:  # both roles may be channels of one file
-                    reads[data] = stack.enter_context(data.reader())
+            reads = [stack.enter_context(data.reader()) for data in self.files]
 
             def read(a, b):
-                frames = {data: read_data(a, b) for data, read_data in reads.items()}
+                frames = [read_data(a, b) for read_data in reads]
                 if not self.decode:
-                    return tuple(frames[data][:, col] for data, col in picked)
-                return tuple(np.divide(frames[data][:, col], data.scale, dtype=np.float64)
-                             for data, col in picked)
+                    return tuple(frames[i][:, col] for i, col in self.picks)
+                return tuple(np.divide(frames[i][:, col], self.files[i].scale,
+                                       dtype=np.float64) for i, col in self.picks)
 
             yield read
 
@@ -446,9 +436,8 @@ def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
     channel_map = channel_map or ChannelMap()
     path = Path(path)
     data = _wav_data(path, 2)
-    column = {"left": 0, "right": 1}
-    channels = _FileChannels((data, column[channel_map.nasal_source]),
-                             (data, column[channel_map.oral_source]))
+    nasal = _STEREO_SOURCES.index(channel_map.nasal_source)
+    channels = _FileChannels((data, nasal), (data, 1 - nasal))
     return StereoRecording._over(channels, 0, data.n_frames, data.sample_rate,
                                  path.name, data.scale)
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import StereoRecording
-from .errors import CalibrationError, InputFormatError
+from .errors import CalibrationError, InputFormatError, reason
 from .intensity import (
     DB_CLAMP_FLOOR,
     BandpassSpec,
@@ -123,6 +123,8 @@ def load_profile(path) -> CalibrationProfile:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8-sig"))
+        if not isinstance(doc, dict):
+            raise TypeError("not a JSON object")
         window = doc.get("stimulus_window", [0.0, 0.0])
         band = doc.get("bandpass")
         if band is not None:
@@ -135,4 +137,4 @@ def load_profile(path) -> CalibrationProfile:
             bandpass=band,
         )
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
-        raise InputFormatError(f"{path.name}: bad calibration profile: {exc}") from exc
+        raise InputFormatError(f"{path.name}: bad calibration profile: {reason(exc)}") from exc

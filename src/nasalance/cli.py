@@ -84,8 +84,7 @@ def _channel_map_arg(text: str) -> ChannelMap:
         raise argparse.ArgumentTypeError(
             f"expected nasal=left or nasal=right, got {text!r}"
         ) from None
-    nasal = value.strip()
-    return ChannelMap(nasal_source=nasal, oral_source="right" if nasal == "left" else "left")
+    return ChannelMap(nasal_source=value.strip())
 
 
 def _window_range_arg(text: str) -> tuple[float, float]:

@@ -19,6 +19,11 @@ def named(path, *kinds):
         raise
 
 
+def reason(exc: Exception) -> str:
+    """exc's message; a KeyError's is only the key's repr, so it is named missing."""
+    return f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 class NasalanceError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -306,7 +306,8 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
         times = index * step_s + centre_s
     w = window_weights(cfg.window, frame_len)
     db = np.empty((2, len(times)))
-    grid = (rec._channels.block_len, rec._start)
+    channels = rec._channels  # a band-passed take's reads filter on its block grid
+    grid = (channels.block_len, rec._start) if isinstance(channels, _Bandpassed) else (0, 0)
     with rec.stored() as read:
         for a in range(0, len(times), _BLOCK_FRAMES):
             b = min(a + _BLOCK_FRAMES, len(times))
@@ -366,7 +367,7 @@ def _zero_phase_taps(spec: BandpassSpec, sample_rate: float) -> np.ndarray:
 
 class _Bandpassed:
     """Both channels of a recording, band-passed block by block as read (see
-    bandpass); a reader reads and filters only the roles it is given."""
+    bandpass)."""
 
     def __init__(self, rec: StereoRecording, spec: BandpassSpec):
         taps = _zero_phase_taps(spec, rec.sample_rate)
@@ -380,12 +381,12 @@ class _Bandpassed:
             [taps, np.zeros(self.block_len - 1), taps[:0:-1]])).real.copy()
 
     @contextmanager
-    def reader(self, roles=(0, 1)):
+    def reader(self):
         half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.block_len
         scale = self.rec.scale
-        rows, k = np.empty((len(roles), n_fft)), np.arange(1, half + 1)
-        spectrum = np.empty(n_fft // 2 + 1, complex)  # each role's in turn
-        held = [-1, ()]  # the block filtered in place in rows (one per role), its views
+        rows, k = np.empty((2, n_fft)), np.arange(1, half + 1)
+        spectrum = np.empty(n_fft // 2 + 1, complex)  # each channel's in turn
+        held = [-1, ()]  # the block filtered in place in rows (one per channel), its views
 
         def filtered(row, s):  # one channel's block at s, its input decoded
             # row holds samples s .. s + n_fft of the recording extended by
@@ -405,7 +406,7 @@ class _Bandpassed:
             y.flags.writeable = False
             return y
 
-        def block(j):  # output samples [j*hop, (j+1)*hop) of each of roles
+        def block(j):  # output samples [j*hop, (j+1)*hop) of each channel
             if held[0] != j:
                 held[:] = -1, ()  # until its rows are whole again
                 s, o = j * hop, half - j * hop  # sample i goes to row[i + o] (see filtered)
@@ -421,7 +422,7 @@ class _Bandpassed:
             last = max(first, (b - 1) // hop)
             if first == last:
                 return tuple(y[a - first * hop : b - first * hop] for y in block(first))
-            out = np.empty((len(roles), b - a))
+            out = np.empty((2, b - a))
             for j in range(first, last + 1):  # copied before block j + 1 takes the rows
                 lo, hi = max(a, j * hop), min(b, (j + 1) * hop)
                 for row, y in zip(out, block(j)):
@@ -429,7 +430,7 @@ class _Bandpassed:
             out.flags.writeable = False
             return tuple(out)
 
-        with self.rec.stored(roles) as read_input:
+        with self.rec.stored() as read_input:
             yield read
 
 
@@ -448,8 +449,7 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
     other, on the calling thread) when the read needs it, in place in
     buffers each reader allocates once (one block per channel and one
     spectrum), so framing a few spans filters only the blocks that hold
-    them, decoding one channel filters only that one, and memory is
-    O(block), not O(output). A read within one block
+    them, and memory is O(block), not O(output). A read within one block
     returns views that hold until the next read (see _frames_db's grid).
 
     Edges: each channel is odd-extended by R samples about its end samples

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _check_rate, _Held, _peak
-from .errors import SynthSpecError, named
+from .errors import SynthSpecError, named, reason
 from .output import _array_rows, _csv_blocks
 
 # the most frames of a float32 stereo WAV: write_wav refuses a 4-GiB data chunk
@@ -58,6 +59,17 @@ class GroundTruth:
         pct.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "expected_nasalance_pct", pct)
+
+
+def _check_integer(name, value, least):
+    """Refuse a value that is not an integer (operator.index: 2.9 is not
+    truncated to 2) or is below `least`."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise SynthSpecError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise SynthSpecError(f"{name} must be >= {least}, got {value}")
 
 
 def _validate_envelope(env, name):
@@ -108,14 +120,14 @@ class SynthSpec:
             if not 0 < self.carrier.f0_hz < nyquist:
                 raise SynthSpecError(f"carrier f0 {self.carrier.f0_hz} Hz "
                                      f"outside (0, {nyquist:g})")
-            if self.carrier.n_partials < 1:
-                raise SynthSpecError("carrier needs at least one partial")
+            _check_integer("n_partials", self.carrier.n_partials, 1)
         else:
             raise SynthSpecError(f"unknown carrier {self.carrier!r}")
         if not 0 <= self.bleed < 1:
             raise SynthSpecError(f"bleed must be in [0, 1), got {self.bleed}")
         if self.noise_rms < 0:
             raise SynthSpecError(f"noise_rms must be >= 0, got {self.noise_rms}")
+        _check_integer("seed", self.seed, 0)
         object.__setattr__(self, "nasal_env",
                            _validate_envelope(self.nasal_env, "nasal_env"))
         object.__setattr__(self, "oral_env",
@@ -253,13 +265,13 @@ def truth_to_csv(gt: GroundTruth):
 
 
 def _carrier_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise SynthSpecError("carrier must be a JSON object")
     kind = doc.get("type")
     if kind == "sine":
         return SineCarrier(f_hz=float(doc["f_hz"]))
     if kind == "harmonic":
-        return HarmonicCarrier(
-            f0_hz=float(doc["f0_hz"]), n_partials=int(doc["n_partials"])
-        )
+        return HarmonicCarrier(f0_hz=float(doc["f0_hz"]), n_partials=doc["n_partials"])
     raise SynthSpecError(f"unknown carrier type {kind!r}")
 
 
@@ -274,10 +286,10 @@ def spec_from_dict(doc: dict) -> SynthSpec:
             oral_env=[(float(t), float(a)) for t, a in doc["oral_env"]],
             bleed=float(doc.get("bleed", 0.0)),
             noise_rms=float(doc.get("noise_rms", 0.0)),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise SynthSpecError(f"bad synthesis spec: {exc}") from exc
+        raise SynthSpecError(f"bad synthesis spec: {reason(exc)}") from exc
 
 
 def load_synth_spec(path) -> SynthSpec:

@@ -586,7 +586,7 @@ def test_synth_fractional_rate_is_refused_before_rendering(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("doc, message", [
     pytest.param({k: v for k, v in synth_spec_doc([25.0]).items() if k != "sample_rate"},
-                 "bad synthesis spec: 'sample_rate'", id="missing-key"),
+                 "bad synthesis spec: missing key 'sample_rate'", id="missing-key"),
     pytest.param({**synth_spec_doc([25.0]), "bleed": 2.0},
                  "bleed must be in [0, 1), got 2.0", id="bleed"),
     pytest.param(synth_spec_doc([25.0], amp=2.0),
@@ -598,6 +598,47 @@ def test_synth_refused_spec_names_its_file(tmp_path, capsys, doc, message):
     assert main(["synth", str(spec), "--out", str(tmp_path / "fix")]) == 2
     assert capsys.readouterr() == ("", f"error: my spec.json: {message}\n")
     assert [p.name for p in tmp_path.iterdir()] == ["my spec.json"]
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    pytest.param("synth", [1, 2], "spec must be a JSON object", id="spec-root"),
+    pytest.param("synth", {**synth_spec_doc([25.0]), "carrier": "sine"},
+                 "carrier must be a JSON object", id="carrier"),
+    pytest.param("calibration", [1, 2], "bad calibration profile: not a JSON object",
+                 id="profile-root"),
+    pytest.param("synth", {**synth_spec_doc([25.0]), "carrier": {"type": "sine"}},
+                 "bad synthesis spec: missing key 'f_hz'", id="missing-f_hz"),
+    pytest.param("calibration", {"created_from": "cal.wav"},
+                 "bad calibration profile: missing key 'gain_offset_db'",
+                 id="missing-gain_offset_db"),
+    pytest.param("synth", {**synth_spec_doc([25.0]), "carrier": {
+        "type": "harmonic", "f0_hz": 110.0, "n_partials": 2.9}},
+                 "n_partials must be an integer, got 2.9", id="fractional-n_partials"),
+    pytest.param("synth", {**synth_spec_doc([25.0]), "noise_rms": 0.01, "seed": 1.5},
+                 "seed must be an integer, got 1.5", id="fractional-seed"),
+    pytest.param("synth", {**synth_spec_doc([25.0]), "noise_rms": 0.01, "seed": -1},
+                 "seed must be >= 0, got -1", id="negative-seed"),
+])
+def test_json_of_the_wrong_shape_is_refused_naming_its_file(
+        session, tmp_path, capsys, monkeypatch, command, doc, message):
+    # JSON that parses but is not a spec or profile exits 2 with the file
+    # named, before any sample is made, and writes nothing
+    def render(spec):
+        raise AssertionError("rendered")
+
+    monkeypatch.setattr(nasalance.cli, "synthesize", render)
+    wav = session[0]
+    case = tmp_path / "case"
+    case.mkdir()
+    path = case / "input.json"
+    path.write_text(json.dumps(doc))
+    if command == "synth":
+        argv = ["synth", str(path), "--out", str(case / "fix")]
+    else:
+        argv = ["track", str(wav), "--calibration", str(path), "--out", str(case / "t.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: input.json: {message}\n")
+    assert [p.name for p in case.iterdir()] == ["input.json"]
 
 
 def test_stats_command(session, tmp_path, capsys):

@@ -666,8 +666,8 @@ def test_streamed_bandpass_reads_in_any_order():
         for a, b in spans:
             for got, want in zip(read(a, b), held):
                 np.testing.assert_array_equal(got, want[a:b])
-    with out.stored((1,)) as read:  # one role
-        (got,) = read(hop - 5, hop + 5)
+    with out.stored() as read:  # a new reader
+        got = read(hop - 5, hop + 5)[1]
         np.testing.assert_array_equal(got, held[1][hop - 5 : hop + 5])
 
 
@@ -687,7 +687,8 @@ def test_bandpass_ring_rereads_evicted_blocks_and_spans_of_many(roles):
     # the reader keeps one filtered block: coming back to a block after
     # reading another filters it again, a span over two or more blocks is
     # copied out piece by piece and leaves the last of them held, and every
-    # read is the oracle's, bitwise, and read-only
+    # read is the oracle's, bitwise, and read-only. Every read holds both
+    # channels; `roles` are the ones checked, in that order
     out, held, hop, n = _ring_setup(21)
     mid = hop // 2
     spans = [(mid, mid + 9), (hop + mid, hop + mid + 9), (mid, mid + 9),
@@ -695,13 +696,13 @@ def test_bandpass_ring_rereads_evicted_blocks_and_spans_of_many(roles):
              (3 * hop + mid, 3 * hop + 99), (hop + 1, hop + 5),
              (mid, 3 * hop + mid), (hop - 3, 4 * hop + 3), (0, n), (mid, mid + 9),
              (4 * hop, n), (0, n), (2 * hop - 1, 2 * hop + 1), (n, n), (0, 0)]
-    with out.stored(roles) as read:
+    with out.stored() as read:
         for a, b in spans:
             got = read(a, b)
-            assert len(got) == len(roles)
-            for role, y in zip(roles, got):
-                assert not y.flags.writeable, (a, b)
-                np.testing.assert_array_equal(y, held[role][a:b])
+            assert len(got) == 2
+            for role in roles:
+                assert not got[role].flags.writeable, (a, b)
+                np.testing.assert_array_equal(got[role], held[role][a:b])
 
 
 def test_bandpass_reader_refilters_a_block_whose_slot_failed(monkeypatch):
@@ -709,14 +710,14 @@ def test_bandpass_reader_refilters_a_block_whose_slot_failed(monkeypatch):
     # the block it held before is filtered again when it is read next
     out, held, hop, n = _ring_setup(25)
     irfft = np.fft.irfft
-    with out.stored((0,)) as read:
+    with out.stored() as read:
         read(5, 10)  # block 0
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: 1 / 0)
         with pytest.raises(ZeroDivisionError):
             read(hop + 5, hop + 10)  # block 1, into block 0's rows
         monkeypatch.setattr(np.fft, "irfft", irfft)
-        (got,) = read(5, 10)
-        np.testing.assert_array_equal(got, held[0][5:10])
+        for got, want in zip(read(5, 10), held):
+            np.testing.assert_array_equal(got, want[5:10])
 
 
 def test_bandpass_reader_refilters_a_block_whose_second_role_failed(monkeypatch):
@@ -770,12 +771,12 @@ def test_two_readers_of_one_bandpassed_recording_keep_their_own_blocks():
     # each reader has its own workspace: reads through one do not overwrite the
     # views the other returned
     out, held, hop, n = _ring_setup(23)
-    with out.stored() as first, out.stored((1,)) as second:
+    with out.stored() as first, out.stored() as second:
         for j in range(3):  # blocks 0 to 4
             a = j * hop + 17
             kept = first(a, a + 100)
             for k in (j + 1, j + 2, j):
-                (y,) = second(k * hop + 5, k * hop + 50)
+                y = second(k * hop + 5, k * hop + 50)[1]
                 np.testing.assert_array_equal(y, held[1][k * hop + 5 : k * hop + 50])
             for got, want in zip(kept, held):
                 np.testing.assert_array_equal(got, want[a : a + 100])
@@ -811,28 +812,6 @@ def test_bandpassed_framing_allocates_a_fixed_workspace(tmp_path):
     assert peak <= rows + spectrum + kernel + inputs + per_frame + 2**19, peak
 
 
-def test_decoding_one_role_filters_only_that_role(monkeypatch):
-    # each block of a role costs one inverse FFT: decoding one channel runs
-    # one per block, reading both roles two, and each role is the oracle's
-    sr, spec = 48000.0, BandpassSpec(60.0, 4000.0)
-    half = half_width(spec, sr)
-    hop = max(_FFT_BLOCK, 1 << (8 * half).bit_length()) - 2 * half
-    n = 3 * hop + 1000  # 4 blocks
-    x = np.random.default_rng(14).uniform(-0.4, 0.4, (2, n))
-    out, held = _bandpassed_and_held(x[0], x[1], sr, spec)
-    calls = []
-    irfft = np.fft.irfft
-    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: calls.append(1) or irfft(*a, **k))
-    np.testing.assert_array_equal(out.nasal, held[0])
-    assert len(calls) == 4
-    np.testing.assert_array_equal(out.oral, held[1])
-    assert len(calls) == 8
-    with out.stored() as read:
-        for got, want in zip(read(0, n), held):
-            np.testing.assert_array_equal(got, want)
-    assert len(calls) == 16
-
-
 def _counting_irfft(monkeypatch):
     """A list that gains an entry per inverse FFT: one per filtered block and role."""
     calls, irfft = [], np.fft.irfft
@@ -845,8 +824,8 @@ def _logged_reads(monkeypatch, rec):
     reads, stored = [], StereoRecording.stored
 
     @contextmanager
-    def logged(self, roles=(0, 1)):
-        with stored(self, roles) as read:
+    def logged(self):
+        with stored(self) as read:
             yield (lambda a, b: reads.append((a, b)) or read(a, b)) if self is rec else read
 
     monkeypatch.setattr(StereoRecording, "stored", logged)
@@ -881,13 +860,6 @@ def test_dense_bandpassed_framing_filters_each_block_once(monkeypatch, cropped):
     assert len(calls) == 2 * len(blocks)
     assert got.nasal_db.tobytes() == expected.nasal_db.tobytes()
     assert got.oral_db.tobytes() == expected.oral_db.tobytes()
-    # one role: framed through _frames_db on the same grid
-    calls.clear()
-    db, w = np.empty((1, len(starts))), window_weights(cfg.window, frame_len)
-    with rec.stored((1,)) as read:
-        _frames_db(read, starts, frame_len, w, 1.0, db, (hop, i0))
-    assert len(calls) == len(blocks)
-    assert db[0].tobytes() == expected.oral_db.tobytes()
 
 
 def test_bandpassed_read_across_a_block_edge_holds_only_the_frames_across_it(monkeypatch):
