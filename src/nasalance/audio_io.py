@@ -519,12 +519,14 @@ def _wav_blocks(channels, sample_rate, sample_format):
         full = 2.0 ** (bits - 1)  # integer PCM's full scale
         for a, b in _blocks(n):
             block, out = frames[: b - a], stored[: b - a]
-            for i, ch in enumerate(channels):
-                block[:, i] = ch[a:b]
-            if not math.isfinite(_peak(block)):
-                raise ValueError("samples must be finite")
+            for i, ch in enumerate(channels):  # checked unscaled, scaled as interleaved
+                if not math.isfinite(_peak(ch[a:b])):
+                    raise ValueError("samples must be finite")
+                if fmt_code == 1:
+                    np.multiply(ch[a:b], full, out=block[:, i])
+                else:
+                    block[:, i] = ch[a:b]
             if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip
-                block *= full
                 np.clip(np.rint(block, out=block), -full, full - 1, out=block)
             with np.errstate(over="ignore"):  # a float32 overflow is refused just below
                 np.copyto(out, block, casting="unsafe")

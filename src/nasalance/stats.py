@@ -179,6 +179,10 @@ def ols_fit(X, y, names=None, codings=None) -> FitResult:
     rss = float(resid @ resid)
     df = n - p
     sigma2 = rss / df
+    # residuals at rounding noise, below the rank test's max(n, p) * eps scaled
+    # by max|y|, are an exact fit: with zero variance every row has zero SE
+    if sigma2 < (max(n, p) * np.finfo(float).eps * float(np.max(np.abs(y)))) ** 2:
+        sigma2 = 0.0
     r_inv = np.linalg.solve(r, np.eye(p))
     xtx_inv = r_inv @ r_inv.T
     cov = sigma2 * xtx_inv

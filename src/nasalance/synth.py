@@ -22,12 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import _BLOCK_FRAMES, StereoRecording, _blocks, _check_rate, _Held, _peak
+from .audio_io import StereoRecording, _check_rate, _Held, _peak
 from .errors import SynthSpecError, named, reason
 from .output import _array_rows, _csv_blocks
 
 # the most frames of a float32 stereo WAV: write_wav refuses a 4-GiB data chunk
 _MAX_FRAMES = (2**32 - 37) // 8
+# synthesize's block grid, a seed contract: a noise stream per (channel, block)
+_NOISE_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -180,20 +182,20 @@ def ground_truth(spec: SynthSpec, times) -> GroundTruth:
 
 
 def _in_two_threads(work, n: int) -> None:
-    """Run work(blocks) over the blocks of range(n): the first half of them in
-    a worker thread, the rest in this one. NumPy's sin, interp and
-    arithmetic release the GIL, so the halves run side by side."""
-    blocks = list(_blocks(n))
+    """Run work(blocks) in a worker thread and this one, both taking the grid's
+    blocks from one queue; NumPy releases the GIL, so the two run side by side."""
+    blocks = [(a, min(a + _NOISE_BLOCK, n)) for a in range(0, n, _NOISE_BLOCK)]
     if len(blocks) < 2:
         work(blocks)
         return
+    left = [None, None, *reversed(blocks)]  # list.pop is atomic; None ends a share
     # imported here: a child process that never synthesizes keeps it unloaded
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(1) as pool:
-        first = pool.submit(work, blocks[: len(blocks) // 2])
+        first = pool.submit(work, iter(left.pop, None))
         try:
-            work(blocks[len(blocks) // 2 :])
+            work(iter(left.pop, None))
         finally:
             first.result()
 
@@ -201,24 +203,18 @@ def _in_two_threads(work, n: int) -> None:
 def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, GroundTruth]:
     """Render the spec to a recording plus its ground truth.
 
-    truth_times defaults to a millisecond grid. The nasal noise stream is
-    drawn before the oral one; that order is part of the reproducibility
-    contract.
-
-    The two channels are the only whole-signal arrays (8 bytes a sample
-    each). Everything else is rendered into them 2**16 samples at a time,
-    in two threads: first the raw carrier into the oral channel and its
-    square into the nasal one, whose mean gives the carrier's RMS, then the
-    envelopes and the unit-RMS carrier over both, then the noise streams.
-    Each sample comes from the same operations as a whole-signal render, so
-    the samples do not depend on the block size.
+    truth_times defaults to a millisecond grid. The two channels are the only
+    whole-signal arrays. Two threads render blocks into them: the raw carrier
+    into oral and its square into nasal, whose mean gives its RMS, then the
+    envelopes, unit-RMS carrier, noise and peak. Channel c's noise (0 nasal,
+    1 oral) in block k is drawn from SeedSequence(seed, spawn_key=(c, k)).
     """
     n = int(round(spec.duration_s * spec.sample_rate))  # 1 to _MAX_FRAMES
     sr, bleed = spec.sample_rate, spec.bleed
     nasal, oral = np.empty(n), np.empty(n)
 
     def carrier(blocks):  # the raw carrier into oral, its square into nasal
-        scratch = np.empty(min(n, _BLOCK_FRAMES))
+        scratch = np.empty(min(n, _NOISE_BLOCK))
         for a, b in blocks:
             _carrier_into(oral[a:b], spec.carrier, np.arange(a, b) / sr, sr,
                           scratch[: b - a])
@@ -230,24 +226,26 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
     if rms <= 0:
         raise SynthSpecError("carrier is silent")
     nasal_bp, oral_bp = _breakpoints(spec.nasal_env), _breakpoints(spec.oral_env)
+    peaks = []
 
-    def envelopes(blocks):
+    def render(blocks):
+        z = np.empty(min(n, _NOISE_BLOCK))
         for a, b in blocks:
             t = np.arange(a, b) / sr
             c = oral[a:b] / rms  # unit RMS over the whole take
             a_n, a_o = np.interp(t, *nasal_bp), np.interp(t, *oral_bp)
-            np.multiply(a_n + bleed * a_o, c, out=nasal[a:b])
-            np.multiply(a_o + bleed * a_n, c, out=oral[a:b])
+            amps = a_n + bleed * a_o, a_o + bleed * a_n
+            for channel, (x, amp) in enumerate(zip((nasal, oral), amps)):
+                np.multiply(amp, c, out=x[a:b])
+                if spec.noise_rms > 0:
+                    key = np.random.SeedSequence(spec.seed, spawn_key=(channel, a // _NOISE_BLOCK))
+                    rng = np.random.Generator(np.random.PCG64(key))
+                    noise = rng.standard_normal(out=z[: b - a])
+                    x[a:b] += np.multiply(spec.noise_rms, noise, out=noise)
+                peaks.append(_peak(x[a:b]))
 
-    _in_two_threads(envelopes, n)
-    if spec.noise_rms > 0:
-        rng = np.random.default_rng(spec.seed)
-        z = np.empty(min(n, _BLOCK_FRAMES))
-        for x in (nasal, oral):  # every nasal draw, then every oral one
-            for a, b in _blocks(n):
-                noise = rng.standard_normal(out=z[: b - a])
-                x[a:b] += np.multiply(spec.noise_rms, noise, out=noise)
-    peak = np.max([_peak(nasal), _peak(oral)])  # NaN if either is
+    _in_two_threads(render, n)
+    peak = np.max(peaks)  # NaN if any block's is
     if not peak <= 1.0:  # NaN and inf come only from amplitudes that overflow
         raise SynthSpecError(f"spec clips: peak amplitude {peak:.4f} > 1")
     nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy

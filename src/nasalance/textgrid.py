@@ -6,13 +6,16 @@ pattern whose every match skips the text that carries no payload
 token (a quoted string, a <flag> or a number), so the two formats parse
 through one function, `parse_textgrid`. It takes the tokens straight from
 the lexer's generator one at a time, so none are held, and a line is
-counted only for an error. A stray word, a non-finite number or an
-unterminated string, bracket or flag is an error located by its line.
+counted only for an error. `read_textgrid` decodes and lexes a file one
+block at a time, so neither its bytes nor its text are held whole. A stray
+word, a non-finite number or an unterminated string, bracket or flag is an
+error located by its line.
 Writing always emits the long format with 6-decimal times.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
 import warnings
@@ -104,6 +107,9 @@ _TOKEN = re.compile(r"""
     )
 """ % "|".join(sorted(_KEYWORDS)), re.VERBOSE)
 
+# read_textgrid decodes and lexes a file this many bytes at a time
+_READ_BYTES = 2**16
+
 _UNTERMINATED = {'"': "unterminated string", "[": "unterminated bracket",
                  "<": "unterminated flag"}
 
@@ -112,36 +118,51 @@ def _line(text: str, pos: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def _tokenize(text: str):
+def _tokenize(blocks, line_of):
     """Yield the (kind, value, pos) payload tokens of both TextGrid text
-    formats, one at a time, pos being the token's offset in text.
+    formats, one at a time, from the text given as str blocks; pos is the
+    token's offset in the whole text and line_of(pos) its line.
 
     kind is "num", "str" or "flag"; quoted strings may span lines and use
-    doubled quotes for embedded quotes. Lines are counted only for an error.
+    doubled quotes for embedded quotes. A match that reaches the end of the
+    text so far, or that is a lone quote, bracket or flag mark, is tried
+    again with the next block joined on, so a block may end anywhere. Lines
+    are counted only for an error.
     """
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        value, pos = m[kind], m.start(kind)
-        if kind == "num":
-            try:
-                number = float(value)
-            except ValueError:
+    blocks = iter(blocks)
+    buf, base, start, final = "", 0, 0, False  # buf is the text from offset base
+    while True:
+        for m in _TOKEN.finditer(buf, start):
+            kind = m.lastgroup
+            value = m[kind]
+            if not final and (m.end() == len(buf) or value in _UNTERMINATED):
+                break
+            pos = base + m.start(kind)
+            if kind == "num":
+                try:
+                    number = float(value)
+                except ValueError:
+                    raise TextGridParseError(
+                        f"non-numeric value {value!r}", line=line_of(pos)) from None
+                if not math.isfinite(number):
+                    raise TextGridParseError(f"non-finite value {value!r}",
+                                             line=line_of(pos))
+                yield "num", number, pos
+            elif kind == "str":
+                yield "str", value[1:-1].replace('""', '"'), pos
+            elif kind == "flag":
+                yield "flag", value[1:-1], pos
+            elif kind == "word":
+                raise TextGridParseError(f"unexpected word {value!r}", line=line_of(pos))
+            elif kind == "bad":
                 raise TextGridParseError(
-                    f"non-numeric value {value!r}", line=_line(text, pos)) from None
-            if not math.isfinite(number):
-                raise TextGridParseError(f"non-finite value {value!r}",
-                                         line=_line(text, pos))
-            yield "num", number, pos
-        elif kind == "str":
-            yield "str", value[1:-1].replace('""', '"'), pos
-        elif kind == "flag":
-            yield "flag", value[1:-1], pos
-        elif kind == "word":
-            raise TextGridParseError(f"unexpected word {value!r}", line=_line(text, pos))
-        elif kind == "bad":
-            raise TextGridParseError(
-                _UNTERMINATED.get(value, f"unexpected character {value!r}"),
-                line=_line(text, pos))
+                    _UNTERMINATED.get(value, f"unexpected character {value!r}"),
+                    line=line_of(pos))
+            else:  # the end
+                return
+        block = next(blocks, None)  # a match reached the end of the text so far
+        final = block is None
+        buf, base, start = buf[m.start():] + (block or ""), base + m.start(), 0
 
 
 def decode_textgrid(data: bytes) -> str:
@@ -173,7 +194,12 @@ def parse_textgrid(text) -> list[IntervalTier]:
     """
     if isinstance(text, bytes):
         text = decode_textgrid(text)
-    tokens = _tokenize(text)
+    return _parse([text], lambda pos: _line(text, pos))
+
+
+def _parse(blocks, line_of) -> list[IntervalTier]:
+    """parse_textgrid over text given as str blocks (see _tokenize)."""
+    tokens = _tokenize(blocks, line_of)
     pos = 0  # offset of the last token taken
     skipped = []  # names of the point tiers
 
@@ -184,8 +210,8 @@ def parse_textgrid(text) -> list[IntervalTier]:
             pass
         for name in skipped:
             warnings.warn(f"skipping point tier {name!r}", PointTierSkippedWarning,
-                          stacklevel=3)
-        return TextGridParseError(message, line=_line(text, pos if at is None else at))
+                          stacklevel=4)
+        return TextGridParseError(message, line=line_of(pos if at is None else at))
 
     def take(kind, what):
         nonlocal pos
@@ -254,17 +280,38 @@ def parse_textgrid(text) -> list[IntervalTier]:
         raise fail("unexpected content after final tier")
     for name in skipped:
         warnings.warn(f"skipping point tier {name!r}", PointTierSkippedWarning,
-                      stacklevel=2)
+                      stacklevel=3)
     return tiers
 
 
+def _decoded(fh):
+    """A TextGrid file's text in blocks of _READ_BYTES, decoded as
+    decode_textgrid decodes the whole file; where a block does not decode,
+    the whole file is decoded again for decode_textgrid's located error."""
+    data = fh.read(2)
+    utf16 = data in (b"\xff\xfe", b"\xfe\xff")
+    decoder = codecs.getincrementaldecoder("utf-16" if utf16 else "utf-8-sig")()
+    try:
+        while data:
+            yield decoder.decode(data)
+            data = fh.read(_READ_BYTES)
+        yield decoder.decode(b"", final=True)
+    except UnicodeDecodeError:
+        fh.seek(0)
+        decode_textgrid(fh.read())
+        raise
+
+
 def read_textgrid(path) -> list[IntervalTier]:
-    """Read and parse a TextGrid file from disk; a TextGridParseError names
-    the file."""
-    with named(path, TextGridParseError):
-        with open(path, "rb") as fh:
-            text = decode_textgrid(fh.read())  # the bytes are freed once decoded
-        return parse_textgrid(text)
+    """Read and parse a TextGrid file from disk, holding one block of its
+    text at a time; a TextGridParseError names the file."""
+    with named(path, TextGridParseError), open(path, "rb") as fh:
+
+        def line_of(pos):  # only for an error: decoding the whole file again
+            fh.seek(0)  # also raises a decoding error anywhere in it first
+            return _line(decode_textgrid(fh.read()), pos)
+
+        return _parse(_decoded(fh), line_of)
 
 
 def _quote(label: str) -> str:

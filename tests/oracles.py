@@ -123,9 +123,20 @@ def carrier_samples(carrier: SineCarrier | HarmonicCarrier, t: np.ndarray,
     return raw / rms
 
 
+def held_noise(seed, channel, n) -> np.ndarray:
+    """The seed contract's n unit normal draws of one channel (0 nasal,
+    1 oral): block k of every 2**16 samples from its own stream,
+    Generator(PCG64(SeedSequence(seed, spawn_key=(channel, k))))."""
+    return np.concatenate([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(channel, k))))
+        .standard_normal(min(2**16, n - a))
+        for k, a in enumerate(range(0, n, 2**16))
+    ])
+
+
 def held_synthesize(spec) -> tuple[np.ndarray, np.ndarray]:
     """(nasal, oral) of synth.synthesize, each rendered whole: the carrier,
-    both envelopes and each noise stream over every sample at once."""
+    both envelopes and each channel's noise over every sample at once."""
     n = int(round(spec.duration_s * spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
     c = carrier_samples(spec.carrier, t, spec.sample_rate)
@@ -134,9 +145,8 @@ def held_synthesize(spec) -> tuple[np.ndarray, np.ndarray]:
     nasal = (a_n + spec.bleed * a_o) * c
     oral = (a_o + spec.bleed * a_n) * c
     if spec.noise_rms > 0:
-        rng = np.random.default_rng(spec.seed)
-        nasal = nasal + spec.noise_rms * rng.standard_normal(n)
-        oral = oral + spec.noise_rms * rng.standard_normal(n)
+        nasal = nasal + spec.noise_rms * held_noise(spec.seed, 0, n)
+        oral = oral + spec.noise_rms * held_noise(spec.seed, 1, n)
     return nasal, oral
 
 

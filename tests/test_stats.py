@@ -202,6 +202,38 @@ def test_ols_constant_response():
     assert fit.residual_variance == pytest.approx(0.0, abs=1e-24)
 
 
+def unbalanced_constant_tokens(value, n=500, seed=3):
+    """n tokens drawn over 2 systems x 4 environments x 5 vowels, all at value."""
+    rng = np.random.default_rng(seed)
+    envs, vowels = ("nasal_both", "nasal_coda", "nasal_onset", "oral"), "ABCDE"
+    return [make_token(("A", "B")[rng.integers(2)], envs[rng.integers(4)],
+                       vowels[rng.integers(5)], value, rep=i) for i in range(n)]
+
+
+def test_unbalanced_all_equal_tokens_are_an_exact_fit():
+    # the QR leaves residuals of rounding noise (SD about 3 eps * 37.5), which
+    # once read as residual variance 4.8e-28 and p = 0.0085 for
+    # "A: nasal_both - nasal_coda"; below (max(n, p) eps max|y|)^2 it is zero
+    fit = fit_nasalance_model(unbalanced_constant_tokens(37.5))
+    assert fit.residual_variance == 0.0 and not fit.covariance.any()
+    rows = [*pairwise_env_contrasts(fit, "A"), *pairwise_env_contrasts(fit, "B"),
+            *difference_of_differences_table(fit)]
+    assert len(rows) == 18
+    for row in rows:
+        assert abs(row.estimate) < 1e-12
+        assert (row.se, row.t, row.p, row.p_adjusted) == (0.0, 0.0, 1.0, 1.0)
+    assert all(row.se == 0.0 for row in emmeans(fit))
+
+
+def test_one_token_off_the_exact_fit_keeps_its_residual_variance():
+    # a single token 1e-6 away, the CSV's last digit, is real variance
+    tokens = unbalanced_constant_tokens(37.5)
+    tokens[0] = replace(tokens[0], nasalance_pct=37.500001)
+    fit = fit_nasalance_model(tokens)
+    assert fit.residual_variance > 1e-16
+    assert all(row.se > 0 for row in emmeans(fit))
+
+
 def test_ols_rejects_underdetermined():
     with pytest.raises(NumericError, match="more observations"):
         ols_fit(np.ones((2, 2)), np.ones(2))

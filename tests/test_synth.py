@@ -1,5 +1,6 @@
 """Synthetic oracle: bleed model algebra, determinism, pipeline recovery."""
 
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import nasalance.synth
-from oracles import held_synthesize
-from nasalance.audio_io import _BLOCK_FRAMES, _blocks
+from oracles import held_noise, held_synthesize
+from nasalance.cli import main
 from nasalance.core import nasalance_track
 from nasalance.errors import SynthSpecError
 from nasalance.intensity import FrameConfig, intensity_track
@@ -261,7 +262,12 @@ def ramp_spec(n, sample_rate, carrier, noise=0.0, bleed=0.0, seed=3):
     )
 
 
-_B = _BLOCK_FRAMES
+_B = nasalance.synth._NOISE_BLOCK
+
+
+def grid(n):
+    """The [a, b) blocks of synthesize's grid over range(n), in order."""
+    return [(a, min(a + _B, n)) for a in range(0, n, _B)]
 
 
 @pytest.mark.parametrize("n", [_B - 1, _B, _B + 1, 3 * _B + 17])
@@ -272,7 +278,7 @@ _B = _BLOCK_FRAMES
 ], ids=["sine", "harmonic", "past_nyquist"])
 def test_synthesize_equals_held_oracle(n, carrier):
     # every sample bitwise, whatever the block a sample falls in, with and
-    # without noise (nasal draws before oral) and bleed, at 48 and 44.1 kHz
+    # without noise (a stream per channel and block) and bleed, at 48 and 44.1 kHz
     for sample_rate, noise, bleed in ((48000.0, 0.0, 0.0), (48000.0, 1e-3, 0.1),
                                       (44100.0, 1e-3, 0.0), (44100.0, 0.0, 0.3)):
         spec = ramp_spec(n, sample_rate, carrier, noise, bleed)
@@ -301,6 +307,51 @@ def test_synthesize_from_many_threads_with_short_switch_interval():
         assert rec.oral.tobytes() == want[1].tobytes()
 
 
+def test_samples_do_not_depend_on_the_thread_or_the_block_order(monkeypatch):
+    spec = ramp_spec(3 * _B + 17, 48000.0, HarmonicCarrier(120.0, 2), noise=1e-3, bleed=0.1)
+    two = synthesize(spec, truth_times=())[0]
+    for order in (grid, lambda n: grid(n)[::-1]):  # one thread, in order or reversed
+        monkeypatch.setattr(nasalance.synth, "_in_two_threads",
+                            lambda work, n, order=order: work(order(n)))
+        one = synthesize(spec, truth_times=())[0]
+        assert one.nasal.tobytes() == two.nasal.tobytes()
+        assert one.oral.tobytes() == two.oral.tobytes()
+
+
+def noise_only_spec(n, seed=11):
+    # zero envelopes leave each channel its noise alone: 0 * carrier + noise
+    return SynthSpec(duration_s=n / 8000.0, sample_rate=8000.0, carrier=SineCarrier(440.0),
+                     nasal_env=[(0.0, 0.0)], oral_env=[(0.0, 0.0)], noise_rms=0.01, seed=seed)
+
+
+def test_two_durations_of_one_spec_share_every_whole_block_of_noise():
+    short = synthesize(noise_only_spec(2 * _B + 100), truth_times=())[0]
+    long = synthesize(noise_only_spec(4 * _B), truth_times=())[0]
+    for channel, (x, y) in enumerate(((short.nasal, long.nasal), (short.oral, long.oral))):
+        assert x[: 2 * _B].tobytes() == y[: 2 * _B].tobytes()
+        # a short last block takes the first draws of its block's stream
+        assert x[2 * _B :].tobytes() == y[2 * _B : 2 * _B + 100].tobytes()
+        np.testing.assert_array_equal(x, 0.01 * held_noise(11, channel, 2 * _B + 100))
+    # every (channel, block) stream is its own
+    blocks = [ch[a:b] for ch in (long.nasal, long.oral) for a, b in grid(4 * _B)]
+    assert len({block.tobytes() for block in blocks}) == 8
+
+
+def test_noisy_synth_wav_bytes_are_pinned(tmp_path):
+    # guards the seed contract on every NumPy: the WAV holds noise alone, so
+    # its float32 bytes depend on the normal draws, not on a platform's sin
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "duration_s": 17.0, "sample_rate": 8000, "carrier": {"type": "sine", "f_hz": 440.0},
+        "nasal_env": [[0.0, 0.0]], "oral_env": [[0.0, 0.0]], "noise_rms": 0.01, "seed": 2026,
+    }))
+    assert main(["synth", str(spec), "--out", str(tmp_path / "noise")]) == 0
+    wav = (tmp_path / "noise.wav").read_bytes()
+    assert len(wav) == 44 + 8 * 136000  # two whole blocks and a short one
+    assert hashlib.sha256(wav).hexdigest() == (
+        "ae3f0777f6106d8c57f0785215ba6dbf51149667aac93992fc1db58827eaa58d")
+
+
 def test_one_sample_spec_is_silent():
     # the carrier starts at sin(0) = 0, so one sample has no RMS to scale by
     with pytest.raises(SynthSpecError, match="silent"):
@@ -313,7 +364,7 @@ def test_synthesize_holds_only_its_two_channels(monkeypatch):
     # temporary would add 5.5 MB from 5 s to 20 s). The render runs in this
     # thread, so the peak does not depend on how two threads' blocks overlap.
     monkeypatch.setattr(nasalance.synth, "_in_two_threads",
-                        lambda work, n: work(list(_blocks(n))))
+                        lambda work, n: work(grid(n)))
     extra = []
     for seconds in (5, 20):
         spec = ramp_spec(seconds * 48000, 48000.0, HarmonicCarrier(120.0, 2), noise=1e-4)

@@ -3,6 +3,8 @@
 import tracemalloc
 import warnings
 
+import nasalance.textgrid
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -580,9 +582,65 @@ def test_truncated_textgrid_names_the_file(tmp_path):
     assert err.value.line == 18
 
 
+def edited(text, edits):
+    for old, new in edits:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    return text
+
+
+SPLIT_TEXTS = [
+    MINIMAL_LONG, MINIMAL_SHORT,
+    MINIMAL_LONG.replace('text = "ih"', 'text = "\u00e9 ""\u4e2d\u6587"" [1] <x>\n"'),
+    MINIMAL_LONG.replace("\n", "\r\n"),
+]
+SPLIT_ENCODINGS = ["utf-8", "utf-8-sig", "utf-16", "utf-16-le-bom", "utf-16-be-bom"]
+
+
+def encoded(text, encoding):
+    if encoding.endswith("-bom"):  # a byte order mark before UTF-16 of either order
+        return ("\ufeff" + text).encode(encoding[:-4])
+    return text.encode(encoding)
+
+
+@pytest.mark.parametrize("read_bytes", [1, 2, 3, 7, 64])
+def test_read_textgrid_blocks_may_end_anywhere(tmp_path, monkeypatch, read_bytes):
+    # a file is decoded and lexed a block at a time: every token, BOM and
+    # multi-byte character a block boundary cuts reads as from the whole text
+    monkeypatch.setattr(nasalance.textgrid, "_READ_BYTES", read_bytes)
+    path = tmp_path / "split.TextGrid"
+    for text in SPLIT_TEXTS:
+        for encoding in SPLIT_ENCODINGS:
+            path.write_bytes(encoded(text, encoding))
+            assert read_textgrid(path) == parse_textgrid(text), (text, encoding)
+
+
+@pytest.mark.parametrize("read_bytes", [1, 5, 64])
+def test_read_textgrid_errors_are_located_as_in_the_whole_text(tmp_path, monkeypatch,
+                                                                read_bytes):
+    monkeypatch.setattr(nasalance.textgrid, "_READ_BYTES", read_bytes)
+    path = tmp_path / "bad.TextGrid"
+    cases = [(MINIMAL_LONG, edits, message, line)
+             for edits, message, line in LEXER_ERRORS.values()]
+    for text, edits, message, line in [*cases, *GRAMMAR_ERRORS.values()]:
+        path.write_bytes(edited(text, edits).encode("utf-16"))
+        with pytest.raises(TextGridParseError) as err:
+            read_textgrid(path)
+        assert str(err.value) == f"bad.TextGrid: {message} (line {line})"
+    # an undecodable byte after a lexer error still comes first, as when the
+    # whole file was decoded before lexing
+    data = edited(MINIMAL_LONG, [('text = "b"', "text = b")]).encode() + b"\xff\n"
+    path.write_bytes(data)
+    with pytest.raises(TextGridParseError) as err:
+        read_textgrid(path)
+    assert str(err.value) == (f"bad.TextGrid: not UTF-8 text at byte offset "
+                              f"{len(data) - 2}: invalid start byte (line 23)")
+
+
 def test_read_textgrid_memory_does_not_grow_with_tokens(tmp_path):
-    # beyond the tiers it returns and the file's text, parsing holds no
-    # per-token list: four times the intervals add only what is kept
+    # beyond the tiers it returns, reading holds one block of the file and
+    # of its text and no per-token list: four times the intervals add only
+    # what is kept
     extra = []
     for n_words in (500, 2000):
         path = tmp_path / f"{n_words}.TextGrid"
@@ -596,6 +654,7 @@ def test_read_textgrid_memory_does_not_grow_with_tokens(tmp_path):
         finally:
             tracemalloc.stop()
         assert sum(len(t.intervals) for t in tiers) == 4 * n_words
-        extra.append(peak - kept - path.stat().st_size)
-    # the parser's token list was 2.3 MB more at 8000 intervals than at 2000
-    assert extra[1] - extra[0] < 64 * 1024, extra
+        extra.append(peak - kept)
+    # the parser's token list was 2.3 MB more at 8000 intervals than at 2000,
+    # and the whole file's bytes and text were 0.8 MB and 0.8 MB more
+    assert extra[1] - extra[0] < 64 * 1024 and extra[1] < 512 * 1024, extra
