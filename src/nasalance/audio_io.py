@@ -522,8 +522,9 @@ def _wav_blocks(channels, sample_rate, sample_format):
             for i, ch in enumerate(channels):  # checked unscaled, scaled as interleaved
                 if not math.isfinite(_peak(ch[a:b])):
                     raise ValueError("samples must be finite")
-                if fmt_code == 1:
-                    np.multiply(ch[a:b], full, out=block[:, i])
+                if fmt_code == 1:  # a huge finite sample scales to inf, clipped below
+                    with np.errstate(over="ignore"):
+                        np.multiply(ch[a:b], full, out=block[:, i])
                 else:
                     block[:, i] = ch[a:b]
             if fmt_code == 1:  # integer PCM: round onto the 2**(bits-1) grid and clip

@@ -28,7 +28,8 @@ from .output import _array_rows, _csv_blocks
 
 # the most frames of a float32 stereo WAV: write_wav refuses a 4-GiB data chunk
 _MAX_FRAMES = (2**32 - 37) // 8
-# synthesize's block grid, a seed contract: a noise stream per (channel, block)
+# synthesize's block grid, a seed and carrier contract: a noise stream per
+# (channel, block), and the carrier's phase anchored at each block's start
 _NOISE_BLOCK = 2**16
 
 
@@ -113,27 +114,21 @@ class SynthSpec:
                                  f"{self.sample_rate:g} gives {n:.6g} samples; a float32 "
                                  f"stereo WAV holds 1 to {_MAX_FRAMES}")
         _check_rate(self.sample_rate, SynthSpecError)  # before any sample is made
-        nyquist = self.sample_rate / 2.0
-        if isinstance(self.carrier, SineCarrier):
-            if not 0 < self.carrier.f_hz < nyquist:
-                raise SynthSpecError(f"carrier frequency {self.carrier.f_hz} Hz "
-                                     f"outside (0, {nyquist:g})")
-        elif isinstance(self.carrier, HarmonicCarrier):
-            if not 0 < self.carrier.f0_hz < nyquist:
-                raise SynthSpecError(f"carrier f0 {self.carrier.f0_hz} Hz "
-                                     f"outside (0, {nyquist:g})")
-            _check_integer("n_partials", self.carrier.n_partials, 1)
-        else:
-            raise SynthSpecError(f"unknown carrier {self.carrier!r}")
+        c, nyquist = self.carrier, self.sample_rate / 2.0
+        if not isinstance(c, (SineCarrier, HarmonicCarrier)):
+            raise SynthSpecError(f"unknown carrier {c!r}")
+        what, f = ("frequency", c.f_hz) if isinstance(c, SineCarrier) else ("f0", c.f0_hz)
+        if not 0 < f < nyquist:
+            raise SynthSpecError(f"carrier {what} {f} Hz outside (0, {nyquist:g})")
+        if isinstance(c, HarmonicCarrier):
+            _check_integer("n_partials", c.n_partials, 1)
         if not 0 <= self.bleed < 1:
             raise SynthSpecError(f"bleed must be in [0, 1), got {self.bleed}")
         if self.noise_rms < 0:
             raise SynthSpecError(f"noise_rms must be >= 0, got {self.noise_rms}")
         _check_integer("seed", self.seed, 0)
-        object.__setattr__(self, "nasal_env",
-                           _validate_envelope(self.nasal_env, "nasal_env"))
-        object.__setattr__(self, "oral_env",
-                           _validate_envelope(self.oral_env, "oral_env"))
+        for name in ("nasal_env", "oral_env"):
+            object.__setattr__(self, name, _validate_envelope(getattr(self, name), name))
 
 
 def _breakpoints(env) -> tuple[np.ndarray, np.ndarray]:
@@ -141,22 +136,38 @@ def _breakpoints(env) -> tuple[np.ndarray, np.ndarray]:
     return np.array([t for t, _ in env]), np.array([a for _, a in env])
 
 
-def _carrier_into(raw, carrier, t, sample_rate, scratch) -> None:
-    """Write the carrier at times t, before it is scaled to unit RMS, into raw.
+def _carrier(carrier, sr, m):
+    """into(raw, a, scratch) writes the raw carrier of the block at sample a
+    into raw, with no sin per sample: a table of f0's angle, turned by the
+    block's start angle, gives sin(x) and 2cos(x), and sin(kx) =
+    2cos(x)sin((k-1)x) - sin((k-2)x). Angles are reduced to one cycle, a
+    block's exactly (a*f0/sr = a*p/q). scratch: 4 block buffers."""
+    f0, count = ((carrier.f_hz, 1) if isinstance(carrier, SineCarrier)
+                 else (carrier.f0_hz, carrier.n_partials))
+    phi = 2 * math.pi * (np.fmod(np.arange(m) * f0, sr) / sr)
+    table = np.cos(phi), np.sin(phi)
+    p, q = float(f0).as_integer_ratio()
+    q *= round(sr)
 
-    Partials at or above the Nyquist rate are left out. `scratch` is a
-    buffer of t's length.
-    """
-    if isinstance(carrier, SineCarrier):
-        np.sin(np.multiply(2.0 * np.pi * carrier.f_hz, t, out=raw), out=raw)
-        return
-    raw[:] = 0.0
-    for k in range(1, carrier.n_partials + 1):
-        f = k * carrier.f0_hz
-        if f >= sample_rate / 2.0:
-            break
-        part = np.sin(np.multiply(2.0 * np.pi * f, t, out=scratch), out=scratch)
-        raw += np.divide(part, k, out=part)
+    def into(raw, a, scratch):
+        cos_phi, sin_phi = (x[: len(raw)] for x in table)
+        two_cos, s, prev, tmp = scratch[:, : len(raw)]
+        theta = 2 * math.pi * (a * p % q / q)
+        sin_a, cos_a = math.sin(theta), math.cos(theta)
+        np.multiply(sin_a, cos_phi, out=raw)
+        raw += np.multiply(cos_a, sin_phi, out=tmp)
+        np.multiply(2 * cos_a, cos_phi, out=two_cos)
+        two_cos -= np.multiply(2 * sin_a, sin_phi, out=tmp)
+        np.copyto(s, raw)
+        prev.fill(0.0)
+        for k in range(2, count + 1):
+            if k * f0 >= sr / 2:  # past the Nyquist rate
+                break
+            np.subtract(np.multiply(two_cos, s, out=tmp), prev, out=prev)
+            s, prev = prev, s
+            raw += np.divide(s, k, out=tmp)
+
+    return into
 
 
 def expected_nasalance(spec: SynthSpec, times) -> np.ndarray:
@@ -201,23 +212,24 @@ def _in_two_threads(work, n: int) -> None:
 
 
 def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, GroundTruth]:
-    """Render the spec to a recording plus its ground truth.
+    """Render the spec to a recording plus its ground truth (truth_times
+    defaults to a millisecond grid).
 
-    truth_times defaults to a millisecond grid. The two channels are the only
-    whole-signal arrays. Two threads render blocks into them: the raw carrier
-    into oral and its square into nasal, whose mean gives its RMS, then the
-    envelopes, unit-RMS carrier, noise and peak. Channel c's noise (0 nasal,
-    1 oral) in block k is drawn from SeedSequence(seed, spawn_key=(c, k)).
+    Two threads fill the channels block by block: the raw carrier, its phase
+    anchored per 2**16-sample block, into oral and its square (for the RMS)
+    into nasal; then envelopes, unit-RMS carrier, noise and peak. Channel c's
+    (0 nasal, 1 oral) noise in block k comes from SeedSequence(seed,
+    spawn_key=(c, k)).
     """
     n = int(round(spec.duration_s * spec.sample_rate))  # 1 to _MAX_FRAMES
-    sr, bleed = spec.sample_rate, spec.bleed
+    sr, bleed, m = spec.sample_rate, spec.bleed, min(n, _NOISE_BLOCK)
     nasal, oral = np.empty(n), np.empty(n)
+    carrier_into = _carrier(spec.carrier, sr, m)
 
-    def carrier(blocks):  # the raw carrier into oral, its square into nasal
-        scratch = np.empty(min(n, _NOISE_BLOCK))
+    def carrier(blocks):
+        scratch = np.empty((4, m))
         for a, b in blocks:
-            _carrier_into(oral[a:b], spec.carrier, np.arange(a, b) / sr, sr,
-                          scratch[: b - a])
+            carrier_into(oral[a:b], a, scratch)
             np.multiply(oral[a:b], oral[a:b], out=nasal[a:b])
 
     _in_two_threads(carrier, n)
@@ -229,7 +241,7 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
     peaks = []
 
     def render(blocks):
-        z = np.empty(min(n, _NOISE_BLOCK))
+        z = np.empty(m)
         for a, b in blocks:
             t = np.arange(a, b) / sr
             c = oral[a:b] / rms  # unit RMS over the whole take

@@ -107,18 +107,33 @@ def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
     return list(decoded), data.sample_rate
 
 
-def carrier_samples(carrier: SineCarrier | HarmonicCarrier, t: np.ndarray,
+def carrier_samples(carrier: SineCarrier | HarmonicCarrier, n: int,
                     sample_rate: float) -> np.ndarray:
-    """The carrier at times t, scaled to unit RMS over t."""
+    """The carrier at samples 0 to n, scaled to unit RMS over them, built whole
+    in synth's op order: sample i's angle is its 2**16-sample block's start
+    angle (f0 = p/q, reduced to one cycle in integers) plus the table's angle
+    at i mod 2**16, and sin(kx) = 2cos(x)sin((k-1)x) - sin((k-2)x) for every
+    partial below the Nyquist rate."""
     if isinstance(carrier, SineCarrier):
-        raw = np.sin(2.0 * np.pi * carrier.f_hz * t)
+        f0, count = carrier.f_hz, 1
     else:
-        raw = np.zeros_like(t)
-        for k in range(1, carrier.n_partials + 1):
-            f = k * carrier.f0_hz
-            if f >= sample_rate / 2.0:
-                break
-            raw += np.sin(2.0 * np.pi * f * t) / k
+        f0, count = carrier.f0_hz, carrier.n_partials
+    i = np.arange(n)
+    phi = 2 * math.pi * (np.fmod(np.arange(min(n, 2**16)) * f0, sample_rate) / sample_rate)
+    cos_phi, sin_phi = np.cos(phi)[i % 2**16], np.sin(phi)[i % 2**16]
+    p, q = float(f0).as_integer_ratio()
+    cycle = round(sample_rate) * q
+    theta = [2 * math.pi * (a * p % cycle / cycle) for a in range(0, n, 2**16)]
+    sin_a = np.array([math.sin(x) for x in theta])[i // 2**16]
+    cos_a = np.array([math.cos(x) for x in theta])[i // 2**16]
+    s = sin_a * cos_phi + cos_a * sin_phi  # sin(x)
+    two_cos = 2 * cos_a * cos_phi - 2 * sin_a * sin_phi
+    raw, prev = s.copy(), np.zeros(n)
+    for k in range(2, count + 1):
+        if k * f0 >= sample_rate / 2.0:
+            break
+        s, prev = two_cos * s - prev, s
+        raw += s / k
     rms = np.sqrt(np.mean(raw * raw))
     return raw / rms
 
@@ -139,7 +154,7 @@ def held_synthesize(spec) -> tuple[np.ndarray, np.ndarray]:
     both envelopes and each channel's noise over every sample at once."""
     n = int(round(spec.duration_s * spec.sample_rate))
     t = np.arange(n) / spec.sample_rate
-    c = carrier_samples(spec.carrier, t, spec.sample_rate)
+    c = carrier_samples(spec.carrier, n, spec.sample_rate)
     a_n = np.interp(t, *_breakpoints(spec.nasal_env))
     a_o = np.interp(t, *_breakpoints(spec.oral_env))
     nasal = (a_n + spec.bleed * a_o) * c

@@ -4,6 +4,7 @@ import math
 import struct
 import tracemalloc
 import uuid
+import warnings
 
 import numpy as np
 import pytest
@@ -346,6 +347,18 @@ def test_write_wav_float32_full_scale(tmp_path):
     write_wav(path, [[1.5, -1.5]], 48000, "pcm16")
     (got,), _ = read_wav(path, 1)
     assert got.tolist() == [32767 / 32768, -1.0]
+
+
+@pytest.mark.parametrize("fmt, bits", [("pcm16", 16), ("pcm24", 24), ("pcm32", 32)])
+def test_write_wav_clips_huge_finite_samples_without_a_warning(tmp_path, fmt, bits):
+    # 1e308 * 2**(bits-1) overflows to inf while scaling; it clips to full scale
+    path = tmp_path / "x.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_wav(path, [np.array([1e308, -1e308, 0.5])], 8000, fmt)
+    (got,), _ = read_wav(path, 1)
+    full = 2.0 ** (bits - 1)
+    assert got.tolist() == [(full - 1) / full, -1.0, 0.5]
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])

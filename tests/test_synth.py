@@ -289,6 +289,37 @@ def test_synthesize_equals_held_oracle(n, carrier):
         assert rec.oral.tobytes() == oral.tobytes()
 
 
+def exact_carrier(f0, n_partials, sample_rate, samples):
+    """The raw carrier at integer samples for integer f0 and sample_rate: the
+    phase of partial k is (k*f0*i) mod sample_rate, in exact integers."""
+    raw = np.zeros(len(samples))
+    for k in range(1, n_partials + 1):
+        if 2 * k * f0 >= sample_rate:
+            break
+        raw += np.sin(2 * np.pi * ((k * f0 * samples) % sample_rate) / sample_rate) / k
+    return raw
+
+
+@pytest.mark.parametrize("carrier, sample_rate, n, blocks", [
+    # the take's short last block, then the two blocks either side of one edge
+    (HarmonicCarrier(120.0, 2), 48000, 600 * 48000, [439, 219, 220]),
+    (HarmonicCarrier(220.0, 20), 44100, 60 * 44100, [40, 19, 20]),
+    (SineCarrier(440.0), 48000, 3600 * 48000, [2636, 1000, 1001]),
+], ids=["10min_2_partials", "20_partials", "1h_sine"])
+def test_raw_carrier_is_within_1e_12_of_the_exact_phase(carrier, sample_rate, n, blocks):
+    into = nasalance.synth._carrier(carrier, sample_rate, _B)
+    scratch = np.empty((4, _B))
+    f0, count = ((carrier.f_hz, 1) if isinstance(carrier, SineCarrier)
+                 else (carrier.f0_hz, carrier.n_partials))
+    assert blocks[0] == len(grid(n)) - 1 and n % _B
+    for k in blocks:
+        a, b = grid(n)[k]
+        raw = np.empty(b - a)
+        into(raw, a, scratch)
+        want = exact_carrier(int(f0), count, sample_rate, np.arange(a, b, dtype=np.int64))
+        assert np.max(np.abs(raw - want)) < 1e-12, k
+
+
 def test_synthesize_from_many_threads_with_short_switch_interval():
     # each call splits its blocks over two threads writing one pair of
     # channels; six calls at once in four threads, switching every 10 us
