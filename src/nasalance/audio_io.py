@@ -413,6 +413,8 @@ def _wav_data(path, n_channels: int) -> _WavData:
         raise AudioFormatError(
             f"{name}: data size {size} not a whole number of frames", byte_offset=body
         )
+    if size == 0:
+        raise AudioFormatError(f"{name}: data chunk holds no samples", byte_offset=body)
     dtype, scale = codec
     data = _WavData(path, body, size // block_align, n_channels, bits, np.dtype(dtype),
                     scale, float(sample_rate))
@@ -502,6 +504,8 @@ def _wav_blocks(channels, sample_rate, sample_format):
     n = len(channels[0])
     if any(len(ch) != n for ch in channels):
         raise ValueError("all channels must have equal length")
+    if n == 0:
+        raise ValueError("channels hold no samples")  # loading refuses such a file
     size = n * block_align
     if 36 + size >= 2**32:
         raise ValueError(f"{size} bytes of samples do not fit the WAV header")

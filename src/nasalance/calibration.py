@@ -62,7 +62,6 @@ def estimate_gain_offset(
     cut from it, so the window's edges are not the filter's edges.
     Raises CalibrationError with fewer than 10 valid frames.
     """
-    cfg = cfg or FrameConfig()
     if bandpass_spec is not None:
         rec = bandpass(rec, bandpass_spec)
     if window is not None:

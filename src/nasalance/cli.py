@@ -54,7 +54,7 @@ from .stats import (
     pairwise_env_contrasts,
 )
 from .synth import load_synth_spec, synthesize, truth_to_csv
-from .textgrid import DEFAULT_VOWEL_LABELS, read_textgrid
+from .textgrid import DEFAULT_VOWEL_LABELS, read_textgrid, strip_stress
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +101,8 @@ def _vowels_arg(text: str) -> frozenset:
     labels = frozenset(v.strip() for v in text.split(",") if v.strip())
     if not labels:
         raise argparse.ArgumentTypeError("empty vowel label set")
+    if stressed := sorted(v for v in labels if strip_stress(v) != v):  # could never match
+        raise argparse.ArgumentTypeError(f"vowel label {stressed[0]!r} has a stress digit")
     return labels
 
 

@@ -101,46 +101,29 @@ def nasalance_track(it: IntensityTrack) -> NasalanceTrack:
     return NasalanceTrack(times=it.times, nasalance_pct=pct, valid=valid)
 
 
-def _nearest_index(times: np.ndarray, t: float) -> int:
-    right = int(np.searchsorted(times, t))
-    if right == 0:
-        return 0
-    if right == len(times):
-        return len(times) - 1
-    left = right - 1
-    # ties break toward the earlier frame
-    if t - times[left] <= times[right] - t:
-        return left
-    return right
-
-
 def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
     """Nasalance at time t by nearest-frame lookup or linear interpolation.
 
-    Raises UnmeasurableError when t falls outside the track (a NaN t does
-    too) or when the frame(s) needed are invalid.
+    A frame centred exactly at t is the only one either method reads;
+    otherwise nearest takes the closer of the two frames around t (the
+    earlier on a tie) and linear interpolates between them. Raises
+    UnmeasurableError when t falls outside the track (a NaN t does too) or
+    a frame read is invalid.
     """
     times = nt.times
     if len(times) == 0 or not times[0] <= t <= times[-1]:  # NaN fails too
         raise UnmeasurableError(t, reason="outside-track")
+    right = int(np.searchsorted(times, t))  # t is in the track: a frame is at or after it
+    left = right if times[right] == t else right - 1
+    t0, t1 = times[left], times[right]
     if method == "nearest":
-        i = _nearest_index(times, t)
-        if not nt.valid[i]:
-            raise UnmeasurableError(t, reason="invalid-frame")
-        return float(nt.nasalance_pct[i])
-    if method == "linear":
-        right = int(np.searchsorted(times, t))
-        if right < len(times) and times[right] == t:
-            if not nt.valid[right]:
-                raise UnmeasurableError(t, reason="invalid-frame")
-            return float(nt.nasalance_pct[right])
-        left = right - 1
-        if not (nt.valid[left] and nt.valid[right]):
-            raise UnmeasurableError(t, reason="invalid-frame")
-        t0, t1 = times[left], times[right]
-        v0, v1 = nt.nasalance_pct[left], nt.nasalance_pct[right]
-        return float(v0 + (v1 - v0) * (t - t0) / (t1 - t0))
-    raise ValueError(f"unknown method {method!r}")
+        left = right = left if t - t0 <= t1 - t else right
+    elif method != "linear":
+        raise ValueError(f"unknown method {method!r}")
+    if not (nt.valid[left] and nt.valid[right]):
+        raise UnmeasurableError(t, reason="invalid-frame")
+    v0, v1 = nt.nasalance_pct[left], nt.nasalance_pct[right]
+    return float(v1 if left == right else v0 + (v1 - v0) * (t - t0) / (t1 - t0))
 
 
 def nasalance_to_csv(nt: NasalanceTrack):

@@ -245,17 +245,15 @@ def _frames_around(at: np.ndarray, count: int, step_s: float,
 
     These are the frames searchsorted would find on the track's times
     (NaN sorts after every time), found without building them: an index
-    from division, then moved to where the same float centres say.
+    from division, then one step up or down to where the same float
+    centres say. One step is enough on a grid under about 1e12 frames: the
+    float quotient and the float centres round near the same whole quotient.
     """
     t = np.where(np.isnan(at), np.inf, at)
     k = np.clip(np.floor((t - centre_s) / step_s), -1, count - 1).astype(np.int64)
-    while True:  # k becomes the last frame centred at or before t, or -1
-        up = (k < count - 1) & ((k + 1) * step_s + centre_s <= t)
-        down = (k >= 0) & (k * step_s + centre_s > t)
-        if not (up.any() or down.any()):
-            break
-        k += up
-        k -= down
+    # k becomes the last frame centred at or before t, or -1
+    k += (k < count - 1) & ((k + 1) * step_s + centre_s <= t)
+    k -= (k >= 0) & (k * step_s + centre_s > t)
     after = k + ((k < 0) | (k * step_s + centre_s < t))  # first at or after t
     k = np.sort(np.concatenate([k, after]).clip(0, count - 1))
     return k[np.diff(k, prepend=-1) > 0]  # each once; np.unique would import numpy.ma

@@ -108,7 +108,6 @@ def extract_token_records(
     word_tier = find_tier(tiers, "word")
     tokens = select_vowel_tokens(phone_tier, word_tier, vowel_labels)
 
-    frame_cfg = frame_cfg or FrameConfig()
     if bandpass_spec is not None:
         rec = bandpass(rec, bandpass_spec)
     # only the frames value_at reads at the midpoints are framed
@@ -120,30 +119,20 @@ def extract_token_records(
     records, rejects = [], []
     for token in tokens:
         info = wordlist.get(token.word.lower()) if token.word else None
-        reason = None
-        if not token.word:
-            reason = "empty word interval"
-        elif info is None:
-            reason = "unmapped word"
+        # an unmapped word keeps the TextGrid's vowel and no environment
+        fields = (rec.source_id, speaker, system, token.word,
+                  info.vowel if info else token.vowel_label,
+                  info.environment if info else "", token.midpoint)
+        if info is None:
+            reason = "unmapped word" if token.word else "empty word interval"
         else:
             try:
-                value = value_at(nt, token.midpoint, method=method)
+                records.append(TokenRecord(*fields, value_at(nt, token.midpoint, method)))
+                continue
             except UnmeasurableError as exc:
                 reason = ("midpoint outside track" if exc.reason == "outside-track"
                           else "unmeasurable at midpoint")
-        if reason is None:
-            records.append(TokenRecord(
-                source_id=rec.source_id, speaker=speaker, system=system,
-                word=token.word, vowel=info.vowel, environment=info.environment,
-                t_mid_s=token.midpoint, nasalance_pct=value,
-            ))
-        else:
-            rejects.append(RejectRecord(
-                source_id=rec.source_id, speaker=speaker, system=system, word=token.word,
-                vowel=info.vowel if info else token.vowel_label,
-                environment=info.environment if info else "",
-                t_mid_s=token.midpoint, reason=reason,
-            ))
+        rejects.append(RejectRecord(*fields, reason))
     return records, rejects
 
 

@@ -213,6 +213,23 @@ def held_nasalance_track(it) -> tuple[np.ndarray, np.ndarray]:
     return np.where(valid, pct, np.nan), valid
 
 
+def frames_around_stepping(at: np.ndarray, count: int, step_s: float,
+                           centre_s: float) -> np.ndarray:
+    """intensity._frames_around with its index from division moved a step
+    at a time, for as many steps as the float centres ask, not one."""
+    t = np.where(np.isnan(at), np.inf, at)
+    k = np.clip(np.floor((t - centre_s) / step_s), -1, count - 1).astype(np.int64)
+    while True:  # k becomes the last frame centred at or before t, or -1
+        up = (k < count - 1) & ((k + 1) * step_s + centre_s <= t)
+        down = (k >= 0) & (k * step_s + centre_s > t)
+        if not (up.any() or down.any()):
+            break
+        k += up
+        k -= down
+    after = k + ((k < 0) | (k * step_s + centre_s < t))  # first at or after t
+    return np.unique(np.concatenate([k, after]).clip(0, count - 1))
+
+
 def nasalance_csv_text(nt) -> str:
     """The whole text core.nasalance_to_csv writes, formed in one pass."""
     rows = ["%.6f,%.6f,1" % (t, v) if ok else "%.6f,,0" % t

@@ -506,6 +506,57 @@ def test_extensible_refusals_are_located(tmp_path, kwargs, message, offset):
     assert err.value.byte_offset == offset
 
 
+def riff(*chunks):
+    """A RIFF WAVE file of the given (id, body) chunks, each sized to its body."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(b)) + b for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+STEREO_FMT = (b"fmt ", struct.pack("<HHIIHH", 1, 2, 48000, 192000, 4, 16))
+
+
+WAV_REFUSALS = [
+    (b"RIFF\x24\x00\x00\x00AVI " + bytes(32), "not a WAVE container", 8),
+    (riff(STEREO_FMT) + b"data", "truncated chunk header", 36),
+    (riff((b"fmt ", STEREO_FMT[1][:14]), (b"data", bytes(4))), "truncated fmt chunk", 20),
+    (riff((b"LIST", bytes(4))), "no fmt chunk found", 24),
+    (riff(STEREO_FMT), "no data chunk found", 36),
+    (riff((b"data", bytes(4)), STEREO_FMT), "data chunk before fmt chunk", 20),
+    (wav_bytes(1, 0, 16, b""), "zero channels", 22),
+    (wav_bytes(1, 2, 16, bytes(6)), "data size 6 not a whole number of frames", 44),
+    (wav_bytes(1, 2, 16, b""), "data chunk holds no samples", 44),
+    # write_wav's refusals: nothing is written
+    (([[0.0]], 48000, "pcm8"), "unknown sample format 'pcm8'", None),
+    (([[0.0], [0.0, 0.0]], 48000), "all channels must have equal length", None),
+    (([[], []], 48000), "channels hold no samples", None),
+]
+
+
+@pytest.mark.parametrize("given, message, offset", WAV_REFUSALS,
+                         ids=[message for _, message, _ in WAV_REFUSALS])
+def test_wav_refusals_name_the_file_and_offset(tmp_path, given, message, offset):
+    path = tmp_path / "bad.wav"
+    if offset is None:
+        with pytest.raises(ValueError) as err:
+            write_wav(path, *given)
+        assert str(err.value) == message and not path.exists()
+        return
+    path.write_bytes(given)
+    with pytest.raises(AudioFormatError) as err:
+        load_stereo(path)
+    assert str(err.value) == f"bad.wav: {message} (byte offset {offset})"
+    assert err.value.byte_offset == offset
+
+
+def test_pair_with_an_empty_member_is_refused(tmp_path):
+    # it used to be padded with zeros: a track of silent frames
+    write_wav(tmp_path / "oral.wav", [[0.0, 0.5]], 48000, "pcm16")
+    (tmp_path / "nasal.wav").write_bytes(wav_bytes(1, 1, 16, b""))
+    with pytest.raises(AudioFormatError) as err:
+        load_pair(tmp_path / "nasal.wav", tmp_path / "oral.wav")
+    assert str(err.value) == "nasal.wav: data chunk holds no samples (byte offset 44)"
+
+
 @pytest.mark.parametrize("rate", [8000.7, 0, -1, 2**32, math.nan, math.inf])
 def test_write_wav_refuses_a_rate_the_header_cannot_hold(tmp_path, rate):
     path = tmp_path / "x.wav"

@@ -696,6 +696,16 @@ def test_stats_stdout_table_quotes_comma_labels(tmp_path, capsys):
     assert [row[0] for row in rows[1:3]] == ["intercept", "system.a,b"]
 
 
+def test_stats_on_three_systems_writes_only_pairwise_rows(tmp_path, capsys):
+    tokens, results = tmp_path / "tokens.csv", tmp_path / "r.csv"
+    write_token_rows(tokens, ["s1", "s2", "s3"], ["e1", "e2"])
+    assert main(["stats", str(tokens), "--out", str(results)]) == 0
+    assert capsys.readouterr().err == (
+        "note: difference-of-differences skipped (needs exactly 2 systems)\n")
+    rows = list(csv.reader(io.StringIO(results.read_text())))[1:]
+    assert [row[0] for row in rows] == ["s1: e1 - e2", "s2: e1 - e2", "s3: e1 - e2"]
+
+
 def test_stats_byte_order_mark_token_csv_fits_same_model(tmp_path, capsys):
     tokens = tmp_path / "tokens.csv"
     write_token_rows(tokens, ["s1", "s2"], ["e1", "e2"])
@@ -813,6 +823,78 @@ def test_usage_errors_exit_1(capsys):
         main(["track", "x.wav", "--out", "y.csv", "--bandpass", "oops"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["track", "x.wav", "--out", "y.csv", "--channel-map", "nasal=middle"],
+     "argument --channel-map: expected nasal=left or nasal=right, got 'nasal=middle'"),
+    (["calibrate", "x.wav", "--out", "p.json", "--stimulus-window", "1"],
+     "argument --stimulus-window: expected START:END in seconds, got '1'"),
+    # TextGrid labels are matched with their stress digit stripped, so a
+    # stressed label could never match
+    (["analyze", "x.wav", "x.TextGrid", "--wordlist", "w.csv", "--out", "t.csv",
+      "--vowels", "IH,EH1"], "argument --vowels: vowel label 'EH1' has a stress digit"),
+], ids=["channel-map", "stimulus-window", "vowels"])
+def test_refused_flag_values_exit_1(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(f": error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_vowels_flag_selects_only_those_vowels(session, tmp_path):
+    wav, tg, wordlist = session
+    out = tmp_path / "ih.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--vowels", "IH", "--out", str(out)]) == 0
+    assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["bin", "bid"]
+
+
+def test_analyze_out_without_suffix_puts_rejects_beside_it(session, tmp_path):
+    wav, tg, wordlist = session
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--out", str(tmp_path / "tokens")]) == 0
+    assert (tmp_path / "tokens").read_text().startswith(TOKEN_HEADER)
+    assert (tmp_path / "tokens.rejects.csv").read_text().startswith(
+        "source_id,speaker,system,word,vowel,environment,t_mid_s,reason\n")
+
+
+def test_analyze_warns_of_a_skipped_point_tier(session, tmp_path, capsys):
+    wav, tg, wordlist = session
+    pointed = tmp_path / "points.TextGrid"
+    pointed.write_text(tg.read_text().replace("size = 2\n", "size = 3\n", 1) + """\
+    item [3]:
+        class = "TextTier"
+        name = "clicks"
+        xmin = 0
+        xmax = 1
+        points: size = 1
+        points [1]:
+            number = 0.45
+            mark = "click"
+""")
+    assert main(["analyze", str(wav), str(pointed), "--wordlist", str(wordlist),
+                 "--out", str(tmp_path / "t.csv")]) == 0
+    assert capsys.readouterr().err == ("warning: skipping point tier 'clicks'\n"
+                                       "4 tokens written, 0 rejected\n")
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["stereo", "pair"])
+def test_wav_with_no_samples_exits_2(tmp_path, capsys, pair):
+    # the empty nasal file of a pair used to be padded to a silent track
+    n_channels = 1 if pair else 2
+    header = struct.pack("<IHHIIHH", 16, 1, n_channels, 48000, 96000 * n_channels,
+                         2 * n_channels, 16)
+    (tmp_path / "empty.wav").write_bytes(
+        b"RIFF" + struct.pack("<I", 36) + b"WAVEfmt " + header + b"data" + bytes(4))
+    write_wav(tmp_path / "oral.wav", [np.full(4800, 0.5)], 48000, "pcm16")
+    argv = ["track", str(tmp_path / "empty.wav"), "--out", str(tmp_path / "t.csv")]
+    assert main(argv + (["--oral", str(tmp_path / "oral.wav")] if pair else [])) == 2
+    assert capsys.readouterr().err == (
+        "error: empty.wav: data chunk holds no samples (byte offset 44)\n")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_channel_map_flag(session, tmp_path):

@@ -10,7 +10,13 @@ import pytest
 from scipy.signal import butter, sosfiltfilt
 
 from conftest import tone_recording
-from oracles import frame_intensity_db, held_bandpass, held_recording, read_wav
+from oracles import (
+    frame_intensity_db,
+    frames_around_stepping,
+    held_bandpass,
+    held_recording,
+    read_wav,
+)
 from nasalance import audio_io
 from nasalance.audio_io import (
     StereoRecording,
@@ -259,6 +265,31 @@ def test_frames_around_matches_unique_of_both_neighbours():
         got = _frames_around(rng.permutation(at), count, step_s, centre_s)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def test_frames_around_takes_one_step_on_grids_up_to_2_31_frames():
+    # one step up and one down give what stepping until the float centres
+    # agree gives: on grids of 8-192 kHz, 0.125-20 ms hops, 2-4000-sample
+    # frames and up to 2**31 frames, at centres, 1-2 ulps either side of
+    # them, and at NaN and +-inf. Each time is looked up alone, so the
+    # frames found for one cannot hide a wrong frame for another.
+    rng = np.random.default_rng(30)
+    rates = [8000, 11025, 16000, 22050, 44100, 48000, 96000, 192000]
+    for _ in range(200):
+        sample_rate = rates[rng.integers(len(rates))]
+        step_s = float(rng.uniform(0.125, 20.0)) / 1000.0
+        centre_s = int(rng.integers(2, 4001)) / (2.0 * sample_rate)
+        count = int(2 ** rng.uniform(0, 31))
+        k = np.concatenate([[0, count - 1], rng.integers(0, count, 8)])
+        centres = k * step_s + centre_s
+        at = [math.nan, -math.inf, math.inf]
+        for c in centres:
+            down, up = np.nextafter(c, -math.inf), np.nextafter(c, math.inf)
+            at += [c, down, np.nextafter(down, -math.inf), up, np.nextafter(up, math.inf)]
+        for t in at:
+            want = frames_around_stepping(np.array([t]), count, step_s, centre_s)
+            got = _frames_around(np.array([t]), count, step_s, centre_s)
+            np.testing.assert_array_equal(got, want, err_msg=repr((t, count, step_s, centre_s)))
 
 
 def test_sparse_track_centres_sit_on_the_grid_of_their_index():
