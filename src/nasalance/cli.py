@@ -243,9 +243,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    records = read_token_csv(args.tokens)
     with named(args.tokens, DesignError, NumericError):
-        fit = fit_nasalance_model(records)
+        fit = fit_nasalance_model(read_token_csv(args.tokens))
     emms = emmeans(fit)
     sys_levels = fit.codings["system"][0]
     env_levels = fit.codings["environment"][0]
@@ -273,7 +272,7 @@ def cmd_stats(args) -> int:
     _commit(outputs)  # first, so a refused output prints no results
 
     se = [float(fit.covariance[i, i]) ** 0.5 for i in range(len(fit.names))]
-    print(f"# n={len(records)} residual_df={fit.residual_df} "
+    print(f"# n={fit.residual_df + len(fit.names)} residual_df={fit.residual_df} "
           f"residual_variance={fit.residual_variance:.9g}")
     coefficients = [(name, f"{est:.9g}", f"{s:.9g}")
                     for name, est, s in zip(fit.names, fit.estimates, se)]

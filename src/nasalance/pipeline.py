@@ -15,11 +15,11 @@ from pathlib import Path
 from .audio_io import StereoRecording
 from .calibration import CalibrationProfile, apply_calibration
 from .core import nasalance_track, value_at
-from .errors import TokenSchemaError, UnmeasurableError, WordlistError
+from .errors import TextGridParseError, TokenSchemaError, UnmeasurableError, WordlistError
 from .intensity import BandpassSpec, FrameConfig, bandpass, intensity_track
 from .output import _csv_blocks, _quoted
 from .stats import TokenRecord
-from .textgrid import DEFAULT_VOWEL_LABELS, find_tier, select_vowel_tokens
+from .textgrid import DEFAULT_VOWEL_LABELS, find_tier, select_vowel_tokens, strip_stress
 
 TOKEN_CSV_HEADER = (
     "source_id", "speaker", "system", "word", "vowel", "environment",
@@ -107,6 +107,10 @@ def extract_token_records(
     phone_tier = find_tier(tiers, "phone")
     word_tier = find_tier(tiers, "word")
     tokens = select_vowel_tokens(phone_tier, word_tier, vowel_labels)
+    if not tokens:  # case is never folded (X-SAMPA's I and i differ), so name a near miss
+        other = {strip_stress(iv.label.strip()) for iv in phone_tier.intervals} - set(vowel_labels)
+        for v, p in sorted((v, p) for v in vowel_labels for p in other if p.lower() == v.lower()):
+            raise TextGridParseError(f"vowel label {v!r} matches phone {p!r} only up to case")
 
     if bandpass_spec is not None:
         rec = bandpass(rec, bandpass_spec)
@@ -160,18 +164,10 @@ def rejects_to_csv(rejects):
     return _csv_blocks(REJECT_CSV_HEADER, _quoted(_token_row(r, r.reason) for r in rejects))
 
 
-def read_token_csv(path) -> list[TokenRecord]:
-    """Read a token CSV back; the header row is mandatory."""
-    records = []
+def read_token_csv(path):
+    """Yield a token CSV's records one at a time; the header row is mandatory."""
     for where, row in _read_rows(path, TOKEN_CSV_HEADER, TokenSchemaError):
-        try:
-            records.append(
-                TokenRecord(
-                    source_id=row[0], speaker=row[1], system=row[2],
-                    word=row[3], vowel=row[4], environment=row[5],
-                    t_mid_s=float(row[6]), nasalance_pct=float(row[7]),
-                )
-            )
+        try:  # TokenRecord's fields are the header's columns, in order
+            yield TokenRecord(*row[:6], *map(float, row[6:]))
         except ValueError as exc:
             raise TokenSchemaError(f"{where}: {exc}") from exc
-    return records

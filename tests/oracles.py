@@ -22,7 +22,14 @@ from nasalance.audio_io import (
     _wav_data,
 )
 from nasalance.intensity import DB_CLAMP_FLOOR, _FFT_BLOCK, _zero_phase_taps, window_weights
-from nasalance.stats import _ZERO_ESTIMATE_TOL, _estimate, _rows, student_t_p
+from nasalance.stats import (
+    _ZERO_ESTIMATE_TOL,
+    _estimate,
+    _rows,
+    build_design,
+    ols_fit,
+    student_t_p,
+)
 from nasalance.synth import HarmonicCarrier, SineCarrier, _breakpoints
 
 
@@ -260,6 +267,30 @@ def quoted_csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def reference_row(codings, system, environment, vowel=None):
+    """One model row built alone: np.outer for the interaction, and the vowel
+    coding centroid when no vowel is given."""
+    s = codings["system"][1][codings["system"][0].index(system)]
+    e = codings["environment"][1][codings["environment"][0].index(environment)]
+    row = [1.0, *s, *e, *np.outer(s, e).ravel()]
+    if "vowel" in codings:
+        vowels, m = codings["vowel"]
+        row.extend(m.mean(axis=0) if vowel is None else m[vowels.index(vowel)])
+    return np.array(row, dtype=np.float64)
+
+
+def token_design_fit(records):
+    """The per-token fit that stats.fit_nasalance_model's per-cell fit stands
+    for: one reference_row per record and ols_fit(X, y), one token per row,
+    with build_design's column names and coding tables."""
+    records = list(records)
+    design = build_design(records)
+    X = np.array([reference_row(design.codings, r.system, r.environment, r.vowel)
+                  for r in records])
+    y = np.array([r.nasalance_pct for r in records])
+    return ols_fit(X, y, names=design.names, codings=design.codings)
 
 
 def pairwise_contrast_rows(fit, system, family_size=None) -> list[tuple]:

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, outputs, determinism of small runs."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -673,6 +674,51 @@ def test_stats_command(session, tmp_path, capsys):
 TOKEN_HEADER = "source_id,speaker,system,word,vowel,environment,t_mid_s,nasalance_pct"
 
 
+def write_seeded_tokens(path, seed, balanced):
+    """2 systems x 4 environments x 5 vowels: 12 tokens in every cell, or 600
+    tokens in cells drawn at random; each value is its system x environment
+    level plus a vowel shift and SD-6 noise, clipped to [0, 100]."""
+    rng = np.random.default_rng(seed)
+    systems, vowels = ("A", "B"), ("AE", "AH", "EH", "EY", "IH")
+    envs = ("nasal_both", "nasal_coda", "nasal_onset", "oral")
+    level, shift = rng.uniform(20.0, 80.0, (2, 4)), rng.uniform(-5.0, 5.0, 5)
+    cells = np.repeat(np.arange(40), 12) if balanced else rng.integers(0, 40, 600)
+    s, e, v = cells // 20, cells // 5 % 4, cells % 5
+    values = np.clip(level[s, e] + shift[v] + rng.normal(0.0, 6.0, len(cells)), 0.0, 100.0)
+    path.write_text("".join(
+        f"{line}\n" for line in [TOKEN_HEADER, *(
+            f"take{i % 3},sp{i % 4},{systems[s[i]]},w{e[i]}{v[i]},{vowels[v[i]]},"
+            f"{envs[e[i]]},{0.25 * i + 0.125:.6f},{values[i]:.6f}"
+            for i in range(len(cells)))]))
+
+
+# sha256 of the results CSV, the EMM CSV and stdout, taken from the per-token
+# fit that the per-cell fit replaced; a refactor of stats must not move them
+PINNED_STATS_SHA256 = {
+    "balanced": (
+        "e2fb890c52b878e70ac3889c17d7907aa82aa8ae26300ee56e4f2e964dfd79a1",
+        "a146dd89f9bf8b801f513da7b192cada3e9b7ada70410c12777343506ad54d60",
+        "8f62bfbd564cdd49688041f5c6a8d230f17b161769720c6e26420dc0d10c23e7",
+    ),
+    "unbalanced": (
+        "7f15a2d2c48b9fc9bc413b7e522ddb59e802139db1c5bd278d33729402492215",
+        "9fcc79ba87ab835ac23353c7f532b52466d2a700bb3d2a9a8dd969e8a9d77a76",
+        "c4db3605c8f687dbaa66a5fea4d5485cefec0651767922bc8a15fda6ba88a588",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, seed", [("balanced", 11), ("unbalanced", 12)])
+def test_stats_output_bytes_are_pinned(tmp_path, capsys, name, seed):
+    tokens, results, emm = (tmp_path / f for f in ("tokens.csv", "r.csv", "e.csv"))
+    write_seeded_tokens(tokens, seed, balanced=name == "balanced")
+    assert main(["stats", str(tokens), "--out", str(results), "--emm-out", str(emm)]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert tuple(hashlib.sha256(data).hexdigest()
+                 for data in (results.read_bytes(), emm.read_bytes(), printed)
+                 ) == PINNED_STATS_SHA256[name]
+
+
 def write_token_rows(path, systems, environments, reps=2):
     """Token CSV with every system x environment cell filled reps times."""
     rows = [
@@ -849,6 +895,40 @@ def test_analyze_vowels_flag_selects_only_those_vowels(session, tmp_path):
     out = tmp_path / "ih.csv"
     assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
                  "--vowels", "IH", "--out", str(out)]) == 0
+    assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["bin", "bid"]
+
+
+def test_analyze_vowel_label_differing_only_in_case_exits_2(session, tmp_path, capsys):
+    wav, tg, wordlist = session
+    out = tmp_path / "ih.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--vowels", "ih", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: take1.TextGrid: vowel label 'ih' matches phone 'IH' only up to case\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "take1.TextGrid", "take1.wav", "words.csv"]
+
+
+def test_analyze_default_vowels_over_lowercase_labels_exit_2(session, tmp_path, capsys):
+    _, _, wordlist = session
+    wav, tg = write_session(tmp_path, [70.0, 40.0, 65.0, 35.0],
+                            [(word, phone.lower()) for word, phone in WORDS], "lower")
+    out = tmp_path / "lower.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: lower.TextGrid: vowel label 'EH' matches phone 'eh' only up to case\n")
+    assert not out.exists()
+
+
+def test_analyze_vowel_labels_are_case_sensitive(session, tmp_path):
+    # X-SAMPA's I and i are two vowels: asking for both selects the one present
+    _, _, wordlist = session
+    words = [("bin", "I"), ("bid", "I"), ("men", "E"), ("med", "E")]
+    wav, tg = write_session(tmp_path, [70.0, 40.0, 65.0, 35.0], words, "xsampa")
+    out = tmp_path / "xsampa.csv"
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--vowels", "I,i", "--out", str(out)]) == 0
     assert [line.split(",")[3] for line in out.read_text().splitlines()[1:]] == ["bin", "bid"]
 
 

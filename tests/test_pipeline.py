@@ -226,6 +226,8 @@ def test_read_token_csv(tmp_path):
     path = tmp_path / "tokens.csv"
     path.write_text(tokens_to_csv(records))
     loaded = read_token_csv(path)
+    assert iter(loaded) is loaded  # records are yielded one at a time
+    loaded = list(loaded)
     assert len(loaded) == len(records)
     for orig, back in zip(records, loaded):
         assert back.word == orig.word
@@ -237,17 +239,17 @@ def test_read_token_csv_schema_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")
     with pytest.raises(TokenSchemaError, match="expected header"):
-        read_token_csv(path)
+        list(read_token_csv(path))
     header = "source_id,speaker,system,word,vowel,environment,t_mid_s,nasalance_pct"
     path.write_text(header + "\na,b,c,d,e,f,0.5\n")
     with pytest.raises(TokenSchemaError, match="expected 8 fields"):
-        read_token_csv(path)
+        list(read_token_csv(path))
     path.write_text(header + "\na,b,c,d,e,f,0.5,150.0\n")
     with pytest.raises(TokenSchemaError, match="outside"):
-        read_token_csv(path)
+        list(read_token_csv(path))
     path.write_text(header + "\na,b,c,d,e,f,zz,50.0\n")
     with pytest.raises(TokenSchemaError):
-        read_token_csv(path)
+        list(read_token_csv(path))
 
 
 def test_rejects_csv_has_reason_column():
@@ -292,4 +294,4 @@ def test_token_csv_error_names_physical_line(tmp_path, bad_row, message):
     path = tmp_path / "tok.csv"
     path.write_text(f'{header}\na,b,c,"two\nlines",e,f,0.5,50.0\n{bad_row}\n')
     with pytest.raises(TokenSchemaError, match=rf"tok\.csv:4: {message}"):
-        read_token_csv(path)
+        list(read_token_csv(path))

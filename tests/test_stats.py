@@ -3,6 +3,9 @@
 import csv
 import io
 import math
+import re
+import tracemalloc
+from collections import Counter
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -13,8 +16,14 @@ from scipy.integrate import quad
 from scipy.linalg import solve_triangular
 from scipy.special import betainc, betaincc
 
-from oracles import difference_of_differences_rows, pairwise_contrast_rows
+from oracles import (
+    difference_of_differences_rows,
+    pairwise_contrast_rows,
+    reference_row,
+    token_design_fit,
+)
 from nasalance.errors import DesignError, NumericError, RankDeficiencyError
+from nasalance.pipeline import read_token_csv, tokens_to_csv
 from nasalance.stats import (
     FitResult,
     TokenRecord,
@@ -100,29 +109,21 @@ def test_design_single_level_factor_rejected():
         build_design(records)
 
 
-def reference_row(codings, system, environment, vowel=None):
-    """One model row built the per-record way: np.outer for the interaction,
-    and the vowel coding centroid when no vowel is given."""
-    s = codings["system"][1][codings["system"][0].index(system)]
-    e = codings["environment"][1][codings["environment"][0].index(environment)]
-    row = [1.0, *s, *e, *np.outer(s, e).ravel()]
-    if "vowel" in codings:
-        vowels, m = codings["vowel"]
-        row.extend(m.mean(axis=0) if vowel is None else m[vowels.index(vowel)])
-    return np.array(row, dtype=np.float64)
-
-
 @st.composite
-def unbalanced_records(draw):
+def unbalanced_records(draw, missing_cell=st.just(False)):
     """2-4 levels per factor (or a single vowel), every cell filled once plus
     at least one extra token, so the fit is full rank and unbalanced; with
-    or without the level names relabeled, so the -1-coded last level varies."""
+    or without the level names relabeled, so the -1-coded last level varies.
+    If missing_cell draws True, one system x environment cell has no token,
+    which leaves the interaction rank deficient."""
     systems = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
     envs = [f"e{i}" for i in range(draw(st.integers(2, 4)))]
     vowels = [f"v{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4])))]
     cells = [(s, e, v) for s in systems for e in envs for v in vowels]
-    extra = draw(st.lists(st.tuples(st.sampled_from(systems), st.sampled_from(envs),
-                                     st.sampled_from(vowels)), min_size=1, max_size=30))
+    if draw(missing_cell):
+        gone = (draw(st.sampled_from(systems)), draw(st.sampled_from(envs)))
+        cells = [cell for cell in cells if cell[:2] != gone]
+    extra = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=30))
     label = {name: name for name in systems + envs + vowels}
     if draw(st.booleans()):
         for names in (systems, envs, vowels):
@@ -135,19 +136,52 @@ def unbalanced_records(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(unbalanced_records())
-def test_design_and_emm_rows_bitwise_equal_per_record_reference(records):
+def test_design_and_emm_rows_bitwise_equal_per_cell_reference(records):
     design = build_design(records)
-    reference = np.array([
-        reference_row(design.codings, r.system, r.environment, r.vowel)
-        for r in records
-    ])
+    # one row per (system, environment, vowel) cell, in order of its first token
+    cells = Counter((r.system, r.environment, r.vowel) for r in records)
+    reference = np.array([reference_row(design.codings, *cell) for cell in cells])
     assert np.array_equal(design.X, reference)
     assert design.X.tobytes() == reference.tobytes()  # tells -0.0 from 0.0 too
-    fit = ols_fit(design.X, design.y, names=design.names, codings=design.codings)
+    assert design.counts.tolist() == list(cells.values())
+    assert design.counts.sum() == len(records)
+    fit = ols_fit(design.X, design.y, design.names, design.codings, design.counts,
+                  design.within_ss)
     for row in emmeans(fit):
         x = reference_row(fit.codings, row.system, row.environment)
         assert row.emm == float(x @ fit.estimates)
         assert row.se == math.sqrt(max(float(x @ fit.covariance @ x), 0.0))
+
+
+def assert_close(got, want, floor=0.0):
+    """got within 1e-12 of want relative to want's largest magnitude, or within
+    floor, whichever is wider."""
+    got, want = np.asarray(got), np.asarray(want)
+    bound = max(1e-12 * np.max(np.abs(want), initial=0.0), floor)
+    assert np.max(np.abs(got - want), initial=0.0) <= bound, (got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(unbalanced_records(missing_cell=st.booleans()))
+def test_cell_fit_matches_per_token_oracle(records):
+    try:
+        want = token_design_fit(records)
+    except NumericError as err:  # a missing cell: the same refusal, aliased columns and all
+        with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+            fit_nasalance_model(records)
+        return
+    fit = fit_nasalance_model(records)
+    assert fit.names == want.names and fit.residual_df == want.residual_df
+    assert_close(fit.estimates, want.estimates)
+    # the per-token residuals carry rounding noise of up to the exact-fit
+    # rule's SD, n eps max|y|; that noise, not the cell fit, bounds how close
+    # the two residual variances can be when the tokens barely vary
+    sd = len(records) * np.finfo(float).eps * max(r.nasalance_pct for r in records)
+    floor = sd * (2.0 * math.sqrt(want.residual_variance) + sd)
+    assert_close(fit.residual_variance, want.residual_variance, floor)
+    design = build_design(records)
+    xtx_inv = np.linalg.inv(design.X.T @ (design.counts[:, None] * design.X))
+    assert_close(fit.covariance, want.covariance, floor * np.max(np.abs(xtx_inv)))
 
 
 def test_token_record_validation():
@@ -232,6 +266,25 @@ def test_one_token_off_the_exact_fit_keeps_its_residual_variance():
     fit = fit_nasalance_model(tokens)
     assert fit.residual_variance > 1e-16
     assert all(row.se > 0 for row in emmeans(fit))
+
+
+def test_read_and_fit_keep_no_object_per_token(tmp_path):
+    # the fit reads each record once and keeps a cell index and a value per
+    # token; a list of 20k records and a 20k-row design peaked at 12.6 MiB
+    rng = np.random.default_rng(5)
+    path = tmp_path / "tokens.csv"
+    path.write_text(tokens_to_csv(
+        make_token("AB"[c % 2], f"e{c // 2 % 4}", f"v{c // 8}",
+                   round(float(rng.uniform(0.0, 100.0)), 6), rep=i)
+        for i, c in enumerate(rng.integers(0, 40, 20_000))))
+    tracemalloc.start()
+    try:
+        fit = fit_nasalance_model(read_token_csv(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.residual_df == 20_000 - 12
+    assert peak < 4 * 2**20, peak
 
 
 def test_ols_rejects_underdetermined():
