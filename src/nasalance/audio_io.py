@@ -42,13 +42,13 @@ class ChannelMap:
 class StereoRecording:
     """Paired nasal/oral channels at a common sample rate.
 
-    Channels passed in are held in memory as float64, at `scale` 1. A
-    loaded WAV holds no samples: it reads its int16, int32 (24- and 32-bit)
-    or float32 samples from the file whenever they are asked for, with one
-    `scale` for both channels: a sample's value is stored / scale, and
-    `scale` is a power of two, so decoding is exact. Loaded and constructed
-    recordings are checked to lie on [-1, 1]; a band-passed one
-    (intensity.bandpass) is not, and its ringing may read past full scale.
+    Channels passed in are held in memory as float64. A loaded WAV holds no
+    samples: it reads each channel's int16, int32 (24- and 32-bit) or float32
+    samples from its file whenever they are asked for (a mono pair may mix
+    them), and a sample's value is stored / _full_scale(dtype), so decoding
+    is exact. Loaded and constructed recordings are checked to lie on
+    [-1, 1]; a band-passed one (intensity.bandpass) is not, and its ringing
+    may read past full scale.
 
     `stored()` is the one way to the stored samples; `nasal` and `oral`
     decode them to read-only, C-contiguous float64 (for held channels, the
@@ -61,7 +61,6 @@ class StereoRecording:
 
     sample_rate: float
     source_id: str
-    scale: float
     n_samples: int
     _channels: object = field(repr=False)  # _Held, _FileChannels or intensity._Bandpassed
     _start: int = field(repr=False)  # of the recording in _channels
@@ -84,21 +83,21 @@ class StereoRecording:
                 raise ValueError(f"{name} channel contains non-finite samples")
             if peak > 1.0:
                 raise ValueError(f"{name} channel exceeds full scale (peak {peak:g})")
-        self._set(_Held(nasal, oral), 0, len(nasal), sample_rate, source_id, 1.0)
+        self._set(_Held(nasal, oral), 0, len(nasal), sample_rate, source_id)
 
-    def _set(self, channels, start, n_samples, sample_rate, source_id, scale):
+    def _set(self, channels, start, n_samples, sample_rate, source_id):
         for name, value in (("_channels", channels), ("_start", start),
                             ("n_samples", n_samples), ("sample_rate", sample_rate),
-                            ("source_id", source_id), ("scale", float(scale))):
+                            ("source_id", source_id)):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _over(cls, channels, start, n_samples, sample_rate, source_id, scale):
+    def _over(cls, channels, start, n_samples, sample_rate, source_id):
         """A recording of samples [start, start + n_samples) of checked channels."""
         if n_samples < 1:
             raise ValueError("recording is empty")
         rec = cls.__new__(cls)
-        rec._set(channels, start, n_samples, sample_rate, source_id, scale)
+        rec._set(channels, start, n_samples, sample_rate, source_id)
         return rec
 
     @contextmanager
@@ -122,11 +121,11 @@ class StereoRecording:
             raise ValueError(f"samples [{i0}, {i1}) are not within the recording's "
                              f"{self.n_samples}")
         return StereoRecording._over(self._channels, self._start + i0, i1 - i0,
-                                     self.sample_rate, self.source_id, self.scale)
+                                     self.sample_rate, self.source_id)
 
     def _decoded(self, role: int) -> np.ndarray:
         channels = self._channels
-        if isinstance(channels, _Held):  # float64 at scale 1
+        if isinstance(channels, _Held):  # float64, so full scale is 1
             x = (channels.nasal, channels.oral)[role]
             if self.n_samples == len(x):
                 return x
@@ -134,7 +133,8 @@ class StereoRecording:
         out = np.empty(self.n_samples)
         with self.stored() as read:  # both channels, keeping the one asked for
             for a, b in _blocks(self.n_samples):
-                np.divide(read(a, b)[role], self.scale, out=out[a:b], dtype=np.float64)
+                x = read(a, b)[role]
+                np.divide(x, _full_scale(x.dtype), out=out[a:b], dtype=np.float64)
         out.flags.writeable = False
         return out
 
@@ -151,15 +151,9 @@ class StereoRecording:
         return self.n_samples / self.sample_rate
 
 
-# (format tag, bits) -> (stored sample dtype, divisor onto [-1, 1]). 24-bit
-# samples are widened into the top three bytes of an int32, so they share the
-# 32-bit divisor. Every divisor is a power of two, so the division is exact.
-_CODECS = {
-    (1, 16): ("<i2", 2.0**15),
-    (1, 24): ("<i4", 2.0**31),
-    (1, 32): ("<i4", 2.0**31),
-    (3, 32): ("<f4", 1.0),
-}
+# (format tag, bits) -> stored sample dtype. 24-bit samples are widened into
+# the top three bytes of an int32.
+_CODECS = {(1, 16): "<i2", (1, 24): "<i4", (1, 32): "<i4", (3, 32): "<f4"}
 
 # write_wav's sample_format names -> _CODECS keys
 _SAMPLE_FORMATS = {"pcm16": (1, 16), "pcm24": (1, 24), "pcm32": (1, 32), "float32": (3, 32)}
@@ -173,6 +167,13 @@ _SUBTYPE_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
 # Whole channels are decoded, and float files checked, this many frames at a
 # time (256 kB of stereo pcm16)
 _BLOCK_FRAMES = 2**16
+
+
+def _full_scale(dtype: np.dtype) -> float:
+    """The power of two that maps samples stored in `dtype` onto [-1, 1]:
+    2**(bits - 1) for integers (a 24-bit sample sits in the top three bytes
+    of an int32, so it shares the 32-bit divisor) and 1 for floats."""
+    return 2.0 ** (8 * dtype.itemsize - 1) if dtype.kind == "i" else 1.0
 
 
 def _owned(x, dtype) -> np.ndarray:
@@ -226,7 +227,6 @@ class _WavData:
     n_channels: int
     bits: int
     dtype: np.dtype  # stored; see _CODECS
-    scale: float
     sample_rate: float
 
     @contextmanager
@@ -282,15 +282,13 @@ class _WavData:
 class _FileChannels:
     """Nasal and oral channels read from WAV files when asked for.
 
-    Each role is a (data chunk, channel) pair; a stereo file feeds both
-    and is read once per read. Two files whose stored formats differ are
-    decoded to float64 as they are read.
+    Each role is a (data chunk, channel) pair, read in its file's stored
+    dtype; a stereo file feeds both and is read once per read.
     """
 
     def __init__(self, nasal: tuple[_WavData, int], oral: tuple[_WavData, int]):
         self.files = tuple(dict.fromkeys((nasal[0], oral[0])))
         self.picks = tuple((self.files.index(data), col) for data, col in (nasal, oral))
-        self.decode = (nasal[0].dtype, nasal[0].scale) != (oral[0].dtype, oral[0].scale)
 
     @contextmanager
     def reader(self):
@@ -299,10 +297,7 @@ class _FileChannels:
 
             def read(a, b):
                 frames = [read_data(a, b) for read_data in reads]
-                if not self.decode:
-                    return tuple(frames[i][:, col] for i, col in self.picks)
-                return tuple(np.divide(frames[i][:, col], self.files[i].scale,
-                                       dtype=np.float64) for i, col in self.picks)
+                return tuple(frames[i][:, col] for i, col in self.picks)
 
             yield read
 
@@ -403,8 +398,8 @@ def _wav_data(path, n_channels: int) -> _WavData:
     if audio_format == _EXTENSIBLE:
         audio_format = _extensible_format(fmt, fmt_offset, fmt_size, bits, name)
     # before the frame-size check: a 0-bit fmt makes block_align 0
-    codec = _CODECS.get((audio_format, bits))
-    if codec is None:
+    dtype = _CODECS.get((audio_format, bits))
+    if dtype is None:
         raise AudioFormatError(
             f"{name}: unsupported codec (format {audio_format}, {bits}-bit)",
             byte_offset=fmt_offset,
@@ -415,9 +410,8 @@ def _wav_data(path, n_channels: int) -> _WavData:
         )
     if size == 0:
         raise AudioFormatError(f"{name}: data chunk holds no samples", byte_offset=body)
-    dtype, scale = codec
     data = _WavData(path, body, size // block_align, n_channels, bits, np.dtype(dtype),
-                    scale, float(sample_rate))
+                    float(sample_rate))
     if audio_format == 3:
         with data.reader() as read:
             peak = _peak(np.array([_peak(read(a, b)) for a, b in _blocks(data.n_frames)]))
@@ -440,8 +434,7 @@ def load_stereo(path, channel_map: ChannelMap | None = None) -> StereoRecording:
     data = _wav_data(path, 2)
     nasal = _STEREO_SOURCES.index(channel_map.nasal_source)
     channels = _FileChannels((data, nasal), (data, 1 - nasal))
-    return StereoRecording._over(channels, 0, data.n_frames, data.sample_rate,
-                                 path.name, data.scale)
+    return StereoRecording._over(channels, 0, data.n_frames, data.sample_rate, path.name)
 
 
 def load_pair(nasal_path, oral_path) -> StereoRecording:
@@ -449,8 +442,8 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
 
     The shorter channel reads as zeros past its end (it is never truncated)
     so annotation time axes that reference the longer file stay valid; the
-    padding is recorded in source_id. Files in different sample formats are
-    both decoded to float64 as they are read.
+    padding is recorded in source_id. Each channel is read in its own
+    file's stored dtype, so the two files may differ in sample format.
     """
     nasal_path, oral_path = Path(nasal_path), Path(oral_path)
     nasal, oral = (_wav_data(path, 1) for path in (nasal_path, oral_path))
@@ -459,15 +452,13 @@ def load_pair(nasal_path, oral_path) -> StereoRecording:
             f"sample-rate mismatch: {nasal_path.name} is {nasal.sample_rate:g} Hz, "
             f"{oral_path.name} is {oral.sample_rate:g} Hz"
         )
-    channels = _FileChannels((nasal, 0), (oral, 0))
     source_id = f"{nasal_path.name}+{oral_path.name}"
     pad = oral.n_frames - nasal.n_frames
     if pad:
         source_id += f"#pad_nasal={pad}" if pad > 0 else f"#pad_oral={-pad}"
-    return StereoRecording._over(
-        channels, 0, max(nasal.n_frames, oral.n_frames), nasal.sample_rate, source_id,
-        1.0 if channels.decode else nasal.scale,
-    )
+    return StereoRecording._over(_FileChannels((nasal, 0), (oral, 0)), 0,
+                                 max(nasal.n_frames, oral.n_frames), nasal.sample_rate,
+                                 source_id)
 
 
 def _check_rate(sample_rate, error=ValueError) -> None:
@@ -485,7 +476,7 @@ def _wav_blocks(channels, sample_rate, sample_format):
     if key is None:
         raise ValueError(f"unknown sample format {sample_format!r}")
     fmt_code, bits = key
-    dtype = np.dtype(_CODECS[key][0])
+    dtype = np.dtype(_CODECS[key])
     channels = [np.asarray(ch, dtype=np.float64) for ch in channels]
     if not channels:
         raise ValueError("no channels to write")

@@ -117,11 +117,12 @@ def _add_frame_flags(sub):
 
 
 def _add_audio_flags(sub):
-    sub.add_argument("--channel-map", type=_channel_map_arg,
-                     default=ChannelMap(),
-                     help="which stereo channel is the nasal mic (nasal=left)")
-    sub.add_argument("--oral", metavar="WAV", default=None,
-                     help="oral-channel mono WAV; the positional WAV is then the nasal channel")
+    source = sub.add_mutually_exclusive_group()  # a mono pair has no channels to map
+    source.add_argument("--channel-map", type=_channel_map_arg,
+                        default=ChannelMap(),
+                        help="which stereo channel is the nasal mic (nasal=left)")
+    source.add_argument("--oral", metavar="WAV", default=None,
+                        help="oral-channel mono WAV; the positional WAV is then the nasal channel")
     sub.add_argument("--bandpass", type=_bandpass_arg, default=None, metavar="LOW:HIGH",
                      help="band-pass both channels first (Hz, order-4 Butterworth)")
 

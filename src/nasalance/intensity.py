@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import StereoRecording, _owned
+from .audio_io import StereoRecording, _full_scale, _owned
 from .output import _array_rows, _csv_blocks
 
 # Silence clamp keeps arithmetic finite; amplitudes at/below this are
@@ -102,9 +102,9 @@ class IntensityTrack:
 
     `index` holds each frame's index on the framing grid (frame k of a
     recording is centred at k * step_ms + frame_length_ms / 2) when the
-    track holds only some of its frames, strictly increasing; None means
-    every frame, so frame i has index i. Each centre must sit step_ms times
-    the index gap after the one before it, within 1e-9 s.
+    track holds only some of its frames: whole numbers, strictly increasing.
+    None means every frame, so frame i has index i. Each centre must sit
+    step_ms times the index gap after the one before it, within 1e-9 s.
     """
 
     times: np.ndarray
@@ -122,7 +122,11 @@ class IntensityTrack:
             raise ValueError("times, nasal_db, oral_db must have equal length")
         index = self.index
         if index is not None:
-            index = _owned(index, np.int64)
+            given = np.asarray(index)
+            with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
+                index = _owned(given, np.int64)
+            if not np.array_equal(index, given):
+                raise ValueError("index must hold whole numbers")
             if len(index) != len(times):
                 raise ValueError("index must have one grid index per frame")
             if len(index) and (index[0] < 0 or np.any(np.diff(index) <= 0)):
@@ -166,14 +170,14 @@ def window_weights(window, n: int) -> np.ndarray:
     raise ValueError(f"unknown window {window!r}")
 
 
-def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray, scale: float,
+def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray,
                out: np.ndarray, grid=(0, 0)) -> None:
     """Write the dB full scale of the frames that start at `starts` into
     `out`, one row per channel and one column per start.
 
     read(a, b) returns the stored samples [a, b) of each channel, a sequence
-    of 1-D arrays whose values are stored / scale, and scale is a power of
-    two. `starts` are sorted, as the framing grid gives them.
+    of 1-D arrays in each channel's stored dtype (see audio_io._full_scale).
+    `starts` are sorted, as the framing grid gives them.
 
     The starts are cut into spans of at most _SPAN_FRAMES frames, and a span
     ends where the next frame does not overlap it, so a sparse set of frames
@@ -190,17 +194,17 @@ def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray, scale: f
     same values as framing all of them. The powers go straight into `out`,
     which is then turned into dB in place.
 
-    The weighted sum of stored squares is scaled by scale**-2: scaling by a
-    power of two commutes with rounding in the normal range, so the dB
-    values are bitwise those of squaring stored / scale. (Squares of 16- and
-    24-bit integers are exact in float64.)
+    Each channel's weighted sums of stored squares are scaled by its full
+    scale**-2: scaling by a power of two commutes with rounding in the normal
+    range, so the dB values are bitwise those of squaring the decoded
+    samples. (Squares of 16- and 24-bit integers are exact in float64.)
     """
     gaps, (block_len, origin) = np.diff(starts), grid
     cut = gaps >= frame_len
     for edge in (origin, origin + frame_len - 1) if block_len else ():
         cut |= np.diff((starts + edge) // block_len) != 0
     squares = np.empty(0)
-    first = 0
+    first, channels = 0, ()
     for end in np.append(np.flatnonzero(cut) + 1, len(starts)).tolist():
         for i in range(first, end, _SPAN_FRAMES):
             j = min(i + _SPAN_FRAMES, end)
@@ -210,15 +214,16 @@ def _frames_db(read, starts: np.ndarray, frame_len: int, w: np.ndarray, scale: f
                 windows = sliding_window_view(squares, frame_len)
             hop = int(gaps[i]) if j - i > 1 else 1
             even = hop > 0 and bool((gaps[i : j - 1] == hop).all())
-            for c, x in enumerate(read(a, b)):
+            channels = read(a, b)
+            for c, x in enumerate(channels):
                 np.square(x, out=squares[: b - a], dtype=np.float64)
                 # evenly spaced frames are a strided view of the squares
                 frames = windows[::hop][: j - i] if even else windows[starts[i:j] - a]
                 np.vecdot(frames, w, out=out[c, i:j])
         first = end
     wsum = w.sum()
-    for db in out:
-        np.multiply(db, scale**-2, out=db)
+    for db, x in zip(out, channels):  # with no frames, no read and no row to scale
+        np.multiply(db, _full_scale(x.dtype) ** -2, out=db)
         np.divide(db, wsum, out=db)
         np.sqrt(db, out=db)
         with np.errstate(divide="ignore"):
@@ -311,7 +316,7 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
             b = min(a + _BLOCK_FRAMES, len(times))
             k = np.arange(a, b) if index is None else index[a:b]
             starts = np.rint(k * step_samples).astype(np.int64)
-            _frames_db(read, starts, frame_len, w, rec.scale, db[:, a:b], grid)
+            _frames_db(read, starts, frame_len, w, db[:, a:b], grid)
     for x in (times, db, index):
         if x is not None:
             x.flags.writeable = False  # kept without a copy
@@ -381,10 +386,10 @@ class _Bandpassed:
     @contextmanager
     def reader(self):
         half, n, n_fft, hop = self.half, self.rec.n_samples, self.n_fft, self.block_len
-        scale = self.rec.scale
         rows, k = np.empty((2, n_fft)), np.arange(1, half + 1)
         spectrum = np.empty(n_fft // 2 + 1, complex)  # each channel's in turn
         held = [-1, ()]  # the block filtered in place in rows (one per channel), its views
+        scales = []  # each channel's full scale, found at the first read of its input
 
         def filtered(row, s):  # one channel's block at s, its input decoded
             # row holds samples s .. s + n_fft of the recording extended by
@@ -410,8 +415,11 @@ class _Bandpassed:
                 s, o = j * hop, half - j * hop  # sample i goes to row[i + o] (see filtered)
                 for a in range(max(s - half, 0), min(s - half + n_fft, n), _INPUT_FRAMES):
                     b = min(a + _INPUT_FRAMES, s - half + n_fft, n)
-                    for row, x in zip(rows, read_input(a, b)):
-                        np.divide(x, scale, out=row[a + o : b + o], dtype=np.float64)
+                    inputs = read_input(a, b)
+                    if not scales:
+                        scales[:] = (_full_scale(x.dtype) for x in inputs)
+                    for row, x, full in zip(rows, inputs, scales):
+                        np.divide(x, full, out=row[a + o : b + o], dtype=np.float64)
                 held[:] = j, tuple(filtered(row, s) for row in rows)
             return held[1]
 
@@ -463,7 +471,7 @@ def bandpass(rec: StereoRecording, spec: BandpassSpec) -> StereoRecording:
         raise ValueError(f"high_hz {spec.high_hz:g} must be below the Nyquist rate "
                          f"{rec.sample_rate / 2.0:g}")
     return StereoRecording._over(_Bandpassed(rec, spec), 0, rec.n_samples,
-                                 rec.sample_rate, rec.source_id, 1.0)
+                                 rec.sample_rate, rec.source_id)
 
 
 def intensity_to_csv(track: IntensityTrack):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import StereoRecording, _check_rate, _Held, _peak
+from .audio_io import StereoRecording, _check_rate, _Held, _owned, _peak
 from .errors import SynthSpecError, named, reason
 from .output import _array_rows, _csv_blocks
 
@@ -52,14 +52,11 @@ class GroundTruth:
     expected_nasalance_pct: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=np.float64)
-        pct = np.asarray(self.expected_nasalance_pct, dtype=np.float64)
+        times, pct = (_owned(x, np.float64) for x in (self.times, self.expected_nasalance_pct))
         if len(times) != len(pct):
             raise ValueError("times and values must have equal length")
         if len(pct) and (np.min(pct) < 0.0 or np.max(pct) > 100.0):
             raise ValueError("expected nasalance outside [0, 100]")
-        times.flags.writeable = False
-        pct.flags.writeable = False
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "expected_nasalance_pct", pct)
 
@@ -189,7 +186,9 @@ def ground_truth(spec: SynthSpec, times) -> GroundTruth:
     times = np.asarray(times, dtype=np.float64)
     pct = expected_nasalance(spec, times)
     keep = np.isfinite(pct)
-    return GroundTruth(times=times[keep], expected_nasalance_pct=pct[keep])
+    times, pct = times[keep], pct[keep]
+    times.flags.writeable = pct.flags.writeable = False  # kept without a copy
+    return GroundTruth(times=times, expected_nasalance_pct=pct)
 
 
 def _in_two_threads(work, n: int) -> None:
@@ -261,7 +260,7 @@ def synthesize(spec: SynthSpec, truth_times=None) -> tuple[StereoRecording, Grou
     if not peak <= 1.0:  # NaN and inf come only from amplitudes that overflow
         raise SynthSpecError(f"spec clips: peak amplitude {peak:.4f} > 1")
     nasal.flags.writeable = oral.flags.writeable = False  # kept without a copy
-    rec = StereoRecording._over(_Held(nasal, oral), 0, n, sr, "synth", 1.0)
+    rec = StereoRecording._over(_Held(nasal, oral), 0, n, sr, "synth")
     if truth_times is None:
         truth_times = np.arange(0.0, spec.duration_s, 0.001)
     return rec, ground_truth(spec, truth_times)

@@ -81,7 +81,7 @@ def held_recording(nasal, oral, sample_rate) -> StereoRecording:
     """A recording holding nasal and oral as float64, unchecked: values past
     full scale read as they are, as a band-passed recording's do."""
     held = _Held(*(_owned(x, np.float64) for x in (nasal, oral)))
-    return StereoRecording._over(held, 0, len(nasal), sample_rate, "", 1.0)
+    return StereoRecording._over(held, 0, len(nasal), sample_rate, "")
 
 
 def held_bandpass(rec, spec) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +110,11 @@ def read_wav(path, n_channels: int) -> tuple[list[np.ndarray], float]:
     data = _wav_data(path, n_channels)
     with data.reader() as read:
         stored = read(0, data.n_frames)
-    decoded = np.divide(stored.T, data.scale, dtype=np.float64, order="C")
+    # integer PCM's full scale is 2**(bits - 1), and 24-bit samples are read
+    # into the top three bytes of an int32
+    bits = 32 if data.bits == 24 else data.bits
+    full = 1.0 if stored.dtype.kind == "f" else 2.0 ** (bits - 1)
+    decoded = np.divide(stored.T, full, dtype=np.float64, order="C")
     return list(decoded), data.sample_rate
 
 
@@ -176,7 +180,7 @@ def held_wav_bytes(channels, sample_rate, sample_format="float32") -> bytes:
     """The bytes audio_io.write_wav writes, built whole: every channel
     interleaved into one float64 array, converted and packed at once."""
     fmt_code, bits = _SAMPLE_FORMATS[sample_format]
-    dtype = np.dtype(_CODECS[fmt_code, bits][0])
+    dtype = np.dtype(_CODECS[fmt_code, bits])
     channels = [np.asarray(ch, dtype=np.float64) for ch in channels]
     n_channels = len(channels)
     block_align = n_channels * bits // 8

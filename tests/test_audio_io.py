@@ -368,7 +368,6 @@ def test_load_stereo_keeps_stored_samples(tmp_path, fmt):
     rec = load_stereo(tmp_path / "s.wav")
     dtype, scale = {"pcm16": (np.int16, 2**15), "pcm24": (np.int32, 2**31),
                     "pcm32": (np.int32, 2**31), "float32": (np.float32, 1.0)}[fmt]
-    assert rec.scale == scale
     decoded, _ = read_wav(tmp_path / "s.wav", 2)
     # the samples stay in the file: each read gives [a, b) of both channels
     # in the stored dtype, read-only, and any span is the same slice of the
@@ -393,7 +392,7 @@ def test_load_pair_pads_in_the_stored_dtype(tmp_path):
     write_wav(tmp_path / "o.wav", [np.full(90, -0.25)], 48000, "pcm16")
     rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
     _, oral = stored(rec)
-    assert oral.dtype == np.int16 and rec.scale == 2**15
+    assert oral.dtype == np.int16
     assert oral[-11:].tolist() == [-8192] + [0] * 10
     assert not oral.flags.writeable
     with rec.stored() as read:  # a read wholly past the end is all zeros
@@ -402,27 +401,37 @@ def test_load_pair_pads_in_the_stored_dtype(tmp_path):
 
 
 def test_load_pair_of_mixed_formats_decodes_both(tmp_path):
+    # each role is read in its own file's stored dtype, read-only, and
+    # decodes to the file's floats
     write_wav(tmp_path / "n.wav", [np.full(10, 0.5)], 48000, "pcm16")
-    write_wav(tmp_path / "o.wav", [np.full(12, -0.25)], 48000, "float32")
-    rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
-    nasal, oral = stored(rec)
-    assert nasal.dtype == oral.dtype == np.float64
-    assert rec.scale == 1.0
-    assert rec.nasal.tolist() == [0.5] * 10 + [0.0] * 2
-    assert rec.oral.tolist() == [-0.25] * 12
+    (want_nasal,), _ = read_wav(tmp_path / "n.wav", 1)
+    for oral_fmt, oral_dtype in (("float32", np.float32), ("pcm24", np.int32)):
+        write_wav(tmp_path / "o.wav", [np.full(12, -0.25)], 48000, oral_fmt)
+        rec = load_pair(tmp_path / "n.wav", tmp_path / "o.wav")
+        nasal, oral = stored(rec)
+        assert nasal.dtype == np.int16 and oral.dtype == oral_dtype
+        assert not nasal.flags.writeable and not oral.flags.writeable
+        assert rec.nasal.tolist() == [0.5] * 10 + [0.0] * 2
+        assert rec.oral.tolist() == [-0.25] * 12
+        (want_oral,), _ = read_wav(tmp_path / "o.wav", 1)
+        np.testing.assert_array_equal(rec.nasal, np.concatenate([want_nasal, [0.0] * 2]))
+        np.testing.assert_array_equal(rec.oral, want_oral)
 
 
-def test_recording_scale_must_be_a_power_of_two():
-    # a loaded WAV's scale is its codec's power of two; channels passed in
-    # are held as float64 at scale 1, so int16 codes are past full scale
-    for _, scale in audio_io._CODECS.values():
-        assert math.frexp(scale)[0] == 0.5
+def test_full_scale_is_a_power_of_two_per_stored_dtype():
+    # every codec's stored dtype maps onto [-1, 1] by a power of two; the
+    # float64 channels passed in are at full scale 1, so int16 codes are past it
+    want = {np.dtype("<i2"): 2.0**15, np.dtype("<i4"): 2.0**31, np.dtype("<f4"): 1.0}
+    for dtype in audio_io._CODECS.values():
+        full = audio_io._full_scale(np.dtype(dtype))
+        assert full == want[np.dtype(dtype)] and math.frexp(full)[0] == 0.5
+    assert audio_io._full_scale(np.dtype(np.float64)) == 1.0
     ints = np.array([100, -200], dtype=np.int16)
     with pytest.raises(ValueError, match=r"nasal channel exceeds full scale \(peak 200\)"):
         StereoRecording(ints, ints, 48000)
     floats = (ints / 2**15).astype(np.float32)
     rec = StereoRecording(floats, floats, 48000)
-    assert rec.scale == 1.0 and rec.nasal.tolist() == [100 / 2**15, -200 / 2**15]
+    assert rec.nasal.tolist() == [100 / 2**15, -200 / 2**15]
     with rec.stored() as read:
         assert [x.dtype for x in read(0, 2)] == [np.float64, np.float64]
 
@@ -446,7 +455,7 @@ def test_extensible_reads_like_plain(tmp_path, fmt, sub_format, bits):
     path = tmp_path / "ext.wav"
     path.write_bytes(extensible_bytes(2, bits, plain[44:], sub_format, sr=44100))
     got, want = load_stereo(path), load_stereo(tmp_path / "plain.wav")
-    assert got.sample_rate == 44100 and got.scale == want.scale
+    assert got.sample_rate == 44100
     np.testing.assert_array_equal(stored(got), stored(want))
 
 

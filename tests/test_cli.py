@@ -880,7 +880,17 @@ def test_usage_errors_exit_1(capsys):
     # stressed label could never match
     (["analyze", "x.wav", "x.TextGrid", "--wordlist", "w.csv", "--out", "t.csv",
       "--vowels", "IH,EH1"], "argument --vowels: vowel label 'EH1' has a stress digit"),
-], ids=["channel-map", "stimulus-window", "vowels"])
+    # a pair of mono files has no stereo channels for --channel-map to swap
+    (["analyze", "n.wav", "x.TextGrid", "--wordlist", "w.csv", "--out", "t.csv",
+      "--oral", "o.wav", "--channel-map", "nasal=right"],
+     "argument --channel-map: not allowed with argument --oral"),
+    (["track", "n.wav", "--out", "y.csv", "--channel-map", "nasal=right", "--oral", "o.wav"],
+     "argument --oral: not allowed with argument --channel-map"),
+    (["calibrate", "n.wav", "--out", "p.json", "--oral", "o.wav",
+      "--channel-map", "nasal=left"],
+     "argument --channel-map: not allowed with argument --oral"),
+], ids=["channel-map", "stimulus-window", "vowels", "analyze-oral-channel-map",
+        "track-oral-channel-map", "calibrate-oral-channel-map"])
 def test_refused_flag_values_exit_1(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:

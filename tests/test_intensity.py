@@ -135,8 +135,8 @@ def test_framing_kernel_buffer_edges(sample_rate, n_frames):
 @pytest.mark.parametrize("n_channels", [1, 2, 3])
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
 def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels):
-    # framing a WAV's own samples with its scale gives, bit for bit, the dB
-    # of framing the decoded float64 channels (pcm32 squares are inexact)
+    # framing a WAV's own samples in their stored dtype gives, bit for bit,
+    # the dB of framing the decoded float64 channels (pcm32 squares are inexact)
     rng = np.random.default_rng(n_channels)
     path = tmp_path / "x.wav"
     # 4-ms frames keep the test short; the 64-frame span boundaries are the
@@ -166,8 +166,8 @@ def test_stored_sample_framing_matches_decoded_floats(tmp_path, fmt, n_channels)
                 w = window_weights(window, frame_len)
                 for n_frames in (1, 64, 4097, 8193):  # many 64-frame spans
                     got, want = np.empty((2, n_channels, n_frames))
-                    _frames_db(read_file, starts[:n_frames], frame_len, w, data.scale, got)
-                    _frames_db(read_decoded, starts[:n_frames], frame_len, w, 1.0, want)
+                    _frames_db(read_file, starts[:n_frames], frame_len, w, got)
+                    _frames_db(read_decoded, starts[:n_frames], frame_len, w, want)
                     np.testing.assert_array_equal(got, want)
                 for db in want:
                     assert db[0] == DB_CLAMP_FLOOR and db[-1] > -10.0
@@ -200,12 +200,12 @@ def test_frame_db_depends_only_on_its_samples(tmp_path, fmt, sample_rate, frame_
             return read(a, b).T
 
         full = np.empty((1, n_frames))
-        _frames_db(read_file, starts, frame_len, w, data.scale, full)
+        _frames_db(read_file, starts, frame_len, w, full)
         for size in (1, 7, n_frames // 3, n_frames - 1):
             for _ in range(2):
                 picked = np.sort(rng.permutation(n_frames)[:size])
                 got = np.empty((1, size))
-                _frames_db(read_file, starts[picked], frame_len, w, data.scale, got)
+                _frames_db(read_file, starts[picked], frame_len, w, got)
                 np.testing.assert_array_equal(got, full[:, picked])
 
 
@@ -300,34 +300,48 @@ def test_sparse_track_centres_sit_on_the_grid_of_their_index():
     db = np.full(4, -20.0)
     track = IntensityTrack(times, db, db, cfg, index=[0, 1, 5, 9])
     assert track.index.dtype == np.int64 and not track.index.flags.writeable
+    whole = IntensityTrack(times, db, db, cfg, index=[0.0, 1.0, 5.0, 9.0])
+    assert whole.index.tolist() == [0, 1, 5, 9] and whole.index.dtype == np.int64
     for index in ([0, 1, 5, 8], [0, 1, 4, 8]):
         with pytest.raises(ValueError, match="not uniformly spaced"):
             IntensityTrack(times, db, db, cfg, index=index)
     with pytest.raises(ValueError, match="not uniformly spaced"):
         IntensityTrack(times + [0, 0, 2e-9, 2e-9], db, db, cfg, index=[0, 1, 5, 9])
     for index, message in (([0, 1, 5], "one grid index per frame"),
+                           ([0, 1.9, 5.2, 9], "index must hold whole numbers"),
+                           ([0, 1, np.nan, 9], "index must hold whole numbers"),
                            ([-1, 0, 4, 8], "non-negative and strictly increasing"),
                            ([0, 1, 1, 9], "non-negative and strictly increasing")):
         with pytest.raises(ValueError, match=message):
             IntensityTrack(times, db, db, cfg, index=index)
 
 
-@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32"])
+@pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32",
+                                 "pcm16+float32", "pcm16+pcm24"])
 @pytest.mark.parametrize("sample_rate", [48000, 44100])  # 44.1 kHz: gathered rows
 def test_loaded_wav_frames_like_its_decoded_floats(tmp_path, fmt, sample_rate):
     # a recording read from its file span by span gives bitwise the dB of a
     # held recording of its decoded floats: full tracks, `at=` subsets,
-    # stimulus-window crops and a zero-padded pair of mono files
+    # stimulus-window crops and a zero-padded pair of mono files, which may
+    # differ in format (nasal+oral)
+    nasal_fmt, _, oral_fmt = fmt.partition("+")
     rng = np.random.default_rng(sample_rate)
     x = rng.uniform(-0.9, 0.9, (2, 3 * sample_rate))
     x[:, : sample_rate // 2] = 0.0  # silence clamps
-    write_wav(tmp_path / "s.wav", list(x), sample_rate, fmt)
-    write_wav(tmp_path / "n.wav", [x[0]], sample_rate, fmt)
-    write_wav(tmp_path / "o.wav", [x[1, : -sample_rate // 3]], sample_rate, fmt)
+    write_wav(tmp_path / "n.wav", [x[0]], sample_rate, nasal_fmt)
+    write_wav(tmp_path / "o.wav", [x[1, : -sample_rate // 3]], sample_rate,
+              oral_fmt or nasal_fmt)
+    recs = [load_pair(tmp_path / "n.wav", tmp_path / "o.wav")]
+    (nasal,), _ = read_wav(tmp_path / "n.wav", 1)
+    (oral,), _ = read_wav(tmp_path / "o.wav", 1)
+    np.testing.assert_array_equal(recs[0].nasal, nasal)
+    np.testing.assert_array_equal(recs[0].oral, np.append(oral, np.zeros(sample_rate // 3)))
+    if not oral_fmt:
+        write_wav(tmp_path / "s.wav", list(x), sample_rate, fmt)
+        recs.append(load_stereo(tmp_path / "s.wav"))
     at = rng.uniform(-0.1, 3.1, 60)
     crop = (sample_rate // 3, 2 * sample_rate + 7)
-    for rec in (load_stereo(tmp_path / "s.wav"),
-                load_pair(tmp_path / "n.wav", tmp_path / "o.wav")):
+    for rec in recs:
         held = StereoRecording(rec.nasal, rec.oral, sample_rate)
         for got_rec, want_rec in ((rec, held), (rec.crop(*crop), held.crop(*crop))):
             for kwargs in ({}, {"at": at}, {"at": at[:3]}):
@@ -948,7 +962,7 @@ def test_crop_of_bandpassed_recording():
 
 
 def test_bandpass_of_mixed_format_pair(tmp_path):
-    # a pcm16 nasal file and a float32 oral file decode to float64 per read
+    # a pcm16 nasal file and a float32 oral file, each read in its own dtype
     sr, spec = 44100, BandpassSpec(60.0, 4000.0)
     x = np.random.default_rng(6).uniform(-0.4, 0.4, (2, 2 * _FFT_BLOCK + 99))
     write_wav(tmp_path / "n.wav", [x[0]], sr, "pcm16")

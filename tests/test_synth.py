@@ -115,7 +115,7 @@ def test_synthesized_channels_are_stored_without_a_copy():
         nasal, oral = read(0, rec.n_samples)
     assert rec.nasal is rec.nasal and rec.oral is rec.oral  # the held arrays
     assert np.shares_memory(rec.nasal, nasal) and np.shares_memory(rec.oral, oral)
-    assert rec.scale == 1.0 and rec.nasal.dtype == np.float64
+    assert rec.nasal.dtype == np.float64
     assert not rec.nasal.flags.writeable
 
 
@@ -240,6 +240,20 @@ def test_truth_csv_format():
     lines = "".join(truth_to_csv(truth)).strip().split("\n")
     assert lines[0] == "t_s,expected_nasalance_pct"
     assert lines[1] == "0.000000,25.000000"
+
+def test_ground_truth_leaves_caller_arrays_writeable():
+    times, pct = np.array([0.0, 1.0]), np.array([25.0, 50.0])
+    truth = GroundTruth(times, pct)
+    assert times.flags.writeable and pct.flags.writeable
+    times[0], pct[0] = 5.0, 75.0  # later writes do not reach it
+    assert truth.times.tolist() == [0.0, 1.0]
+    assert truth.expected_nasalance_pct.tolist() == [25.0, 50.0]
+    assert not truth.times.flags.writeable and not truth.expected_nasalance_pct.flags.writeable
+    for arr in (times, pct):
+        arr.flags.writeable = False
+    kept = GroundTruth(times, pct)  # read-only: no copy
+    assert kept.times is times and kept.expected_nasalance_pct is pct
+
 
 def test_truth_csv_bytes_match_formatted_rows():
     rng = np.random.default_rng(4)
