@@ -21,13 +21,14 @@ rec, truth = synthesize(spec)
 print(f"rendered {rec.duration_s:.2f} s at {rec.sample_rate:.0f} Hz")
 
 track = nasalance_track(intensity_track(rec, FrameConfig()))
-print(f"{len(track)} frames, {int(track.valid.sum())} valid")
+valid = track.valid  # the frames that are not NaN
+print(f"{len(track)} frames, {int(valid.sum())} valid")
 
 reference = expected_nasalance(spec, track.times)
-err = np.abs(track.nasalance_pct[track.valid] - reference[track.valid])
+err = np.abs(track.nasalance_pct[valid] - reference[valid])
 print(f"max |recovered - truth| = {np.nanmax(err):.3f} percentage points")
 
 print("\n  t (s)   truth   recovered")
 for i in range(0, len(track), 20):
-    if track.valid[i]:
+    if valid[i]:
         print(f"  {track.times[i]:5.3f}  {reference[i]:6.2f}   {track.nasalance_pct[i]:6.2f}")

@@ -124,7 +124,7 @@ def load_profile(path) -> CalibrationProfile:
         doc = json.loads(path.read_text(encoding="utf-8-sig"))
         if not isinstance(doc, dict):
             raise TypeError("not a JSON object")
-        window = doc.get("stimulus_window", [0.0, 0.0])
+        t0, t1 = doc.get("stimulus_window", [0.0, 0.0])
         band = doc.get("bandpass")
         if band is not None:
             low_hz, high_hz, order = band
@@ -132,8 +132,8 @@ def load_profile(path) -> CalibrationProfile:
         return CalibrationProfile(
             gain_offset_db=float(doc["gain_offset_db"]),
             created_from=str(doc.get("created_from", "")),
-            stimulus_window=(float(window[0]), float(window[1])),
+            stimulus_window=(float(t0), float(t1)),
             bandpass=band,
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path.name}: bad calibration profile: {reason(exc)}") from exc

@@ -161,12 +161,14 @@ def _load_calibration(args):
 
 
 def _read_textgrid_reporting(path):
+    """read_textgrid(path), its warnings printed also when it refuses the file."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        tiers = read_textgrid(path)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return tiers
+        try:
+            return read_textgrid(path)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _rejects_path(out: Path) -> Path:
@@ -352,13 +354,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (InputFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

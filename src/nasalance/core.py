@@ -10,6 +10,7 @@ intensity reference change) does not move N at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,30 +23,32 @@ from .output import _array_rows, _csv_blocks
 
 @dataclass(frozen=True)
 class NasalanceTrack:
-    """Per-frame nasalance percentage with validity flags.
+    """Per-frame nasalance percentage, NaN where a frame is invalid.
 
     Invalid frames (both channels at/below the silence floor) carry NaN and
-    must never be averaged in.
+    must never be averaged in; every other value is in [0, 100].
     """
 
     times: np.ndarray
     nasalance_pct: np.ndarray
-    valid: np.ndarray
 
     def __post_init__(self):
         # a writeable input is copied, so the caller's arrays stay writeable
         # and later writes to them do not reach the track
         times = _owned(self.times, np.float64)
         pct = _owned(self.nasalance_pct, np.float64)
-        valid = _owned(self.valid, bool)
-        if not len(times) == len(pct) == len(valid):
-            raise ValueError("times, nasalance_pct, valid must have equal length")
-        ok = pct[valid]
-        if len(ok) and (np.min(ok) < 0.0 or np.max(ok) > 100.0):
+        if len(times) != len(pct):
+            raise ValueError("times and nasalance_pct must have equal length")
+        # fmin and fmax skip NaN: an all-NaN track reduces to NaN and passes
+        if len(pct) and (np.fmin.reduce(pct) < 0.0 or np.fmax.reduce(pct) > 100.0):
             raise ValueError("valid nasalance values outside [0, 100]")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "nasalance_pct", pct)
-        object.__setattr__(self, "valid", valid)
+
+    @property
+    def valid(self) -> np.ndarray:
+        """The frames that hold a value: those not NaN."""
+        return ~np.isnan(self.nasalance_pct)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -73,10 +76,10 @@ def nasalance_track(it: IntensityTrack) -> NasalanceTrack:
     an intensity track.
 
     A frame is valid iff at least one channel is above the configured
-    silence floor and the clamp floor (IntensityTrack.valid_frames).
+    silence floor and the clamp floor (IntensityTrack.valid_frames); every
+    other frame is NaN.
     """
     nasal, oral = it.nasal_db, it.oral_db
-    valid = it.valid_frames()
     # two float arrays, pct and r, are all the work space: each step writes
     # in place, with the same operations in the same order as whole-array
     # steps, so every value is bitwise theirs
@@ -96,9 +99,9 @@ def nasalance_track(it: IntensityTrack) -> NasalanceTrack:
     # a channel clamped to the floor is exactly silent, not 1e-15
     np.copyto(pct, 0.0, where=nasal <= DB_CLAMP_FLOOR)
     np.copyto(pct, 100.0, where=oral <= DB_CLAMP_FLOOR)
-    np.copyto(pct, np.nan, where=~valid)
-    pct.flags.writeable = valid.flags.writeable = False  # kept without a copy
-    return NasalanceTrack(times=it.times, nasalance_pct=pct, valid=valid)
+    np.copyto(pct, np.nan, where=~it.valid_frames())
+    pct.flags.writeable = False  # kept without a copy
+    return NasalanceTrack(times=it.times, nasalance_pct=pct)
 
 
 def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
@@ -108,7 +111,7 @@ def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
     otherwise nearest takes the closer of the two frames around t (the
     earlier on a tie) and linear interpolates between them. Raises
     UnmeasurableError when t falls outside the track (a NaN t does too) or
-    a frame read is invalid.
+    a frame read is invalid (NaN).
     """
     times = nt.times
     if len(times) == 0 or not times[0] <= t <= times[-1]:  # NaN fails too
@@ -120,16 +123,16 @@ def value_at(nt: NasalanceTrack, t: float, method: str = "nearest") -> float:
         left = right = left if t - t0 <= t1 - t else right
     elif method != "linear":
         raise ValueError(f"unknown method {method!r}")
-    if not (nt.valid[left] and nt.valid[right]):
-        raise UnmeasurableError(t, reason="invalid-frame")
     v0, v1 = nt.nasalance_pct[left], nt.nasalance_pct[right]
+    if math.isnan(v0) or math.isnan(v1):
+        raise UnmeasurableError(t, reason="invalid-frame")
     return float(v1 if left == right else v0 + (v1 - v0) * (t - t0) / (t1 - t0))
 
 
 def nasalance_to_csv(nt: NasalanceTrack):
     """CSV text with columns t_s,nasalance_pct,valid, in blocks as they are
-    iterated (see output._csv_blocks); invalid rows leave the value field
-    empty."""
-    lines = ("%.6f,%.6f,1\n" % (t, v) if ok else "%.6f,,0\n" % t
-             for t, v, ok in _array_rows(nt.times, nt.nasalance_pct, nt.valid))
+    iterated (see output._csv_blocks); invalid (NaN) rows leave the value
+    field empty."""
+    lines = ("%.6f,,0\n" % t if math.isnan(v) else "%.6f,%.6f,1\n" % (t, v)
+             for t, v in _array_rows(nt.times, nt.nasalance_pct))
     return _csv_blocks(("t_s", "nasalance_pct", "valid"), lines)

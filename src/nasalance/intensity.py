@@ -100,18 +100,16 @@ class IntensityTrack:
     Values are finite and at or above DB_CLAMP_FLOOR. There is no ceiling:
     band-pass ringing and calibration shifts can carry frames past 0 dB.
 
-    `index` holds each frame's index on the framing grid (frame k of a
-    recording is centred at k * step_ms + frame_length_ms / 2) when the
-    track holds only some of its frames: whole numbers, strictly increasing.
-    None means every frame, so frame i has index i. Each centre must sit
-    step_ms times the index gap after the one before it, within 1e-9 s.
+    The track may hold every frame of a recording or only some of them
+    (frame k is centred at k * step_ms + frame_length_ms / 2): the centres
+    are finite, and each sits a whole, positive number of step_ms after the
+    one before it, within 1e-9 s, so a frame's time is its grid position.
     """
 
     times: np.ndarray
     nasal_db: np.ndarray
     oral_db: np.ndarray
     config: FrameConfig
-    index: np.ndarray | None = None
 
     def __post_init__(self):
         # a writeable input is copied, so the caller's arrays stay writeable
@@ -120,25 +118,16 @@ class IntensityTrack:
                               for x in (self.times, self.nasal_db, self.oral_db))
         if not len(times) == len(nasal) == len(oral):
             raise ValueError("times, nasal_db, oral_db must have equal length")
-        index = self.index
-        if index is not None:
-            given = np.asarray(index)
-            with np.errstate(invalid="ignore"):  # NaN and inf fail the check below
-                index = _owned(given, np.int64)
-            if not np.array_equal(index, given):
-                raise ValueError("index must hold whole numbers")
-            if len(index) != len(times):
-                raise ValueError("index must have one grid index per frame")
-            if len(index) and (index[0] < 0 or np.any(np.diff(index) <= 0)):
-                raise ValueError("index must be non-negative and strictly increasing")
-            object.__setattr__(self, "index", index)
+        if len(times) and not math.isfinite(times[0]):
+            raise ValueError("frame centers must be finite")
         step_s = self.config.step_ms / 1000.0
         # a block at a time, so no check array is as long as the track
         for a in range(0, len(times) - 1, _BLOCK_FRAMES):
-            b = a + _BLOCK_FRAMES + 1
-            grid = step_s if index is None else np.diff(index[a:b]) * step_s
-            if np.max(np.abs(np.diff(times[a:b]) - grid)) > 1e-9:
-                raise ValueError("frame centers are not uniformly spaced at step_ms")
+            gaps = np.diff(times[a : a + _BLOCK_FRAMES + 1])
+            steps = np.rint(gaps / step_s)
+            # NaN fails both comparisons, and a gap to an infinite centre the second
+            if not (np.min(steps) >= 1 and np.max(np.abs(gaps - steps * step_s)) <= 1e-9):
+                raise ValueError("frame centers are not whole multiples of step_ms apart")
         for name, db in (("nasal_db", nasal), ("oral_db", oral)):
             # NaN fails the first comparison
             if len(db) and not (np.min(db) >= DB_CLAMP_FLOOR and np.max(db) < math.inf):
@@ -276,7 +265,7 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
     the track, so memory grows with the number of frames, not with the file.
 
     With `at` (times in seconds), the track holds only the frames that
-    `value_at` can read at those times, with their grid indices: for each
+    `value_at` can read at those times, known by their times: for each
     time, the last frame centred at or before it and the first centred at
     or after it, clipped to the recording's frames. Their times and dB are
     bitwise those of framing every frame, and `value_at` at an `at` time
@@ -317,11 +306,8 @@ def intensity_track(rec: StereoRecording, cfg: FrameConfig | None = None,
             k = np.arange(a, b) if index is None else index[a:b]
             starts = np.rint(k * step_samples).astype(np.int64)
             _frames_db(read, starts, frame_len, w, db[:, a:b], grid)
-    for x in (times, db, index):
-        if x is not None:
-            x.flags.writeable = False  # kept without a copy
-    return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg,
-                          index=index)
+    times.flags.writeable = db.flags.writeable = False  # kept without a copy
+    return IntensityTrack(times=times, nasal_db=db[0], oral_db=db[1], config=cfg)
 
 
 # The band-pass kernel ends where its slowest pole has decayed by this factor

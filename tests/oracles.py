@@ -241,6 +241,14 @@ def frames_around_stepping(at: np.ndarray, count: int, step_s: float,
     return np.unique(np.concatenate([k, after]).clip(0, count - 1))
 
 
+def grid_positions(track, sample_rate) -> np.ndarray:
+    """Each frame's position k on the framing grid, read from its time
+    k * step_ms + frame_length_ms / 2."""
+    cfg = track.config
+    centre_s = round(cfg.frame_length_ms * sample_rate / 1000.0) / (2.0 * sample_rate)
+    return np.rint((track.times - centre_s) / (cfg.step_ms / 1000.0)).astype(np.int64)
+
+
 def nasalance_csv_text(nt) -> str:
     """The whole text core.nasalance_to_csv writes, formed in one pass."""
     rows = ["%.6f,%.6f,1" % (t, v) if ok else "%.6f,,0" % t

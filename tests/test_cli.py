@@ -415,6 +415,21 @@ def test_calibration_flag_in_analyze(session, tmp_path):
                  "--calibration", str(profile), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("window", [[0, 2, 99, "x"], [0, 2, 3], [1.5], 2.0])
+def test_profile_window_of_other_than_two_numbers_is_refused(session, tmp_path, capsys,
+                                                             window):
+    wav, tg, wordlist = session
+    case = tmp_path / "case"
+    case.mkdir()
+    profile = case / "cal.json"
+    profile.write_text(json.dumps({"gain_offset_db": 0.0, "stimulus_window": window}))
+    assert main(["analyze", str(wav), str(tg), "--wordlist", str(wordlist),
+                 "--calibration", str(profile), "--out", str(case / "tokens.csv")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cal.json: bad calibration profile: ")
+    assert [p.name for p in case.iterdir()] == ["cal.json"]
+
+
 def test_calibration_of_loud_take_exits_0(session, tmp_path):
     # a -7 dB profile lifts a loud pcm16 nasal channel past full scale in
     # track and analyze alike; both write their outputs
@@ -971,6 +986,33 @@ def test_analyze_warns_of_a_skipped_point_tier(session, tmp_path, capsys):
                                        "4 tokens written, 0 rejected\n")
 
 
+def test_refused_textgrid_still_prints_its_warnings(session, tmp_path, capsys):
+    # the point tier is skipped, with a warning, before the grammar error
+    # after it refuses the file: both are printed, the warning first
+    wav, tg, wordlist = session
+    pointed = tmp_path / "points.TextGrid"
+    pointed.write_text(tg.read_text().replace("size = 2\n", "size = 3\n", 1) + """\
+    item [3]:
+        class = "TextTier"
+        name = "clicks"
+        xmin = 0
+        xmax = 1
+        points: size = 1
+        points [1]:
+            number = 0.45
+            mark = "click"
+"x"
+""")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["analyze", str(wav), str(pointed), "--wordlist", str(wordlist),
+                 "--out", str(out / "t.csv")]) == 2
+    warning, error, *rest = capsys.readouterr().err.splitlines()
+    assert warning == "warning: skipping point tier 'clicks'" and not rest
+    assert error.startswith("error: points.TextGrid: ") and "unexpected content" in error
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["stereo", "pair"])
 def test_wav_with_no_samples_exits_2(tmp_path, capsys, pair):
     # the empty nasal file of a pair used to be padded to a silent track
@@ -1119,3 +1161,12 @@ def test_bench_span_targets_resolve(monkeypatch):
     assert ("nasalance.stats", "TokenRecord") in imported
     for module, attr in imported:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+@pytest.mark.parametrize("cmd", [[], ["analyze"], ["track"], ["calibrate"], ["synth"],
+                                 ["stats"]], ids=lambda cmd: " ".join(cmd) or "top")
+def test_help_exits_0(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: nasalance {' '.join(cmd)}".rstrip())

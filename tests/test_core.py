@@ -194,6 +194,32 @@ def test_csv_dump_marks_invalid_rows():
     assert lines[2] == "0.024000,,0"
 
 
+def test_nan_alone_marks_an_invalid_frame():
+    # validity is not stored beside the values, so the two cannot disagree:
+    # a NaN frame is read as invalid by value_at and written as ",,0"
+    nt = NasalanceTrack([0.016, 0.024], [np.nan, 40.0])
+    assert nt.valid.tolist() == [False, True]
+    for method in ("nearest", "linear"):
+        with pytest.raises(UnmeasurableError) as err:
+            value_at(nt, 0.016, method)
+        assert err.value.reason == "invalid-frame"
+    assert value_at(nt, 0.024) == 40.0
+    assert "".join(nasalance_to_csv(nt)).split("\n")[1:] == [
+        "0.016000,,0", "0.024000,40.000000,1", ""]
+    with pytest.raises(TypeError):
+        NasalanceTrack([0.016], [10.0], [True])  # no valid= argument
+
+
+def test_nasalance_values_must_be_nan_or_within_0_to_100():
+    for pct in ([], [np.nan], [0.0, np.nan, 100.0]):
+        assert len(NasalanceTrack(0.016 + 0.008 * np.arange(len(pct)), pct)) == len(pct)
+    for pct in ([np.nan, 100.5], [-1e-9, np.nan], [np.inf], [np.nan, -np.inf]):
+        with pytest.raises(ValueError, match=r"outside \[0, 100\]"):
+            NasalanceTrack(0.016 + 0.008 * np.arange(len(pct)), pct)
+    with pytest.raises(ValueError, match="equal length"):
+        NasalanceTrack([0.016, 0.024], [10.0])
+
+
 def test_full_pipeline_tone_recording():
     rec = tone_recording(nasal_amp=0.2, oral_amp=0.6)
     nt = nasalance_track(intensity_track(rec))
@@ -202,16 +228,16 @@ def test_full_pipeline_tone_recording():
 
 def test_nasalance_track_leaves_caller_arrays_writeable():
     times = 0.016 + 0.008 * np.arange(3)
-    pct, valid = np.array([10.0, np.nan, 90.0]), np.array([True, False, True])
-    nt = NasalanceTrack(times, pct, valid)
-    assert times.flags.writeable and pct.flags.writeable and valid.flags.writeable
-    times[0], pct[0], valid[0] = 9.0, 50.0, False  # later writes do not reach it
-    assert nt.times[0] == 0.016 and nt.nasalance_pct[0] == 10.0 and nt.valid[0]
-    assert not nt.valid.flags.writeable
-    for arr in (times, pct, valid):
+    pct = np.array([10.0, np.nan, 90.0])
+    nt = NasalanceTrack(times, pct)
+    assert times.flags.writeable and pct.flags.writeable
+    times[0], pct[0], pct[1] = 9.0, np.nan, 50.0  # later writes do not reach it
+    assert nt.times[0] == 0.016 and nt.nasalance_pct[0] == 10.0
+    assert nt.valid.tolist() == [True, False, True]
+    for arr in (times, pct):
         arr.flags.writeable = False
-    kept = NasalanceTrack(times, pct, valid)  # read-only: no copy
-    assert kept.times is times and kept.nasalance_pct is pct and kept.valid is valid
+    kept = NasalanceTrack(times, pct)  # read-only: no copy
+    assert kept.times is times and kept.nasalance_pct is pct
     it = intensity_track(tone_recording(), FrameConfig())
     assert nasalance_track(it).times is it.times
 

@@ -13,6 +13,7 @@ from conftest import tone_recording
 from oracles import (
     frame_intensity_db,
     frames_around_stepping,
+    grid_positions,
     held_bandpass,
     held_recording,
     read_wav,
@@ -213,7 +214,7 @@ def test_sparse_track_frames_the_frames_around_each_time():
     # the sparse track holds, for each time, the last frame centred at or
     # before it and the first at or after it, clipped to the recording's
     # frames: the frames searchsorted finds on the whole track's times (NaN
-    # sorts last), with their grid indices and, bitwise, their times and dB
+    # sorts last), at their grid positions and, bitwise, with their times and dB
     rng = np.random.default_rng(4)
     for sample_rate in (48000, 44100):  # 44.1 kHz: a fractional hop
         x = rng.uniform(-0.5, 0.5, (2, sample_rate))
@@ -241,11 +242,11 @@ def test_sparse_track_frames_the_frames_around_each_time():
         cases.append((anywhere, framed))
         for at, framed in cases:
             sparse = intensity_track(rec, at=at)
-            np.testing.assert_array_equal(sparse.index, framed)
+            np.testing.assert_array_equal(grid_positions(sparse, sample_rate), framed)
             assert sparse.times.tobytes() == times[framed].tobytes()
             assert sparse.nasal_db.tobytes() == full.nasal_db[framed].tobytes()
             assert sparse.oral_db.tobytes() == full.oral_db[framed].tobytes()
-        assert full.index is None
+        np.testing.assert_array_equal(grid_positions(full, sample_rate), np.arange(len(full)))
 
 
 def test_frames_around_matches_unique_of_both_neighbours():
@@ -293,27 +294,33 @@ def test_frames_around_takes_one_step_on_grids_up_to_2_31_frames():
 
 
 def test_sparse_track_centres_sit_on_the_grid_of_their_index():
-    # the spacing check is today's for a whole track and as strict for a
-    # sparse one: each gap is step_ms times the index gap, within 1e-9 s
+    # a whole track and a sparse one meet one spacing rule: each gap is a
+    # whole, positive number of steps, within 1e-9 s
     cfg = FrameConfig()
     times = 0.016 + 0.008 * np.array([0.0, 1.0, 5.0, 9.0])
     db = np.full(4, -20.0)
-    track = IntensityTrack(times, db, db, cfg, index=[0, 1, 5, 9])
-    assert track.index.dtype == np.int64 and not track.index.flags.writeable
-    whole = IntensityTrack(times, db, db, cfg, index=[0.0, 1.0, 5.0, 9.0])
-    assert whole.index.tolist() == [0, 1, 5, 9] and whole.index.dtype == np.int64
-    for index in ([0, 1, 5, 8], [0, 1, 4, 8]):
-        with pytest.raises(ValueError, match="not uniformly spaced"):
-            IntensityTrack(times, db, db, cfg, index=index)
-    with pytest.raises(ValueError, match="not uniformly spaced"):
-        IntensityTrack(times + [0, 0, 2e-9, 2e-9], db, db, cfg, index=[0, 1, 5, 9])
-    for index, message in (([0, 1, 5], "one grid index per frame"),
-                           ([0, 1.9, 5.2, 9], "index must hold whole numbers"),
-                           ([0, 1, np.nan, 9], "index must hold whole numbers"),
-                           ([-1, 0, 4, 8], "non-negative and strictly increasing"),
-                           ([0, 1, 1, 9], "non-negative and strictly increasing")):
+    IntensityTrack(times, db, db, cfg)
+    IntensityTrack(times + [0, 0, 5e-10, 5e-10], db, db, cfg)
+    for steps in ([0, 1, 1.5, 9], [0, 1, 1, 9], [0, 5, 1, 9]):
+        with pytest.raises(ValueError, match="not whole multiples of step_ms apart"):
+            IntensityTrack(0.016 + 0.008 * np.array(steps), db, db, cfg)
+    with pytest.raises(ValueError, match="not whole multiples of step_ms apart"):
+        IntensityTrack(times + [0, 0, 2e-9, 2e-9], db, db, cfg)
+
+
+def test_intensity_track_refuses_non_finite_times():
+    # NaN fails every comparison, so a NaN centre must fail the spacing check
+    # in the middle of a track and the explicit check on a one-frame track
+    cfg = FrameConfig()
+    for times, message in (([0.016, math.nan, 0.032], "not whole multiples"),
+                           ([0.016, 0.024, math.nan], "not whole multiples"),
+                           ([0.016, math.inf, 0.032], "not whole multiples"),
+                           ([-math.inf, 0.016, 0.024], "must be finite"),
+                           ([math.nan], "must be finite"),
+                           ([math.inf], "must be finite")):
+        db = np.full(len(times), -20.0)
         with pytest.raises(ValueError, match=message):
-            IntensityTrack(times, db, db, cfg, index=index)
+            IntensityTrack(times, db, db, cfg)
 
 
 @pytest.mark.parametrize("fmt", ["pcm16", "pcm24", "pcm32", "float32",
@@ -935,13 +942,15 @@ def test_sparse_bandpassed_framing_filters_each_block_it_reads_once(monkeypatch)
                                  [(n - 10) / out.sample_rate]]))
     calls = _counting_irfft(monkeypatch)
     sparse = intensity_track(out, cfg, at=at)
-    starts = np.rint(sparse.index * 384.0).astype(np.int64)
+    k = grid_positions(sparse, out.sample_rate)
+    starts = np.rint(k * 384.0).astype(np.int64)
     blocks = _blocks_framed(starts, frame_len, hop)
     assert blocks == {0, 2, 3, 4}
     assert len(calls) == 2 * len(blocks)
     full = intensity_track(held_recording(*held, out.sample_rate), cfg)
-    assert sparse.nasal_db.tobytes() == full.nasal_db[sparse.index].tobytes()
-    assert sparse.oral_db.tobytes() == full.oral_db[sparse.index].tobytes()
+    assert sparse.times.tobytes() == full.times[k].tobytes()
+    assert sparse.nasal_db.tobytes() == full.nasal_db[k].tobytes()
+    assert sparse.oral_db.tobytes() == full.oral_db[k].tobytes()
 
 
 def test_crop_of_bandpassed_recording():
@@ -1055,8 +1064,10 @@ def test_sparse_framing_of_bandpassed_take_filters_only_its_block(tmp_path, monk
     assert reads and min(a for a, _ in reads) >= 3 * hop - half
     assert max(b for _, b in reads) <= 4 * hop + half
     assert len(got) == 2
-    np.testing.assert_array_equal(got.nasal_db, want.nasal_db[got.index])
-    np.testing.assert_array_equal(got.oral_db, want.oral_db[got.index])
+    k = grid_positions(got, sr)
+    np.testing.assert_array_equal(got.times, want.times[k])
+    np.testing.assert_array_equal(got.nasal_db, want.nasal_db[k])
+    np.testing.assert_array_equal(got.oral_db, want.oral_db[k])
 
 
 def test_bandpass_memory_does_not_grow_with_the_take(tmp_path):

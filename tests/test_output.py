@@ -40,7 +40,7 @@ def _nasalance_track(n):
     valid = rng.random(n) > 0.2
     valid[[i for i in EDGES if i < n]] = False  # ",,0" rows on the boundaries
     pct = np.where(valid, rng.uniform(0.0, 100.0, n), np.nan)
-    return NasalanceTrack(times=_times(n), nasalance_pct=pct, valid=valid)
+    return NasalanceTrack(times=_times(n), nasalance_pct=pct)
 
 
 @pytest.mark.parametrize("n", SIZES)
